@@ -132,7 +132,6 @@ SCHEMA: dict[str, tuple[str, str, object]] = {
     "loss.ce_weight": ("loss", "ce_weight", float),
     "loss.rank_weight": ("loss", "rank_weight", float),
     "loss.ranking": ("loss", "ranking", str),
-    "loss.score_source": ("loss", "score_source", str),
     "loss.score_scale": ("loss", "score_scale", float),
     "train.mode": ("train", "mode", str),
     "train.task": ("train", "task", str),

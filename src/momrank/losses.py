@@ -25,7 +25,6 @@ from .errors import ContractError
 GAIN_STANDARD = "standard"   # 2^w - 1: zero gain at level 0
 GAIN_SHIFTED = "shifted"     # 2^(w-1): literal alternative reading
 RANK_NDCG, RANK_PAIRWISE, RANK_NONE = "ndcg", "pairwise", "none"
-SCORES_CLS, SCORES_REG = "classification", "regression"
 
 _LN2 = math.log(2.0)
 
@@ -38,7 +37,6 @@ class RankLossConfig:
     ce_weight: float = 0.5
     rank_weight: float = 0.5
     ranking: str = RANK_NDCG
-    score_source: str = SCORES_CLS     # which head feeds the ranking term
     score_scale: float = 10.0          # spread applied to expected-level scores
 
     def __post_init__(self):
@@ -50,8 +48,6 @@ class RankLossConfig:
             raise ContractError(f"unknown gain variant {self.gain!r}")
         if self.ranking not in (RANK_NDCG, RANK_PAIRWISE, RANK_NONE):
             raise ContractError(f"unknown ranking term {self.ranking!r}")
-        if self.score_source not in (SCORES_CLS, SCORES_REG):
-            raise ContractError(f"unknown score source {self.score_source!r}")
         if self.score_scale <= 0:
             raise ContractError("score_scale must be positive")
 
@@ -94,14 +90,21 @@ def adaptive_k(group_sizes, threshold: int) -> int:
     return n
 
 
+def level_groups(levels: np.ndarray, n_levels: int,
+                 threshold_frac: float) -> tuple[list[int], int]:
+    """One day's label-group sizes (highest level first) and its k floor."""
+    levels = np.asarray(levels)
+    sizes = [int((levels == lvl).sum()) for lvl in range(n_levels - 1, -1, -1)]
+    return sizes, max(1, math.ceil(threshold_frac * levels.size))
+
+
 def make_rank_batch(scores: Tensor, levels: np.ndarray, n_levels: int,
                     cfg: RankLossConfig) -> RankBatch:
     levels = np.asarray(levels)
     n = levels.size
     if scores.data.shape != (n,):
         raise ContractError(f"scores shape {scores.data.shape} does not match {n} labels")
-    group_sizes = [int((levels == lvl).sum()) for lvl in range(n_levels - 1, -1, -1)]
-    threshold = max(1, math.ceil(cfg.threshold_frac * n))
+    group_sizes, threshold = level_groups(levels, n_levels, cfg.threshold_frac)
     if cfg.fixed_k is not None:
         k = min(cfg.fixed_k, n)
     else:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import StockPanel, compute_return
 from .errors import ContractError
-from .losses import RankLossConfig, adaptive_k
+from .losses import RankLossConfig, adaptive_k, level_groups
 from .momentum import UNLABELED
 
 
@@ -152,7 +152,6 @@ def evaluate_predictions(scores: np.ndarray, panel: StockPanel,
             lab = class_labels[t, ok]
             lab = lab[lab != UNLABELED]
             if lab.size:
-                sizes = [int((lab == lvl).sum()) for lvl in range(4, -1, -1)]
-                threshold = max(1, int(np.ceil(cfg.threshold_frac * lab.size)))
-                k_values.append(adaptive_k(sizes, threshold))
+                k_values.append(adaptive_k(*level_groups(lab, int(lab.max()) + 1,
+                                                         cfg.threshold_frac)))
     return aggregate(ics, rics, precisions, k_values)

@@ -5,7 +5,8 @@ next-day return and another produces the class logits. Trunk variants: an MLP
 over the flattened window (default) or a small recurrent net stepped over the
 window. Parameters are partitioned into three disjoint groups (trunk,
 regression head, classification head) so the trainer can route gradients per
-task.
+task. Each group is one flat float64 buffer and every parameter's ``data`` is
+a view into it, so an optimizer updates a whole group in place.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ class BackboneParams:
     trunk: dict[str, Tensor]
     reg_head: dict[str, Tensor]
     cls_head: dict[str, Tensor]
+    flat: dict[str, np.ndarray]  # group name -> the buffer its tensors' data views
 
     def trunk_tensors(self) -> list[Tensor]:
         return list(self.trunk.values())
@@ -69,12 +71,11 @@ class BackboneParams:
         return sum(t.data.size for t in self.all_named().values())
 
     def copy_data(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self.all_named().items()}
+        return {group: flat.copy() for group, flat in self.flat.items()}
 
     def load_data(self, snapshot: dict[str, np.ndarray]) -> None:
-        for name, tensor in self.all_named().items():
-            tensor.data = snapshot[name].copy()
-            tensor.grad = np.zeros_like(tensor.data)
+        for group, flat in self.flat.items():
+            flat[...] = snapshot[group]
 
 
 @dataclass
@@ -88,25 +89,38 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
+def _flat_group(arrays: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, Tensor]]:
+    """One buffer holding the arrays in order, and a Tensor viewing each slice."""
+    flat = np.concatenate([a.ravel() for a in arrays.values()])
+    tensors, offset = {}, 0
+    for name, a in arrays.items():
+        tensors[name] = Tensor(flat[offset: offset + a.size].reshape(a.shape))
+        offset += a.size
+    return flat, tensors
+
+
 def init_params(arch: Architecture, seed: int) -> BackboneParams:
     """Deterministic parameter initialization from the seed."""
     rng = np.random.Generator(np.random.Philox(seed))
     h0, h1 = arch.hidden
-    trunk: dict[str, Tensor] = {}
+    trunk: dict[str, np.ndarray] = {}
     if arch.trunk == TRUNK_MLP:
         d_in = arch.window * arch.n_features
-        trunk["w0"] = Tensor(_glorot(rng, d_in, h0))
-        trunk["b0"] = Tensor(np.zeros(h0))
+        trunk["w0"] = _glorot(rng, d_in, h0)
+        trunk["b0"] = np.zeros(h0)
     else:
-        trunk["wx"] = Tensor(_glorot(rng, arch.n_features, h0))
-        trunk["wh"] = Tensor(_glorot(rng, h0, h0))
-        trunk["b_rec"] = Tensor(np.zeros(h0))
-    trunk["w1"] = Tensor(_glorot(rng, h0, h1))
-    trunk["b1"] = Tensor(np.zeros(h1))
-    reg_head = {"w": Tensor(_glorot(rng, h1, 1)), "b": Tensor(np.zeros(1))}
-    cls_head = {"w": Tensor(_glorot(rng, h1, arch.n_classes)),
-                "b": Tensor(np.zeros(arch.n_classes))}
-    return BackboneParams(arch, trunk, reg_head, cls_head)
+        trunk["wx"] = _glorot(rng, arch.n_features, h0)
+        trunk["wh"] = _glorot(rng, h0, h0)
+        trunk["b_rec"] = np.zeros(h0)
+    trunk["w1"] = _glorot(rng, h0, h1)
+    trunk["b1"] = np.zeros(h1)
+    groups = {"trunk": trunk,
+              "reg_head": {"w": _glorot(rng, h1, 1), "b": np.zeros(1)},
+              "cls_head": {"w": _glorot(rng, h1, arch.n_classes), "b": np.zeros(arch.n_classes)}}
+    flat, tensors = {}, {}
+    for group, arrays in groups.items():
+        flat[group], tensors[group] = _flat_group(arrays)
+    return BackboneParams(arch, **tensors, flat=flat)
 
 
 def forward(params: BackboneParams, day_features: np.ndarray) -> BatchOutput:
@@ -193,7 +207,10 @@ def load_checkpoint(path) -> tuple[BackboneParams, dict]:
     if set(named) != set(blob["params"]):
         raise ContractError(f"{path}: parameter names do not match architecture")
     for name, spec in blob["params"].items():
-        arr = np.asarray(spec["data"], dtype=np.float64).reshape(spec["shape"])
-        named[name].data = arr
-        named[name].grad = np.zeros_like(arr)
+        arr = np.asarray(spec["data"], dtype=np.float64)
+        want = named[name].data.shape
+        if tuple(spec["shape"]) != want or arr.size != named[name].data.size:
+            raise ContractError(f"{path}: parameter {name} has shape {tuple(spec['shape'])} "
+                                f"and {arr.size} values, architecture expects {want}")
+        named[name].data[...] = arr.reshape(want)
     return params, blob.get("extra", {})

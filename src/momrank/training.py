@@ -13,13 +13,18 @@ negative value means validation loss is rebounding while training loss still
 falls, i.e. overfitting; the forgetting rate then rises toward 1 (new
 gradients get discounted) and weight decay grows toward its initial setting.
 
-Modes:
-    full         the whole pipeline (default)
-    ew           plain joint training: raw gradients of L_r + L_c, no EMA,
-                 no balancing, constant decay
-    stl          regression only, through the log-grad/EMA pipeline
-    fixed_beta   pipeline with the forgetting rate pinned at its initial value
-    fixed_decay  pipeline with weight decay pinned at its initial value
+Modes (one row of ``MODES`` each; the pipeline is log-grad, EMA and balancing):
+
+    mode          adapt beta  adapt decay  pipeline  tasks
+    full          on          on           on        regression, classification
+    ew            off         off          off       regression, classification
+    stl           on          on           on        regression
+    fixed_beta    off         on           on        regression, classification
+    fixed_decay   on          off          on        regression, classification
+
+Decay adapts on the mean converge rate over the active tasks. With the
+pipeline off the trunk step is the plain sum of the raw task gradients (plain
+joint training); with one task it is that task's EMA'd gradient.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import numpy as np
 from .autodiff import Tensor, gradients, sigmoid_np
 from .data import StockPanel, compute_return
 from .errors import ContractError, TrainingError
-from .losses import (SCORES_REG, RankLossConfig, classification_loss, expected_level,
+from .losses import (RankLossConfig, classification_loss, expected_level,
                      make_rank_batch, mse_loss)
 from .metrics import daily_ic, daily_rank_ic
 from .model import (Architecture, BackboneParams, day_window, forward, init_params, window_ok)
@@ -39,9 +44,26 @@ from .momentum import UNLABELED, MomentumConfig, label_dataset, rise_fall_label
 
 MODE_FULL, MODE_EW, MODE_STL = "full", "ew", "stl"
 MODE_FIXED_BETA, MODE_FIXED_DECAY = "fixed_beta", "fixed_decay"
-MODES = (MODE_FULL, MODE_EW, MODE_STL, MODE_FIXED_BETA, MODE_FIXED_DECAY)
 TASK_MOMENTUM, TASK_RISE_FALL = "momentum", "rise_fall"
+REG, CLS = "regression", "classification"   # the two heads' tasks
 LOG_EPS = 1e-8
+
+
+@dataclass(frozen=True)
+class Mode:
+    adapt_beta: bool
+    adapt_decay: bool
+    pipeline: bool          # log-grad + EMA + balancing; off means raw gradients
+    tasks: tuple[str, ...]
+
+
+MODES = {
+    MODE_FULL: Mode(True, True, True, (REG, CLS)),
+    MODE_EW: Mode(False, False, False, (REG, CLS)),
+    MODE_STL: Mode(True, True, True, (REG,)),
+    MODE_FIXED_BETA: Mode(False, True, True, (REG, CLS)),
+    MODE_FIXED_DECAY: Mode(True, False, True, (REG, CLS)),
+}
 
 
 @dataclass(frozen=True)
@@ -184,30 +206,21 @@ class _GroupOptimizer:
         self.t = 0
 
     def step(self, flat: np.ndarray, grad: np.ndarray, decay: float) -> np.ndarray:
+        """Write the updated group into ``flat`` and return it."""
         if self.kind == "sgd":
-            return flat - self.lr * grad - self.lr * decay * flat
+            flat[...] = flat - self.lr * grad - self.lr * decay * flat
+            return flat
         self.t += 1
         self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
         self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
         m_hat = self.m / (1.0 - self.beta1 ** self.t)
         v_hat = self.v / (1.0 - self.beta2 ** self.t)
-        return flat - self.lr * m_hat / (np.sqrt(v_hat) + self.eps) - self.lr * decay * flat
+        flat[...] = flat - self.lr * m_hat / (np.sqrt(v_hat) + self.eps) - self.lr * decay * flat
+        return flat
 
 
 def _flatten(arrays) -> np.ndarray:
-    return np.concatenate([a.ravel() for a in arrays]) if arrays else np.empty(0)
-
-
-def _flat_data(tensors) -> np.ndarray:
-    return _flatten([t.data for t in tensors])
-
-
-def _assign_flat(tensors, flat: np.ndarray) -> None:
-    offset = 0
-    for t in tensors:
-        size = t.data.size
-        t.data = flat[offset: offset + size].reshape(t.data.shape).copy()
-        offset += size
+    return np.concatenate([a.ravel() for a in arrays])
 
 
 # ---- batches ----
@@ -253,33 +266,29 @@ def build_batches(panel: StockPanel, labels: np.ndarray, window: int,
 
 
 def _batch_losses(params: BackboneParams, batch: _DayBatch, loss_cfg: RankLossConfig,
-                  n_classes: int, need_cls: bool):
-    """Forward one day and build the task losses (and the rank batch)."""
+                  n_classes: int, tasks: tuple[str, ...]):
+    """Forward one day; the loss per task, plus the rank batch when ranking runs."""
     out = forward(params, batch.feats)
-    loss_r = mse_loss(out.pred_return, batch.y)
-    if not need_cls:
-        return out, loss_r, None, None
-    if loss_cfg.score_source == SCORES_REG:
-        scores = out.pred_return * loss_cfg.score_scale
-    else:
-        scores = expected_level(out.class_logits) * loss_cfg.score_scale
+    losses = {REG: mse_loss(out.pred_return, batch.y)}
+    if CLS not in tasks:
+        return out, losses, None
+    scores = expected_level(out.class_logits) * loss_cfg.score_scale
     rank_batch = make_rank_batch(scores, batch.labels, n_classes, loss_cfg)
-    loss_c = classification_loss(out.class_logits, batch.labels, rank_batch, loss_cfg)
-    return out, loss_r, loss_c, rank_batch
+    losses[CLS] = classification_loss(out.class_logits, batch.labels, rank_batch, loss_cfg)
+    return out, losses, rank_batch
 
 
 def _split_metrics(params: BackboneParams, batches: list[_DayBatch],
-                   loss_cfg: RankLossConfig, n_classes: int, need_cls: bool):
-    """Mean per-day losses plus IC/RankIC of the regression head on a split."""
+                   loss_cfg: RankLossConfig, n_classes: int, tasks: tuple[str, ...]):
+    """Mean per-day loss per task plus IC/RankIC of the regression head on a split."""
     if not batches:
-        return float("nan"), float("nan"), float("nan"), float("nan")
-    loss_r_sum = loss_c_sum = 0.0
+        return dict.fromkeys(tasks, float("nan")), float("nan"), float("nan")
+    loss_sums = dict.fromkeys(tasks, 0.0)
     ics, rics = [], []
     for batch in batches:
-        out, loss_r, loss_c, _ = _batch_losses(params, batch, loss_cfg, n_classes, need_cls)
-        loss_r_sum += loss_r.item()
-        if need_cls:
-            loss_c_sum += loss_c.item()
+        out, losses, _ = _batch_losses(params, batch, loss_cfg, n_classes, tasks)
+        for task in tasks:
+            loss_sums[task] += losses[task].item()
         ics.append(daily_ic(out.pred_return.data, batch.y))
         rics.append(daily_rank_ic(out.pred_return.data, batch.y))
     n = len(batches)
@@ -287,7 +296,7 @@ def _split_metrics(params: BackboneParams, batches: list[_DayBatch],
     finite_rics = [v for v in rics if np.isfinite(v)]
     ic = float(np.mean(finite_ics)) if finite_ics else float("nan")
     ric = float(np.mean(finite_rics)) if finite_rics else float("nan")
-    return loss_r_sum / n, (loss_c_sum / n if need_cls else float("nan")), ic, ric
+    return {task: total / n for task, total in loss_sums.items()}, ic, ric
 
 
 def fit(train_panel: StockPanel, valid_panel: StockPanel, mom_cfg: MomentumConfig,
@@ -297,7 +306,8 @@ def fit(train_panel: StockPanel, valid_panel: StockPanel, mom_cfg: MomentumConfi
     Returns the parameters of the epoch with the highest validation IC of the
     regression head, the per-epoch log, and the training-day k histogram.
     """
-    need_cls = cfg.mode != MODE_STL
+    mode = MODES[cfg.mode]
+    tasks = mode.tasks
     n_classes = 2 if cfg.task == TASK_RISE_FALL else 5
     train_batches = build_batches(train_panel, class_labels_for(train_panel, cfg.task, mom_cfg),
                                   cfg.window, cfg.standardize_y)
@@ -310,16 +320,14 @@ def fit(train_panel: StockPanel, valid_panel: StockPanel, mom_cfg: MomentumConfi
                         hidden=cfg.hidden, trunk=cfg.trunk, n_classes=n_classes)
     params = init_params(arch, seed)
     theta = params.trunk_tensors()
-    psi_r = params.reg_tensors()
-    psi_c = params.cls_tensors()
-    opt_theta = _GroupOptimizer(cfg.optimizer, _flat_data(theta).size, cfg.lr)
-    opt_reg = _GroupOptimizer(cfg.optimizer, _flat_data(psi_r).size, cfg.lr)
-    opt_cls = _GroupOptimizer(cfg.optimizer, _flat_data(psi_c).size, cfg.lr)
+    head_group = {REG: "reg_head", CLS: "cls_head"}
+    head_tensors = {REG: params.reg_tensors(), CLS: params.cls_tensors()}
+    opts = {group: _GroupOptimizer(cfg.optimizer, flat.size, cfg.lr)
+            for group, flat in params.flat.items()}
 
-    ema_reg: np.ndarray | None = None
-    ema_cls: np.ndarray | None = None
-    hist = {("train", "r"): [], ("valid", "r"): [], ("train", "c"): [], ("valid", "c"): []}
-    v_reg = v_cls = 1.0
+    ema: dict[str, np.ndarray | None] = dict.fromkeys(tasks)
+    hist = {(split, task): [] for split in ("train", "valid") for task in tasks}
+    converge = dict.fromkeys(tasks, 1.0)
     k_counts: dict[int, int] = {}
     log: list[EpochRecord] = []
     best_ic = -np.inf
@@ -330,87 +338,55 @@ def fit(train_panel: StockPanel, valid_panel: StockPanel, mom_cfg: MomentumConfi
 
     for epoch in range(1, cfg.epochs + 1):
         epochs_run = epoch
-        if cfg.mode in (MODE_FULL, MODE_FIXED_DECAY):
-            beta_reg_e = adapted_beta(cfg.beta, v_reg)
-            beta_cls_e = adapted_beta(cfg.beta, v_cls)
-        else:  # fixed_beta keeps the initial rate; stl adapts its single task
-            beta_reg_e = adapted_beta(cfg.beta, v_reg) if cfg.mode == MODE_STL else cfg.beta
-            beta_cls_e = cfg.beta
-        if cfg.mode == MODE_EW or cfg.mode == MODE_FIXED_DECAY:
-            decay_e = cfg.decay
-        elif cfg.mode == MODE_STL:
-            decay_e = adapted_decay(cfg.decay, v_reg)
-        else:
-            decay_e = adapted_decay(cfg.decay, 0.5 * (v_reg + v_cls))
+        beta_e = {task: adapted_beta(cfg.beta, converge[task]) if mode.adapt_beta else cfg.beta
+                  for task in tasks}
+        mean_converge = sum(converge[task] for task in tasks) / len(tasks)
+        decay_e = adapted_decay(cfg.decay, mean_converge) if mode.adapt_decay else cfg.decay
 
         for batch in train_batches:
-            out, loss_r, loss_c, rank_batch = _batch_losses(params, batch, loss_cfg,
-                                                            n_classes, need_cls)
-            if not np.isfinite(loss_r.data).all() or (need_cls and not np.isfinite(loss_c.data).all()):
+            _, losses, rank_batch = _batch_losses(params, batch, loss_cfg, n_classes, tasks)
+            if not all(np.isfinite(loss.data).all() for loss in losses.values()):
                 raise TrainingError(f"training diverged at epoch {epoch}, day index {batch.t}")
             if epoch == 1 and rank_batch is not None:
                 k_counts[rank_batch.k] = k_counts.get(rank_batch.k, 0) + 1
 
-            if cfg.mode == MODE_EW:
-                joint = loss_r + loss_c
-                grads = gradients(joint, theta + psi_r + psi_c)
+            # every gradient is taken before any in-place update: backward reads param data
+            trunk_grads, head_grads = [], []
+            for task in tasks:
+                wrt = theta + head_tensors[task]
+                grads = (log_grad(losses[task], wrt) if mode.pipeline
+                         else gradients(losses[task], wrt))
                 g_theta = _flatten(grads[: len(theta)])
-                g_reg = _flatten(grads[len(theta): len(theta) + len(psi_r)])
-                g_cls = _flatten(grads[len(theta) + len(psi_r):])
-                _assign_flat(theta, opt_theta.step(_flat_data(theta), g_theta, decay_e))
-                _assign_flat(psi_r, opt_reg.step(_flat_data(psi_r), g_reg, decay_e))
-                _assign_flat(psi_c, opt_cls.step(_flat_data(psi_c), g_cls, decay_e))
-                continue
-
-            grads_r = log_grad(loss_r, theta + psi_r)
-            g_r_theta = _flatten(grads_r[: len(theta)])
-            g_r_psi = _flatten(grads_r[len(theta):])
-            ema_reg = ema_update(ema_reg, g_r_theta, beta_reg_e)
-            if need_cls:
-                grads_c = log_grad(loss_c, theta + psi_c)
-                g_c_theta = _flatten(grads_c[: len(theta)])
-                g_c_psi = _flatten(grads_c[len(theta):])
-                ema_cls = ema_update(ema_cls, g_c_theta, beta_cls_e)
-                g_tilde = balance_gradients(ema_reg, ema_cls)
-            else:
-                g_tilde = ema_reg
-            _assign_flat(theta, opt_theta.step(_flat_data(theta), g_tilde, decay_e))
-            _assign_flat(psi_r, opt_reg.step(_flat_data(psi_r), g_r_psi, decay_e))
-            if need_cls:
-                _assign_flat(psi_c, opt_cls.step(_flat_data(psi_c), g_c_psi, decay_e))
+                if mode.pipeline:
+                    ema[task] = g_theta = ema_update(ema[task], g_theta, beta_e[task])
+                trunk_grads.append(g_theta)
+                head_grads.append(_flatten(grads[len(theta):]))
+            if mode.pipeline and len(tasks) == 2:
+                g_tilde = balance_gradients(*trunk_grads)
+            else:  # plain joint sum, or the single task's gradient
+                g_tilde = sum(trunk_grads[1:], trunk_grads[0])
+            opts["trunk"].step(params.flat["trunk"], g_tilde, decay_e)
+            for task, g_head in zip(tasks, head_grads):
+                group = head_group[task]
+                opts[group].step(params.flat[group], g_head, decay_e)
 
         # epoch-end evaluation on both splits
-        tr_r, tr_c, tr_ic, tr_ric = _split_metrics(params, train_batches, loss_cfg,
-                                                   n_classes, need_cls)
-        va_r, va_c, va_ic, va_ric = _split_metrics(params, valid_batches, loss_cfg,
-                                                   n_classes, need_cls)
-        hist[("train", "r")].append(tr_r)
-        hist[("valid", "r")].append(va_r)
-        if need_cls:
-            hist[("train", "c")].append(tr_c)
-            hist[("valid", "c")].append(va_c)
-
-        log.append(EpochRecord(epoch, "train", "regression", tr_r, v_reg, beta_reg_e,
-                               decay_e, tr_ic, tr_ric))
-        if need_cls:
-            log.append(EpochRecord(epoch, "train", "classification", tr_c, v_cls, beta_cls_e,
-                                   decay_e, tr_ic, tr_ric))
-        log.append(EpochRecord(epoch, "valid", "regression", va_r, v_reg, beta_reg_e,
-                               decay_e, va_ic, va_ric))
-        if need_cls:
-            log.append(EpochRecord(epoch, "valid", "classification", va_c, v_cls, beta_cls_e,
-                                   decay_e, va_ic, va_ric))
+        evals = {split: _split_metrics(params, batches, loss_cfg, n_classes, tasks)
+                 for split, batches in (("train", train_batches), ("valid", valid_batches))}
+        for split, (split_losses, ic, ric) in evals.items():
+            for task in tasks:
+                hist[(split, task)].append(split_losses[task])
+                log.append(EpochRecord(epoch, split, task, split_losses[task], converge[task],
+                                       beta_e[task], decay_e, ic, ric))
 
         # the converge rate is always computed (it documents overfitting even in
         # ew mode) but only the adaptive modes feed it back into beta/decay
         if valid_batches:
-            v_reg = converge_ratio(hist[("train", "r")], hist[("valid", "r")],
-                                   epoch + 1, cfg.loss_window)
-            if need_cls:
-                v_cls = converge_ratio(hist[("train", "c")], hist[("valid", "c")],
-                                       epoch + 1, cfg.loss_window)
+            for task in tasks:
+                converge[task] = converge_ratio(hist[("train", task)], hist[("valid", task)],
+                                                epoch + 1, cfg.loss_window)
 
-        score = va_ic
+        score = evals["valid"][1]
         if np.isfinite(score) and score > best_ic + 1e-12:
             best_ic = score
             best_epoch = epoch

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -133,3 +135,29 @@ def test_checkpoint_roundtrip(tmp_path):
     assert loaded.arch == params.arch
     for name, tensor in params.all_named().items():
         np.testing.assert_array_equal(loaded.all_named()[name].data, tensor.data)
+
+
+def test_checkpoint_shape_mismatch_names_file_and_parameter(tmp_path):
+    params = init_params(small_arch(hidden=(8, 4)), seed=9)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, params)
+    blob = json.loads(path.read_text())
+    blob["params"]["trunk.w1"]["shape"] = [4, 8]  # same 32 values, transposed shape
+    path.write_text(json.dumps(blob))
+    with pytest.raises(ContractError) as exc:
+        load_checkpoint(path)
+    assert str(path) in str(exc.value) and "trunk.w1" in str(exc.value)
+
+
+def test_parameters_view_one_flat_buffer_per_group(tmp_path):
+    params = init_params(small_arch(), seed=3)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, params)
+    loaded, _ = load_checkpoint(path)
+    loaded.load_data(params.copy_data())
+    for p in (params, loaded):
+        for group in ("trunk", "reg_head", "cls_head"):
+            tensors = getattr(p, group).values()
+            assert p.flat[group].size == sum(t.data.size for t in tensors)
+            assert all(np.shares_memory(t.data, p.flat[group]) for t in tensors)
+    np.testing.assert_array_equal(loaded.flat["trunk"], params.flat["trunk"])

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -317,3 +319,61 @@ def test_fit_no_usable_days_raises():
     cfg = TrainConfig(lr=1e-3, epochs=1, window=30, hidden=(4, 4))  # window longer than panel
     with pytest.raises(TrainingError):
         fit(short, short, small_mom_cfg(), RankLossConfig(), cfg, seed=0)
+
+
+# ---- fit: every mode pinned against recorded values ----
+
+# Values in fit_modes_reference.json were recorded with the branch-per-mode
+# `fit` that preceded the mode table; regenerate only when training semantics
+# are meant to change (`python tests/test_training.py`).
+MODE_REFERENCE = Path(__file__).with_name("fit_modes_reference.json")
+MODE_CASES = {  # name -> (TrainConfig overrides, RankLossConfig overrides)
+    "full": ({}, {}),
+    "ew": ({"mode": "ew"}, {}),
+    "stl": ({"mode": "stl"}, {}),
+    "fixed_beta": ({"mode": "fixed_beta"}, {}),
+    "fixed_decay": ({"mode": "fixed_decay"}, {}),
+    "rise_fall": ({"task": "rise_fall"}, {}),
+    "pairwise": ({}, {"ranking": "pairwise"}),
+}
+
+
+def mode_case_summary(case):
+    """Epoch log, best epoch, k histogram and parameters of one small fit.
+
+    ``loss_window=1`` over 4 epochs makes the converge rate leave 1 from epoch
+    3 on, so the feedback into beta and decay is exercised.
+    """
+    train_kw, loss_kw = MODE_CASES[case]
+    train, valid = tiny_panels()
+    cfg = TrainConfig(lr=1e-2, decay=1e-2, epochs=4, loss_window=1, window=2,
+                      hidden=(6, 6), patience=30, **train_kw)
+    result = fit(train, valid, small_mom_cfg(), RankLossConfig(**loss_kw), cfg, seed=13)
+    return {
+        "best_epoch": result.best_epoch,
+        "k_counts": {str(k): c for k, c in result.k_counts.items()},
+        "log": [[r.epoch, r.split, r.task, r.loss, r.converge, r.beta, r.decay, r.ic, r.rank_ic]
+                for r in result.epoch_log],
+        "params": {name: t.data.ravel().tolist() for name, t in result.params.all_named().items()},
+    }
+
+
+@pytest.mark.parametrize("case", list(MODE_CASES))
+def test_fit_mode_semantics_match_reference(case):
+    want = json.loads(MODE_REFERENCE.read_text())[case]
+    got = mode_case_summary(case)
+    assert got["best_epoch"] == want["best_epoch"]
+    assert got["k_counts"] == want["k_counts"]
+    assert [row[:3] for row in got["log"]] == [row[:3] for row in want["log"]]
+    np.testing.assert_allclose(np.array([row[3:] for row in got["log"]]),
+                               np.array([row[3:] for row in want["log"]]),
+                               rtol=1e-12, atol=0.0, equal_nan=True)
+    assert got["params"].keys() == want["params"].keys()
+    for name, values in want["params"].items():
+        np.testing.assert_allclose(got["params"][name], values, rtol=1e-12, atol=0.0,
+                                   err_msg=name)
+
+
+if __name__ == "__main__":
+    MODE_REFERENCE.write_text(json.dumps({case: mode_case_summary(case) for case in MODE_CASES},
+                                         indent=1) + "\n")
