@@ -12,6 +12,12 @@ Every ``backward()`` call first zeroes the gradients of the nodes reachable
 from its root, so successive calls on different roots of a shared graph do not
 contaminate each other. Gradient accumulation across fan-out happens inside a
 single call via ``+=``.
+
+A backward closure receives its own node as its argument (``backward(out)``)
+and captures only its operands, never the node it belongs to. Links therefore
+point from outputs to inputs only, the graph is acyclic, and reference
+counting frees a whole graph, n x n intermediates included, as soon as its
+root is dropped, without waiting for the cyclic garbage collector.
 """
 
 from __future__ import annotations
@@ -70,7 +76,7 @@ class Tensor:
         self.data = _as_array(data)
         self.grad = np.zeros_like(self.data)
         self._prev = _prev
-        self._backward: Callable[[], None] | None = None
+        self._backward: Callable[[Tensor], None] | None = None
 
     @property
     def shape(self) -> tuple:
@@ -91,7 +97,7 @@ class Tensor:
         _check_broadcast(self.data, other.data, "add")
         out = Tensor(self.data + other.data, (self, other))
 
-        def backward():
+        def backward(out):
             self.grad += _unbroadcast(out.grad, self.data.shape)
             other.grad += _unbroadcast(out.grad, other.data.shape)
 
@@ -103,7 +109,7 @@ class Tensor:
         _check_broadcast(self.data, other.data, "sub")
         out = Tensor(self.data - other.data, (self, other))
 
-        def backward():
+        def backward(out):
             self.grad += _unbroadcast(out.grad, self.data.shape)
             other.grad -= _unbroadcast(out.grad, other.data.shape)
 
@@ -115,7 +121,7 @@ class Tensor:
         _check_broadcast(self.data, other.data, "mul")
         out = Tensor(self.data * other.data, (self, other))
 
-        def backward():
+        def backward(out):
             self.grad += _unbroadcast(out.grad * other.data, self.data.shape)
             other.grad += _unbroadcast(out.grad * self.data, other.data.shape)
 
@@ -127,7 +133,7 @@ class Tensor:
         _check_broadcast(self.data, other.data, "div")
         out = Tensor(self.data / other.data, (self, other))
 
-        def backward():
+        def backward(out):
             self.grad += _unbroadcast(out.grad / other.data, self.data.shape)
             other.grad -= _unbroadcast(out.grad * self.data / (other.data * other.data),
                                        other.data.shape)
@@ -138,7 +144,7 @@ class Tensor:
     def __neg__(self):
         out = Tensor(-self.data, (self,))
 
-        def backward():
+        def backward(out):
             self.grad -= out.grad
 
         out._backward = backward
@@ -162,7 +168,7 @@ class Tensor:
         c = float(exponent)
         out = Tensor(self.data ** c, (self,))
 
-        def backward():
+        def backward(out):
             self.grad += out.grad * c * self.data ** (c - 1.0)
 
         out._backward = backward
@@ -175,7 +181,7 @@ class Tensor:
                 f"matmul: incompatible shapes {self.data.shape} and {other.data.shape}")
         out = Tensor(self.data @ other.data, (self, other))
 
-        def backward():
+        def backward(out):
             self.grad += out.grad @ other.data.T
             other.grad += self.data.T @ out.grad
 
@@ -187,7 +193,7 @@ class Tensor:
     def exp(self):
         out = Tensor(np.exp(self.data), (self,))
 
-        def backward():
+        def backward(out):
             self.grad += out.grad * out.data
 
         out._backward = backward
@@ -197,7 +203,7 @@ class Tensor:
         with np.errstate(invalid="ignore", divide="ignore"):
             out = Tensor(np.log(self.data), (self,))
 
-        def backward():
+        def backward(out):
             self.grad += out.grad / self.data
 
         out._backward = backward
@@ -206,7 +212,7 @@ class Tensor:
     def tanh(self):
         out = Tensor(np.tanh(self.data), (self,))
 
-        def backward():
+        def backward(out):
             self.grad += out.grad * (1.0 - out.data * out.data)
 
         out._backward = backward
@@ -215,7 +221,7 @@ class Tensor:
     def sigmoid(self):
         out = Tensor(sigmoid_np(self.data), (self,))
 
-        def backward():
+        def backward(out):
             self.grad += out.grad * out.data * (1.0 - out.data)
 
         out._backward = backward
@@ -224,7 +230,7 @@ class Tensor:
     def relu(self):
         out = Tensor(np.where(self.data > 0, self.data, 0.0), (self,))
 
-        def backward():
+        def backward(out):
             self.grad += out.grad * (self.data > 0)
 
         out._backward = backward
@@ -235,7 +241,7 @@ class Tensor:
     def sum(self, axis: int | None = None, keepdims: bool = False):
         out = Tensor(self.data.sum(axis=axis, keepdims=keepdims), (self,))
 
-        def backward():
+        def backward(out):
             g = out.grad
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
@@ -248,7 +254,7 @@ class Tensor:
         count = self.data.size if axis is None else self.data.shape[axis]
         out = Tensor(self.data.mean(axis=axis, keepdims=keepdims), (self,))
 
-        def backward():
+        def backward(out):
             g = out.grad
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
@@ -260,7 +266,7 @@ class Tensor:
     def max(self, axis: int | None = None, keepdims: bool = False):
         out = Tensor(self.data.max(axis=axis, keepdims=keepdims), (self,))
 
-        def backward():
+        def backward(out):
             peak = self.data.max(axis=axis, keepdims=True)
             mask = (self.data == peak).astype(np.float64)
             mask /= mask.sum(axis=axis, keepdims=True)  # ties share the gradient
@@ -280,7 +286,7 @@ class Tensor:
             raise ShapeError(f"reshape to rank-{new.ndim} unsupported: {new.shape}")
         out = Tensor(new, (self,))
 
-        def backward():
+        def backward(out):
             self.grad += out.grad.reshape(self.data.shape)
 
         out._backward = backward
@@ -316,7 +322,7 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward is not None:
-                node._backward()
+                node._backward(node)
 
 
 def gradients(loss: Tensor, params: Sequence[Tensor]) -> list[np.ndarray]:

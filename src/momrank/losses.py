@@ -7,6 +7,12 @@ the top level down until a floor is met (so a level is never split), and the
 final loss is ``exp(-NDCG@k)``. The classification objective averages
 cross-entropy and that ranking loss 50/50.
 
+Smooth rank -> DCG@k is one autodiff node with a closed-form backward (the
+smooth-rank derivative of Qin, Liu & Li, 2010). It builds the n x n pairwise
+sigmoid block ``_ROW_CHUNK`` rows at a time and its backward recomputes each
+chunk, so a day of n names holds O(n * chunk) floats rather than several
+n x n arrays.
+
 Ranking scores derived from class probabilities (the expected level) are
 multiplied by a fixed scale so that confidently separated classes land in the
 regime where smooth ranks are numerically close to exact ranks.
@@ -27,6 +33,7 @@ GAIN_SHIFTED = "shifted"     # 2^(w-1): literal alternative reading
 RANK_NDCG, RANK_PAIRWISE, RANK_NONE = "ndcg", "pairwise", "none"
 
 _LN2 = math.log(2.0)
+_ROW_CHUNK = 64  # rows of the n x n pairwise sigmoid block built at a time
 
 
 @dataclass(frozen=True)
@@ -113,19 +120,92 @@ def make_rank_batch(scores: Tensor, levels: np.ndarray, n_levels: int,
                      group_sizes=group_sizes, threshold=threshold, k=k)
 
 
+def _pair_blocks(s: np.ndarray, slope: bool = False):
+    """Yield (lo, block) for each chunk of ``_ROW_CHUNK`` rows i = lo, lo + 1, ...
+
+    The block holds P[i, j] = sigmoid(s_j - s_i), or with ``slope`` its
+    derivative W = P(1 - P), and is 0 on the diagonal. With x = s_j - s_i and
+    e = exp(-|x|), P is 1/(1+e) where x >= 0 and e/(1+e) elsewhere (exactly
+    ``sigmoid_np``'s values) and W = e/(1+e)^2. All chunks share one set of
+    buffers, so a block is valid only until the next one is yielded.
+    """
+    n = s.size
+    e_buf = np.empty((min(_ROW_CHUNK, n), n))
+    d_buf = np.empty_like(e_buf)
+    nonneg_buf = np.empty(e_buf.shape, dtype=bool)
+    for lo in range(0, n, _ROW_CHUNK):
+        rows = np.arange(min(_ROW_CHUNK, n - lo))
+        e, d, nonneg = e_buf[:rows.size], d_buf[:rows.size], nonneg_buf[:rows.size]
+        np.subtract(s[None, :], s[lo:lo + rows.size, None], out=e)  # x, until overwritten
+        np.greater_equal(e, 0.0, out=nonneg)
+        np.exp(np.negative(np.abs(e, out=e), out=e), out=e)
+        np.add(e, 1.0, out=d)
+        if slope:
+            np.multiply(d, d, out=d)
+        else:
+            np.maximum(e, nonneg, out=e)  # numerator: 1 where x >= 0 (there e <= 1), else e
+        np.divide(e, d, out=e)
+        e[rows, rows + lo] = 0.0
+        yield lo, e
+
+
+def _smooth_ranks(s: np.ndarray) -> np.ndarray:
+    """1 + sum over j != i of sigmoid(s_j - s_i), one row chunk at a time."""
+    ranks = np.empty(s.size)
+    for lo, p in _pair_blocks(s):
+        ranks[lo:lo + len(p)] = p.sum(axis=1)
+    return ranks + 1.0
+
+
+def _smooth_ranks_vjp(s: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient w.r.t. ``s`` of sum_i g_i * rank_i (Qin, Liu & Li, 2010).
+
+    grad_j = sum_i g_i W_ij - g_j sum_k W_jk. Each row chunk of W is rebuilt
+    from the scores rather than kept from the forward pass.
+    """
+    grad = np.zeros(s.size)
+    for lo, w in _pair_blocks(s, slope=True):
+        g_rows = g[lo:lo + len(w)]
+        grad += g_rows @ w
+        grad[lo:lo + len(w)] -= g_rows * w.sum(axis=1)
+    return grad
+
+
 def approx_rank(scores: Tensor) -> Tensor:
     """Smooth rank of each item: 1 + sum of sigmoid(score_j - score_i) over j != i.
 
     Always sums to n(n+1)/2 because the indicator and its mirror add to one.
     """
-    n = scores.data.shape[0] if scores.data.ndim else 1
     if scores.data.ndim != 1:
         raise ContractError(f"scores must be a vector, got shape {scores.data.shape}")
-    col = scores.reshape(n, 1)
-    row = scores.reshape(1, n)
-    pair = (row - col).sigmoid()           # (i, j) -> sigmoid(f_j - f_i)
-    off_diag = 1.0 - np.eye(n)
-    return (pair * off_diag).sum(axis=1) + 1.0
+    s = scores.data
+    out = Tensor(_smooth_ranks(s), (scores,))
+
+    def backward(out):
+        scores.grad += _smooth_ranks_vjp(s, out.grad)
+
+    out._backward = backward
+    return out
+
+
+def _smooth_dcg_at_k(scores: Tensor, levels: np.ndarray, k: int, gain: str) -> Tensor:
+    """``dcg_at_k`` of ``approx_rank(scores)`` as one node with a closed-form backward.
+
+    Membership is smooth rank <= k + 0.5; the gradient flows through the
+    discount of the included items only.
+    """
+    s = scores.data
+    ranks = _smooth_ranks(s)
+    weight = gain_values(levels, gain) * (ranks <= k + 0.5)
+    discount = np.log(ranks + 1.0) / _LN2
+    out = Tensor(np.sum(weight / discount), (scores,))
+
+    def backward(out):
+        g_rank = -out.grad * weight / (discount * discount) / _LN2 / (ranks + 1.0)
+        scores.grad += _smooth_ranks_vjp(s, g_rank)
+
+    out._backward = backward
+    return out
 
 
 def gain_values(levels: np.ndarray, gain: str = GAIN_STANDARD) -> np.ndarray:
@@ -137,18 +217,9 @@ def gain_values(levels: np.ndarray, gain: str = GAIN_STANDARD) -> np.ndarray:
     raise ContractError(f"unknown gain variant {gain!r}")
 
 
-def dcg_at_k(ranks, levels: np.ndarray, k: int, gain: str = GAIN_STANDARD):
-    """Discounted cumulative gain truncated at depth k.
-
-    ``ranks`` may be exact (numpy, 1-based integers) or smooth (Tensor);
-    membership is rank <= k + 0.5 either way, and with smooth ranks the
-    gradient flows through the discount of the included items.
-    """
+def dcg_at_k(ranks: np.ndarray, levels: np.ndarray, k: int, gain: str = GAIN_STANDARD) -> float:
+    """Discounted cumulative gain truncated at depth k over exact 1-based ranks."""
     gains = gain_values(levels, gain)
-    if isinstance(ranks, Tensor):
-        member = (ranks.data <= k + 0.5).astype(np.float64)
-        discount = (ranks + 1.0).log() / _LN2
-        return (Tensor(gains * member) / discount).sum()
     ranks = np.asarray(ranks, dtype=np.float64)
     member = ranks <= k + 0.5
     return float(np.sum(gains[member] / np.log2(1.0 + ranks[member])))
@@ -197,8 +268,7 @@ def approx_ndcg_at_k(batch: RankBatch, gain: str = GAIN_STANDARD) -> Tensor:
     ideal = ideal_dcg_at_k(levels, batch.k, gain)
     if ideal <= 0.0:
         return Tensor(1.0)
-    smooth = dcg_at_k(approx_rank(batch.scores), levels, batch.k, gain)
-    return smooth / ideal
+    return _smooth_dcg_at_k(batch.scores, levels, batch.k, gain) / ideal
 
 
 def ndcg_loss(batch: RankBatch, gain: str = GAIN_STANDARD) -> Tensor:

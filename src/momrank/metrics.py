@@ -39,14 +39,12 @@ def average_ranks(v: np.ndarray) -> np.ndarray:
     """1-based ranks, ties averaged."""
     v = np.asarray(v, dtype=np.float64)
     order = np.argsort(v, kind="stable")
+    sv = v[order]
+    cuts = np.flatnonzero(sv[1:] != sv[:-1]) + 1   # first index of each tie run but the first
+    start = np.concatenate(([0], cuts))
+    end = np.concatenate((cuts, [v.size])) - 1      # inclusive
     ranks = np.empty(v.size, dtype=np.float64)
-    i = 0
-    while i < v.size:
-        j = i
-        while j + 1 < v.size and v[order[j + 1]] == v[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks[order] = np.repeat((start + end) / 2.0 + 1.0, end - start + 1)
     return ranks
 
 

@@ -34,6 +34,8 @@ class Architecture:
     def __post_init__(self):
         if self.window < 1 or self.n_features < 1:
             raise ContractError("window and n_features must be >= 1")
+        if len(self.hidden) != 2:
+            raise ContractError(f"hidden needs exactly two layer sizes, got {self.hidden}")
         if any(h < 1 for h in self.hidden):
             raise ContractError(f"zero-width layer in hidden sizes {self.hidden}")
         if self.trunk not in (TRUNK_MLP, TRUNK_RNN):

@@ -80,6 +80,21 @@ def classify_line(values: np.ndarray, dead_zone: float = 0.0) -> int:
     return LEVEL_VOLATILE
 
 
+def _classify_lines(lines: np.ndarray, dead_zone: float) -> np.ndarray:
+    """``classify_line`` applied to every column of ``lines`` at once."""
+    signs = np.where(lines > dead_zone, 1, np.where(lines < -dead_zone, -1, 0))
+    nonzero = signs != 0
+    cols = np.arange(signs.shape[1])
+    first = signs[nonzero.argmax(axis=0), cols]   # 0 where a column has no sign
+    last = signs[signs.shape[0] - 1 - nonzero[::-1].argmax(axis=0), cols]
+    levels = np.full(signs.shape[1], LEVEL_VOLATILE, dtype=np.int64)
+    levels[(first == -1) & (last == 1)] = LEVEL_BOUNCE
+    levels[(first == 1) & (last == -1)] = LEVEL_SINK
+    levels[(signs == 1).all(axis=0)] = LEVEL_POSITIVE
+    levels[(signs == -1).all(axis=0)] = LEVEL_NEGATIVE
+    return levels
+
+
 def label_dataset(panel: StockPanel, cfg: MomentumConfig) -> np.ndarray:
     """Momentum level per (date, ticker); -1 where history/future is missing.
 
@@ -97,16 +112,13 @@ def label_dataset(panel: StockPanel, cfg: MomentumConfig) -> np.ndarray:
         ok = panel.valid[lo:anchor + 1].all(axis=0) & panel.valid[t]
         if not ok.any():
             continue
-        closes = panel.close[lo:anchor + 1, :]
+        closes = panel.close[lo:anchor + 1, ok]
         # rows are the length+1 line values m[anchor-length..anchor] per ticker
         lines = closes[cfg.gap:, :] - closes[: closes.shape[0] - cfg.gap, :]
         eps = cfg.dead_zone
         if eps is None:
-            pool = lines[:, ok]
-            sd = float(pool.std()) if pool.size else 0.0
-            eps = cfg.dead_zone_scale * sd
-        for i in np.flatnonzero(ok):
-            labels[t, i] = classify_line(lines[:, i], eps)
+            eps = cfg.dead_zone_scale * float(lines.std())
+        labels[t, ok] = _classify_lines(lines, eps)
     return labels
 
 

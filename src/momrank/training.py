@@ -95,6 +95,8 @@ class TrainConfig:
             raise ContractError("loss_window, patience and window must be >= 1")
         if self.optimizer not in ("adam", "sgd"):
             raise ContractError(f"unknown optimizer {self.optimizer!r}")
+        if len(self.hidden) != 2:
+            raise ContractError(f"train.hidden needs exactly two layer sizes, got {self.hidden}")
 
 
 @dataclass

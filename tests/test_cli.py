@@ -89,6 +89,14 @@ def test_bad_config_file_exits_1(tmp_path):
     assert code == 1
 
 
+def test_hidden_with_three_sizes_exits_1_naming_the_key(tmp_path, capsys):
+    out = tmp_path / "hid"
+    code = main(["train", "--set", "train.hidden=8,4,2", "--out-dir", str(out)])
+    assert code == 1
+    assert "train.hidden" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_checkpoint_exits_2(tmp_path):
     code, _ = run(["evaluate", "--checkpoint", str(tmp_path / "nope.json")], tmp_path, "e2")
     assert code == 2

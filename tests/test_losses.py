@@ -1,14 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from momrank.autodiff import Tensor, check_gradient
 from momrank.errors import ContractError
-from momrank.losses import (GAIN_SHIFTED, RANK_NONE, RANK_PAIRWISE, RankLossConfig, adaptive_k,
-                            approx_ndcg_at_k, approx_rank, classification_loss, cross_entropy,
-                            dcg_at_k, exact_ndcg_at_k, expected_level, gain_values,
-                            ideal_dcg_at_k, make_rank_batch, mse_loss, ndcg_loss, pairwise_loss)
+from momrank.losses import (_LN2, _ROW_CHUNK, GAIN_SHIFTED, GAIN_STANDARD, RANK_NONE,
+                            RANK_PAIRWISE, RankLossConfig, adaptive_k, approx_ndcg_at_k,
+                            approx_rank, classification_loss, cross_entropy, dcg_at_k,
+                            exact_ndcg_at_k, expected_level, gain_values, ideal_dcg_at_k,
+                            make_rank_batch, mse_loss, ndcg_loss, pairwise_loss)
 
 
 def sigmoid(x):
@@ -348,3 +350,78 @@ def test_classification_loss_improves_when_swapping_misordered_pair():
     loss_swapped = classification_loss(
         logits, labels, make_rank_batch(Tensor(swapped), labels, 5, cfg), cfg).item()
     assert loss_good < loss_swapped
+
+
+# ---- fused smooth-DCG node against the composed graph ----
+
+def composed_approx_rank(scores):
+    """Reference: smooth ranks as a graph of elementwise ops over the full n x n block."""
+    n = scores.data.shape[0]
+    pair = (scores.reshape(1, n) - scores.reshape(n, 1)).sigmoid()  # sigmoid(f_j - f_i)
+    return (pair * (1.0 - np.eye(n))).sum(axis=1) + 1.0
+
+
+def composed_ndcg_loss(scores, levels, k, gain):
+    """Reference: exp(-DCG@k / IDCG@k) with DCG over composed smooth ranks."""
+    ranks = composed_approx_rank(scores)
+    member = (ranks.data <= k + 0.5).astype(np.float64)
+    discount = (ranks + 1.0).log() / _LN2
+    dcg = (Tensor(gain_values(levels, gain) * member) / discount).sum()
+    return (-(dcg / ideal_dcg_at_k(levels, k, gain))).exp()
+
+
+def assert_fused_matches_composed(scores, levels, gain=GAIN_STANDARD, fixed_k=None):
+    fused_x = Tensor(scores.copy())
+    batch = make_rank_batch(fused_x, levels, 5, RankLossConfig(fixed_k=fixed_k, gain=gain))
+    fused = ndcg_loss(batch, gain)
+    fused.backward()
+    ref_x = Tensor(scores.copy())
+    ref = composed_ndcg_loss(ref_x, levels, batch.k, gain)
+    ref.backward()
+    assert abs(fused.item() - ref.item()) <= 1e-10
+    scale = max(1.0, np.abs(ref_x.grad).max())
+    assert np.abs(fused_x.grad - ref_x.grad).max() <= 1e-10 * scale
+    assert np.abs(ref_x.grad).max() > 0
+
+
+@pytest.mark.parametrize("n", [2, 50, _ROW_CHUNK - 1, _ROW_CHUNK, _ROW_CHUNK + 1, 1000])
+def test_fused_ndcg_matches_composed_graph(n):
+    rng = np.random.default_rng(n)
+    levels = rng.integers(0, 5, n)
+    levels[:2] = (0, 4)  # at least two distinct levels
+    assert_fused_matches_composed(rng.uniform(0.0, 40.0, n), levels)
+
+
+def test_fused_ndcg_matches_composed_graph_on_ties_fixed_k_and_gains():
+    rng = np.random.default_rng(21)
+    n = _ROW_CHUNK + 30
+    levels = rng.integers(0, 5, n)
+    tied = rng.integers(0, 6, n).astype(np.float64) * 3.0
+    for gain in (GAIN_STANDARD, GAIN_SHIFTED):
+        assert_fused_matches_composed(tied, levels, gain)
+        assert_fused_matches_composed(rng.uniform(0.0, 40.0, n), levels, gain, fixed_k=7)
+
+
+def test_approx_rank_matches_composed_values_and_gradient():
+    rng = np.random.default_rng(22)
+    scores = rng.normal(size=_ROW_CHUNK + 5) * 5.0
+    weights = rng.normal(size=scores.size)
+    x, ref_x = Tensor(scores), Tensor(scores.copy())
+    fused, ref = approx_rank(x), composed_approx_rank(ref_x)
+    np.testing.assert_array_equal(fused.data, ref.data)
+    (fused * weights).sum().backward()
+    (ref * weights).sum().backward()
+    np.testing.assert_allclose(x.grad, ref_x.grad, rtol=0, atol=1e-10)
+
+
+def test_ndcg_loss_backward_peak_memory_at_2000_names():
+    rng = np.random.default_rng(23)
+    scores, levels = rng.uniform(0.0, 40.0, 2000), rng.integers(0, 5, 2000)
+    tracemalloc.start()
+    try:
+        batch = make_rank_batch(Tensor(scores), levels, 5, RankLossConfig())
+        ndcg_loss(batch).backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20

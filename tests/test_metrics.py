@@ -151,3 +151,28 @@ def test_report_to_dict_roundish():
                      precision_at={10: 55.0}, k_histogram={4: 2}, n_days=3)
     d = rep.to_dict()
     assert d["ic"] == 0.1 and d["precision_at"]["10"] == 55.0 and d["k_histogram"]["4"] == 2
+
+
+def loop_average_ranks(v):
+    """Reference: walk the sorted values and average the ranks of each tie run."""
+    v = np.asarray(v, dtype=np.float64)
+    order = np.argsort(v, kind="stable")
+    ranks = np.empty(v.size, dtype=np.float64)
+    i = 0
+    while i < v.size:
+        j = i
+        while j + 1 < v.size and v[order[j + 1]] == v[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+def test_average_ranks_match_loop_reference_on_ties():
+    rng = np.random.default_rng(5)
+    cases = [np.array([]), np.array([3.0]), np.zeros(7), np.array([0.0, -0.0, 1.0, 0.0])]
+    for _ in range(300):
+        n = int(rng.integers(2, 300))
+        cases.append(rng.integers(0, int(rng.integers(1, 10)), n).astype(np.float64))
+    for v in cases:
+        assert np.array_equal(average_ranks(v), loop_average_ranks(v)), v

@@ -45,6 +45,12 @@ def test_zero_width_layer_rejected():
         small_arch(hidden=(0, 8))
 
 
+def test_hidden_other_than_two_sizes_rejected():
+    for hidden in ((8, 4, 2), (8,), ()):
+        with pytest.raises(ContractError, match="two layer sizes"):
+            small_arch(hidden=hidden)
+
+
 def test_forward_shapes_single_stock():
     params = init_params(small_arch(), seed=0)
     out = forward(params, np.zeros((1, 3, 2)))

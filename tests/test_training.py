@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 from pathlib import Path
@@ -212,6 +213,46 @@ def test_train_config_validation():
         TrainConfig(beta=1.0)
     with pytest.raises(ContractError):
         TrainConfig(optimizer="rmsprop")
+    for hidden in ((8, 4, 2), (8,)):
+        with pytest.raises(ContractError, match="train.hidden"):
+            TrainConfig(hidden=hidden)
+
+
+# ---- graphs are freed by reference counting ----
+
+@pytest.mark.parametrize("ranking", ["ndcg", "pairwise"])
+def test_training_graph_leaves_nothing_for_the_cycle_collector(ranking):
+    params = init_params(Architecture(window=3, n_features=2, hidden=(6, 6)), seed=0)
+    rng = np.random.default_rng(0)
+    feats, y, labels = rng.normal(size=(12, 3, 2)), rng.normal(size=12), rng.integers(0, 5, 12)
+    loss_cfg = RankLossConfig(ranking=ranking)
+    gc.collect()
+    gc.disable()
+    try:
+        out = forward(params, feats)
+        scores = expected_level(out.class_logits) * loss_cfg.score_scale
+        batch = make_rank_batch(scores, labels, 5, loss_cfg)
+        reg = mse_loss(out.pred_return, y)
+        cls = classification_loss(out.class_logits, labels, batch, loss_cfg)
+        reg.backward()
+        cls.backward()
+        del out, scores, batch, reg, cls
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_fit_leaves_nothing_for_the_cycle_collector():
+    train, valid = tiny_panels()
+    cfg = TrainConfig(lr=1e-3, epochs=2, window=2, hidden=(6, 6))
+    gc.collect()
+    gc.disable()
+    try:
+        result = fit(train, valid, small_mom_cfg(), RankLossConfig(), cfg, seed=5)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert result.epochs_run == 2
 
 
 # ---- fit: oracle equivalence, determinism, modes ----
