@@ -8,39 +8,3 @@ backtest. Works on CSV price/feature panels or seeded synthetic markets.
 """
 
 __version__ = "0.1.0"
-
-from .autodiff import Tensor, check_gradient, gradients
-from .backtest import BacktestLedger, cumulative_return, run_topn
-from .config import ExperimentConfig, build_config, load_config, to_flat
-from .data import (ReturnLabel, SplitSpec, StockPanel, compute_return, fraction_split_spec,
-                   gen_synthetic, load_csv, normalize_features, split)
-from .losses import (RankBatch, RankLossConfig, adaptive_k, approx_ndcg_at_k, approx_rank,
-                     classification_loss, cross_entropy, dcg_at_k, exact_ndcg_at_k,
-                     expected_level, make_rank_batch, mse_loss, ndcg_loss, pairwise_loss)
-from .metrics import (EvalReport, aggregate, daily_ic, daily_rank_ic, evaluate_predictions,
-                      precision_at_n, record_k)
-from .model import (Architecture, BackboneParams, BatchOutput, forward, init_params,
-                    load_checkpoint, predict_panel, save_checkpoint)
-from .momentum import (MomentumConfig, classify_line, label_dataset, momentum_line,
-                       momentum_value, rise_fall_label)
-from .training import (FitResult, TrainConfig, adapted_beta, adapted_decay, balance_gradients,
-                       balanced_parts, converge_ratio, ema_update, fit, log_grad)
-
-__all__ = [
-    "Tensor", "check_gradient", "gradients",
-    "StockPanel", "ReturnLabel", "SplitSpec", "compute_return", "load_csv",
-    "normalize_features", "gen_synthetic", "split", "fraction_split_spec",
-    "MomentumConfig", "momentum_value", "momentum_line", "classify_line",
-    "label_dataset", "rise_fall_label",
-    "Architecture", "BackboneParams", "BatchOutput", "init_params", "forward",
-    "predict_panel", "save_checkpoint", "load_checkpoint",
-    "RankBatch", "RankLossConfig", "approx_rank", "adaptive_k", "dcg_at_k",
-    "approx_ndcg_at_k", "exact_ndcg_at_k", "ndcg_loss", "mse_loss", "cross_entropy",
-    "expected_level", "pairwise_loss", "classification_loss", "make_rank_batch",
-    "TrainConfig", "FitResult", "fit", "log_grad", "ema_update", "balanced_parts",
-    "balance_gradients", "converge_ratio", "adapted_beta", "adapted_decay",
-    "EvalReport", "daily_ic", "daily_rank_ic", "precision_at_n", "aggregate",
-    "record_k", "evaluate_predictions",
-    "BacktestLedger", "run_topn", "cumulative_return",
-    "ExperimentConfig", "load_config", "build_config", "to_flat",
-]

@@ -3,11 +3,13 @@
 One text file drives a whole experiment; every artifact embeds the resolved
 key=value map plus the seed, so any result can be re-derived from its own
 header. Unknown keys and unparseable values are rejected before anything runs.
+Each key is one field of a section dataclass, ``section.field``, and ``SCHEMA``
+is read off those fields, so a knob is declared once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 from .errors import ConfigError, ContractError
 from .losses import RankLossConfig
@@ -104,55 +106,50 @@ def _parse_range(text: str) -> tuple[str, str] | None:
     return (lo.strip(), hi.strip())
 
 
-# key -> (section, field, parser)
-SCHEMA: dict[str, tuple[str, str, object]] = {
-    "seed": ("", "seed", int),
-    "data.source": ("data", "source", str),
-    "data.csv_path": ("data", "csv_path", _parse_opt(str)),
-    "data.n_dates": ("data", "n_dates", int),
-    "data.n_tickers": ("data", "n_tickers", int),
-    "data.n_features": ("data", "n_features", int),
-    "data.signal_strength": ("data", "signal_strength", float),
-    "data.shift_after": ("data", "shift_after", _parse_opt(int)),
-    "data.shifted_signal_strength": ("data", "shifted_signal_strength", _parse_opt(float)),
-    "data.normalize": ("data", "normalize", _parse_bool),
-    "split.train_frac": ("split", "train_frac", float),
-    "split.valid_frac": ("split", "valid_frac", float),
-    "split.train": ("split", "train", _parse_range),
-    "split.valid": ("split", "valid", _parse_range),
-    "split.test": ("split", "test", _parse_range),
-    "momentum.gap": ("momentum", "gap", int),
-    "momentum.length": ("momentum", "length", int),
-    "momentum.dead_zone": ("momentum", "dead_zone", _parse_opt(float)),
-    "momentum.dead_zone_scale": ("momentum", "dead_zone_scale", float),
-    "momentum.anchor_offset": ("momentum", "anchor_offset", int),
-    "loss.threshold_frac": ("loss", "threshold_frac", float),
-    "loss.fixed_k": ("loss", "fixed_k", _parse_opt(int)),
-    "loss.gain": ("loss", "gain", str),
-    "loss.ce_weight": ("loss", "ce_weight", float),
-    "loss.rank_weight": ("loss", "rank_weight", float),
-    "loss.ranking": ("loss", "ranking", str),
-    "loss.score_scale": ("loss", "score_scale", float),
-    "train.mode": ("train", "mode", str),
-    "train.task": ("train", "task", str),
-    "train.lr": ("train", "lr", float),
-    "train.epochs": ("train", "epochs", int),
-    "train.beta": ("train", "beta", float),
-    "train.decay": ("train", "decay", float),
-    "train.loss_window": ("train", "loss_window", int),
-    "train.patience": ("train", "patience", int),
-    "train.optimizer": ("train", "optimizer", str),
-    "train.window": ("train", "window", int),
-    "train.hidden": ("train", "hidden", _parse_int_tuple),
-    "train.trunk": ("train", "trunk", str),
-    "train.standardize_y": ("train", "standardize_y", _parse_bool),
-    "eval.precision_ns": ("eval", "precision_ns", _parse_int_tuple),
-    "backtest.top_n": ("eval", "top_n", int),
-    "backtest.cost_bps": ("eval", "cost_bps", float),
+# field annotation -> parser of its value text
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "bool": _parse_bool,
+    "int | None": _parse_opt(int),
+    "float | None": _parse_opt(float),
+    "str | None": _parse_opt(str),
+    "tuple[int, ...]": _parse_int_tuple,
+    "tuple[int, int]": _parse_int_tuple,
+    "tuple[str, str] | None": _parse_range,
 }
+# fields whose key is not section.field
+_KEYS = {("eval", "top_n"): "backtest.top_n", ("eval", "cost_bps"): "backtest.cost_bps"}
 
-_SECTION_CLASSES = {"data": DataConfig, "split": SplitConfig, "momentum": MomentumConfig,
-                    "loss": RankLossConfig, "train": TrainConfig, "eval": EvalConfig}
+
+def _parser(owner: type, f) -> object:
+    try:
+        return _PARSERS[f.type]
+    except KeyError:
+        raise TypeError(f"{owner.__name__}.{f.name}: no config parser for {f.type!r}") from None
+
+
+def _build_schema(root: type) -> tuple[dict[str, type], dict[str, tuple[str, str, object]]]:
+    """Sections and key -> (section, field, parser), read off the dataclasses.
+
+    A top-level field with a default factory is a section whose fields are
+    keys; any other top-level field (the seed) is a key with section "".
+    """
+    sections: dict[str, type] = {}
+    schema: dict[str, tuple[str, str, object]] = {}
+    for top in fields(root):
+        if top.default_factory is MISSING:
+            schema[top.name] = ("", top.name, _parser(root, top))
+            continue
+        cls = sections[top.name] = top.default_factory
+        for f in fields(cls):
+            key = _KEYS.get((top.name, f.name), f"{top.name}.{f.name}")
+            schema[key] = (top.name, f.name, _parser(cls, f))
+    return sections, schema
+
+
+_SECTION_CLASSES, SCHEMA = _build_schema(ExperimentConfig)
 
 
 def parse_kv_text(text: str, origin: str = "<config>") -> dict[str, str]:
@@ -172,7 +169,7 @@ def parse_kv_text(text: str, origin: str = "<config>") -> dict[str, str]:
 def build_config(raw: dict[str, str]) -> ExperimentConfig:
     """Typed, validated config from a flat key->string map."""
     per_section: dict[str, dict] = {name: {} for name in _SECTION_CLASSES}
-    seed = None
+    top: dict = {}  # top-level keys (the seed)
     for key, text in raw.items():
         if key not in SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
@@ -181,16 +178,10 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
             value = parser(text)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad value for {key}: {exc}") from None
-        if section == "":
-            seed = value
-        else:
-            per_section[section][fname] = value
+        (per_section[section] if section else top)[fname] = value
     try:
         sections = {name: cls(**per_section[name]) for name, cls in _SECTION_CLASSES.items()}
-        cfg = ExperimentConfig(seed=seed if seed is not None else ExperimentConfig.seed,
-                               data=sections["data"], split=sections["split"],
-                               momentum=sections["momentum"], loss=sections["loss"],
-                               train=sections["train"], eval=sections["eval"])
+        cfg = ExperimentConfig(**top, **sections)
     except ContractError as exc:
         raise ConfigError(str(exc)) from None
     return cfg
@@ -228,11 +219,8 @@ def _fmt_value(value) -> str:
 
 def to_flat(cfg: ExperimentConfig) -> dict[str, str]:
     """The fully resolved config as sorted flat key=value strings (provenance)."""
-    sections = {"data": cfg.data, "split": cfg.split, "momentum": cfg.momentum,
-                "loss": cfg.loss, "train": cfg.train, "eval": cfg.eval}
-    out = {"seed": str(cfg.seed)}
+    out = {}
     for key, (section, fname, _) in SCHEMA.items():
-        if section == "":
-            continue
-        out[key] = _fmt_value(getattr(sections[section], fname))
+        owner = getattr(cfg, section) if section else cfg
+        out[key] = _fmt_value(getattr(owner, fname))
     return dict(sorted(out.items()))

@@ -93,10 +93,10 @@ def compute_return(panel: StockPanel) -> ReturnLabel:
 def load_csv(path, expected_features: int | None = None) -> StockPanel:
     """Assemble a panel from ``date,ticker,close,f0..f{F-1}`` rows (UTF-8).
 
-    Missing (date, ticker) combinations are masked invalid; duplicate keys and
-    unparseable rows raise with the offending line number.
+    Missing (date, ticker) combinations are masked invalid; duplicate keys,
+    unparseable rows and non-finite values raise with the offending line number.
     """
-    rows: dict[tuple[str, str], tuple[float, list[float]]] = {}
+    rows: dict[tuple[str, str], tuple[float, list[float], int]] = {}
     n_feat = 0
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -124,7 +124,7 @@ def load_csv(path, expected_features: int | None = None) -> StockPanel:
             key = (date, ticker)
             if key in rows:
                 raise DataError(f"{path}:{lineno}: duplicate (date,ticker) {key}")
-            rows[key] = (close, feats)
+            rows[key] = (close, feats, lineno)
     if not rows:
         raise DataError(f"{path}: no data rows")
     dates = sorted({d for d, _ in rows})
@@ -134,10 +134,14 @@ def load_csv(path, expected_features: int | None = None) -> StockPanel:
     close = np.full((len(dates), len(tickers)), np.nan)
     features = np.full((len(dates), len(tickers), n_feat), np.nan)
     valid = np.zeros((len(dates), len(tickers)), dtype=bool)
-    for (d, t), (c, f) in rows.items():
+    for (d, t), (c, f, _) in rows.items():
         close[t_idx[d], n_idx[t]] = c
         features[t_idx[d], n_idx[t]] = f
         valid[t_idx[d], n_idx[t]] = True
+    bad = valid & ~(np.isfinite(close) & np.isfinite(features).all(axis=2))
+    if bad.any():
+        lineno = min(rows[(dates[i], tickers[j])][2] for i, j in np.argwhere(bad))
+        raise DataError(f"{path}:{lineno}: non-finite close or feature value")
     return StockPanel(dates, tickers, close, features, valid)
 
 

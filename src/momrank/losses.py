@@ -30,7 +30,7 @@ from .errors import ContractError
 
 GAIN_STANDARD = "standard"   # 2^w - 1: zero gain at level 0
 GAIN_SHIFTED = "shifted"     # 2^(w-1): literal alternative reading
-RANK_NDCG, RANK_PAIRWISE, RANK_NONE = "ndcg", "pairwise", "none"
+RANK_NDCG, RANK_PAIRWISE = "ndcg", "pairwise"
 
 _LN2 = math.log(2.0)
 _ROW_CHUNK = 64  # rows of the n x n pairwise sigmoid block built at a time
@@ -41,8 +41,6 @@ class RankLossConfig:
     threshold_frac: float = 0.2        # k floor as a fraction of the day's pool
     fixed_k: int | None = None         # pin k instead of the adaptive rule
     gain: str = GAIN_STANDARD
-    ce_weight: float = 0.5
-    rank_weight: float = 0.5
     ranking: str = RANK_NDCG
     score_scale: float = 10.0          # spread applied to expected-level scores
 
@@ -53,7 +51,7 @@ class RankLossConfig:
             raise ContractError("fixed_k must be >= 1")
         if self.gain not in (GAIN_STANDARD, GAIN_SHIFTED):
             raise ContractError(f"unknown gain variant {self.gain!r}")
-        if self.ranking not in (RANK_NDCG, RANK_PAIRWISE, RANK_NONE):
+        if self.ranking not in (RANK_NDCG, RANK_PAIRWISE):
             raise ContractError(f"unknown ranking term {self.ranking!r}")
         if self.score_scale <= 0:
             raise ContractError("score_scale must be positive")
@@ -68,12 +66,6 @@ class RankBatch:
     group_sizes: list[int]    # counts per level, highest level first
     threshold: int
     k: int
-
-
-@dataclass(frozen=True)
-class LossPair:
-    regression: float
-    classification: float
 
 
 def adaptive_k(group_sizes, threshold: int) -> int:
@@ -326,12 +318,10 @@ def pairwise_loss(scores: Tensor, target: np.ndarray) -> Tensor:
 
 def classification_loss(logits: Tensor, labels: np.ndarray, batch: RankBatch,
                         cfg: RankLossConfig) -> Tensor:
-    """Combined classification objective: weighted cross-entropy + ranking term."""
+    """Combined classification objective: the mean of cross-entropy and the ranking term."""
     ce = cross_entropy(logits, labels)
-    if cfg.ranking == RANK_NONE:
-        return ce
     if cfg.ranking == RANK_PAIRWISE:
         rank_term = pairwise_loss(batch.scores, batch.gains.astype(np.float64))
     else:
         rank_term = ndcg_loss(batch, cfg.gain)
-    return ce * cfg.ce_weight + rank_term * cfg.rank_weight
+    return ce * 0.5 + rank_term * 0.5

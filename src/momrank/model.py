@@ -1,9 +1,8 @@
 """Two-head network: shared trunk plus regression and classification heads.
 
-The trunk embeds one stock's feature window; a linear head predicts the
-next-day return and another produces the class logits. Trunk variants: an MLP
-over the flattened window (default) or a small recurrent net stepped over the
-window. Parameters are partitioned into three disjoint groups (trunk,
+The trunk, an MLP over the flattened feature window, embeds one stock; a
+linear head predicts the next-day return and another produces the class
+logits. Parameters are partitioned into three disjoint groups (trunk,
 regression head, classification head) so the trainer can route gradients per
 task. Each group is one flat float64 buffer and every parameter's ``data`` is
 a view into it, so an optimizer updates a whole group in place.
@@ -12,7 +11,7 @@ a view into it, so an optimizer updates a whole group in place.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from .autodiff import Tensor
 from .data import StockPanel
 from .errors import ContractError, NumericError
 
-TRUNK_MLP, TRUNK_RNN = "mlp", "rnn"
+TRUNK_MLP = "mlp"  # the one trunk; kept as a checkpoint arch field
 
 
 @dataclass(frozen=True)
@@ -32,13 +31,16 @@ class Architecture:
     n_classes: int = 5
 
     def __post_init__(self):
+        sizes = (self.window, self.n_features, *self.hidden, self.n_classes)
+        if not all(isinstance(v, int) for v in sizes):
+            raise ContractError(f"architecture sizes must be integers, got {sizes}")
         if self.window < 1 or self.n_features < 1:
             raise ContractError("window and n_features must be >= 1")
         if len(self.hidden) != 2:
             raise ContractError(f"hidden needs exactly two layer sizes, got {self.hidden}")
         if any(h < 1 for h in self.hidden):
             raise ContractError(f"zero-width layer in hidden sizes {self.hidden}")
-        if self.trunk not in (TRUNK_MLP, TRUNK_RNN):
+        if self.trunk != TRUNK_MLP:
             raise ContractError(f"unknown trunk kind {self.trunk!r}")
         if self.n_classes < 2:
             raise ContractError("need at least 2 classes")
@@ -105,18 +107,8 @@ def init_params(arch: Architecture, seed: int) -> BackboneParams:
     """Deterministic parameter initialization from the seed."""
     rng = np.random.Generator(np.random.Philox(seed))
     h0, h1 = arch.hidden
-    trunk: dict[str, np.ndarray] = {}
-    if arch.trunk == TRUNK_MLP:
-        d_in = arch.window * arch.n_features
-        trunk["w0"] = _glorot(rng, d_in, h0)
-        trunk["b0"] = np.zeros(h0)
-    else:
-        trunk["wx"] = _glorot(rng, arch.n_features, h0)
-        trunk["wh"] = _glorot(rng, h0, h0)
-        trunk["b_rec"] = np.zeros(h0)
-    trunk["w1"] = _glorot(rng, h0, h1)
-    trunk["b1"] = np.zeros(h1)
-    groups = {"trunk": trunk,
+    groups = {"trunk": {"w0": _glorot(rng, arch.window * arch.n_features, h0), "b0": np.zeros(h0),
+                        "w1": _glorot(rng, h0, h1), "b1": np.zeros(h1)},
               "reg_head": {"w": _glorot(rng, h1, 1), "b": np.zeros(1)},
               "cls_head": {"w": _glorot(rng, h1, arch.n_classes), "b": np.zeros(arch.n_classes)}}
     flat, tensors = {}, {}
@@ -140,14 +132,8 @@ def forward(params: BackboneParams, day_features: np.ndarray) -> BatchOutput:
         rows = np.flatnonzero(~np.isfinite(feats).all(axis=(1, 2)))
         raise NumericError(f"non-finite features for stock rows {rows.tolist()}")
     n = feats.shape[0]
-    if arch.trunk == TRUNK_MLP:
-        x = Tensor(feats.reshape(n, arch.window * arch.n_features))
-        h = (x @ params.trunk["w0"] + params.trunk["b0"]).tanh()
-    else:
-        h = Tensor(np.zeros((n, arch.hidden[0])))
-        for t in range(arch.window):
-            step = Tensor(feats[:, t, :])
-            h = (step @ params.trunk["wx"] + h @ params.trunk["wh"] + params.trunk["b_rec"]).tanh()
+    x = Tensor(feats.reshape(n, arch.window * arch.n_features))
+    h = (x @ params.trunk["w0"] + params.trunk["b0"]).tanh()
     h = (h @ params.trunk["w1"] + params.trunk["b1"]).tanh()
     pred = (h @ params.reg_head["w"] + params.reg_head["b"]).reshape(n)
     logits = h @ params.cls_head["w"] + params.cls_head["b"]
@@ -197,22 +183,41 @@ def save_checkpoint(path, params: BackboneParams, extra: dict | None = None) -> 
 
 
 def load_checkpoint(path) -> tuple[BackboneParams, dict]:
-    with open(path, encoding="utf-8") as fh:
-        blob = json.load(fh)
-    if blob.get("format") != "momrank-checkpoint-v1":
+    """Parameters and the ``extra`` map of a checkpoint; any defect names the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            blob = json.load(fh)
+    except ValueError as exc:  # invalid JSON or UTF-8
+        raise ContractError(f"{path}: not a JSON checkpoint ({exc})") from None
+    if not isinstance(blob, dict) or blob.get("format") != "momrank-checkpoint-v1":
         raise ContractError(f"{path}: not a momrank checkpoint")
+    for key in ("arch", "params"):
+        if not isinstance(blob.get(key), dict):
+            raise ContractError(f"{path}: missing or malformed {key!r}")
     arch_kw = dict(blob["arch"])
-    arch_kw["hidden"] = tuple(arch_kw["hidden"])
-    arch = Architecture(**arch_kw)
+    want_fields = {f.name for f in fields(Architecture)}
+    unknown, missing = set(arch_kw) - want_fields, want_fields - set(arch_kw)
+    if unknown or missing:
+        raise ContractError(f"{path}: arch fields unknown {sorted(unknown)}, "
+                            f"missing {sorted(missing)}")
+    try:
+        arch_kw["hidden"] = tuple(arch_kw["hidden"])
+        arch = Architecture(**arch_kw)
+    except (ContractError, TypeError) as exc:
+        raise ContractError(f"{path}: bad arch: {exc}") from None
     params = init_params(arch, seed=0)
     named = params.all_named()
     if set(named) != set(blob["params"]):
         raise ContractError(f"{path}: parameter names do not match architecture")
     for name, spec in blob["params"].items():
-        arr = np.asarray(spec["data"], dtype=np.float64)
+        try:
+            shape = tuple(spec["shape"])
+            arr = np.asarray(spec["data"], dtype=np.float64)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ContractError(f"{path}: parameter {name} is malformed ({exc!r})") from None
         want = named[name].data.shape
-        if tuple(spec["shape"]) != want or arr.size != named[name].data.size:
-            raise ContractError(f"{path}: parameter {name} has shape {tuple(spec['shape'])} "
+        if shape != want or arr.size != named[name].data.size:
+            raise ContractError(f"{path}: parameter {name} has shape {shape} "
                                 f"and {arr.size} values, architecture expects {want}")
         named[name].data[...] = arr.reshape(want)
     return params, blob.get("extra", {})

@@ -79,8 +79,6 @@ class TrainConfig:
     optimizer: str = "adam"      # adam | sgd
     window: int = 20             # feature window length W
     hidden: tuple[int, int] = (64, 64)
-    trunk: str = "mlp"
-    standardize_y: bool = True   # z-score the return target per day (unit-scale MSE)
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -242,13 +240,12 @@ def class_labels_for(panel: StockPanel, task: str, mom_cfg: MomentumConfig) -> n
     return label_dataset(panel, mom_cfg)
 
 
-def build_batches(panel: StockPanel, labels: np.ndarray, window: int,
-                  standardize_y: bool = True) -> list[_DayBatch]:
+def build_batches(panel: StockPanel, labels: np.ndarray, window: int) -> list[_DayBatch]:
     """One batch per trading day with >= 2 stocks carrying window, y and label.
 
-    With ``standardize_y`` the regression target is the day's return z-scored
-    across the batch, putting the MSE on unit scale like the class loss.
-    Per-day IC against the raw return is unchanged (affine invariance).
+    The regression target is the day's return z-scored across the batch,
+    putting the MSE on unit scale like the class loss. Per-day IC against the
+    raw return is unchanged (affine invariance).
     """
     y = compute_return(panel).y
     ok = window_ok(panel, window)
@@ -258,9 +255,8 @@ def build_batches(panel: StockPanel, labels: np.ndarray, window: int,
         if rows.size < 2:
             continue
         target = y[t, rows]
-        if standardize_y:
-            sd = target.std()
-            target = (target - target.mean()) / sd if sd > 1e-12 else np.zeros_like(target)
+        sd = target.std()
+        target = (target - target.mean()) / sd if sd > 1e-12 else np.zeros_like(target)
         batches.append(_DayBatch(t=t, rows=rows,
                                  feats=day_window(panel, t, window, rows),
                                  y=target, labels=labels[t, rows]))
@@ -312,14 +308,14 @@ def fit(train_panel: StockPanel, valid_panel: StockPanel, mom_cfg: MomentumConfi
     tasks = mode.tasks
     n_classes = 2 if cfg.task == TASK_RISE_FALL else 5
     train_batches = build_batches(train_panel, class_labels_for(train_panel, cfg.task, mom_cfg),
-                                  cfg.window, cfg.standardize_y)
+                                  cfg.window)
     valid_batches = build_batches(valid_panel, class_labels_for(valid_panel, cfg.task, mom_cfg),
-                                  cfg.window, cfg.standardize_y)
+                                  cfg.window)
     if not train_batches:
         raise TrainingError("no usable training days (window/label/return constraints)")
 
     arch = Architecture(window=cfg.window, n_features=train_panel.n_features,
-                        hidden=cfg.hidden, trunk=cfg.trunk, n_classes=n_classes)
+                        hidden=cfg.hidden, n_classes=n_classes)
     params = init_params(arch, seed)
     theta = params.trunk_tensors()
     head_group = {REG: "reg_head", CLS: "cls_head"}

@@ -102,6 +102,15 @@ def test_missing_checkpoint_exits_2(tmp_path):
     assert code == 2
 
 
+def test_malformed_checkpoint_exits_2_naming_file(tmp_path, capsys):
+    ckpt = tmp_path / "bad.json"
+    ckpt.write_text("{not json", encoding="utf-8")
+    for command in ("evaluate", "backtest"):
+        code, _ = run([command, "--checkpoint", str(ckpt)], tmp_path, command)
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {ckpt}: ")
+
+
 def test_csv_source_roundtrip(tmp_path):
     # label on synthetic, dump a tiny csv panel, then label from csv
     csv_path = tmp_path / "panel.csv"

@@ -1,6 +1,11 @@
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
 import pytest
 
-from momrank.config import ExperimentConfig, build_config, load_config, parse_kv_text, to_flat
+from momrank.config import (ExperimentConfig, _build_schema, build_config, load_config,
+                            parse_kv_text, to_flat)
 from momrank.errors import ConfigError
 
 
@@ -50,6 +55,50 @@ def test_unknown_key_rejected():
     with pytest.raises(ConfigError) as exc:
         build_config({"train.lrr": "1"})
     assert "train.lrr" in str(exc.value)
+
+
+@pytest.mark.parametrize("key", ["train.trunk", "train.standardize_y", "loss.ce_weight",
+                                 "loss.rank_weight"])
+def test_removed_keys_rejected(key):
+    with pytest.raises(ConfigError, match="unknown config key"):
+        build_config({key: "1"})
+
+
+def test_ranking_none_rejected():
+    with pytest.raises(ConfigError):
+        build_config({"loss.ranking": "none"})
+
+
+def test_flat_keys_are_the_declared_knobs():
+    assert sorted(to_flat(ExperimentConfig())) == [
+        "backtest.cost_bps", "backtest.top_n",
+        "data.csv_path", "data.n_dates", "data.n_features", "data.n_tickers", "data.normalize",
+        "data.shift_after", "data.shifted_signal_strength", "data.signal_strength",
+        "data.source",
+        "eval.precision_ns",
+        "loss.fixed_k", "loss.gain", "loss.ranking", "loss.score_scale", "loss.threshold_frac",
+        "momentum.anchor_offset", "momentum.dead_zone", "momentum.dead_zone_scale",
+        "momentum.gap", "momentum.length",
+        "seed",
+        "split.test", "split.train", "split.train_frac", "split.valid", "split.valid_frac",
+        "train.beta", "train.decay", "train.epochs", "train.hidden", "train.loss_window",
+        "train.lr", "train.mode", "train.optimizer", "train.patience", "train.task",
+        "train.window",
+    ]
+
+
+def test_unparseable_field_annotation_fails_when_schema_is_built():
+    @dataclass(frozen=True)
+    class Section:
+        ratio: complex = 1j
+
+    @dataclass(frozen=True)
+    class Root:
+        seed: int = 0
+        sec: Section = field(default_factory=Section)
+
+    with pytest.raises(TypeError, match="Section.ratio"):
+        _build_schema(Root)
 
 
 def test_bad_value_names_key():

@@ -99,6 +99,19 @@ def test_load_csv_unparseable_reports_line(tmp_path):
     assert ":2:" in str(exc.value)
 
 
+@pytest.mark.parametrize("bad_row", ["2020-01-02,A,nan,0.1", "2020-01-02,A,inf,0.1",
+                                     "2020-01-02,A,10,NaN", "2020-01-02,A,10,-Infinity"])
+def test_load_csv_non_finite_value_reports_line(tmp_path, bad_row):
+    f = write_csv(tmp_path, "date,ticker,close,f0\n"
+                            "2020-01-01,A,10,0.1\n"
+                            "2020-01-01,B,11,0.2\n"
+                            f"{bad_row}\n"
+                            "2020-01-02,B,11,inf\n")
+    with pytest.raises(DataError) as exc:
+        load_csv(f)
+    assert str(exc.value).startswith(f"{f}:4: ")
+
+
 # ---- normalize_features ----
 
 def test_normalize_three_values():

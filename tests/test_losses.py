@@ -6,8 +6,8 @@ import pytest
 
 from momrank.autodiff import Tensor, check_gradient
 from momrank.errors import ContractError
-from momrank.losses import (_LN2, _ROW_CHUNK, GAIN_SHIFTED, GAIN_STANDARD, RANK_NONE,
-                            RANK_PAIRWISE, RankLossConfig, adaptive_k, approx_ndcg_at_k,
+from momrank.losses import (_LN2, _ROW_CHUNK, GAIN_SHIFTED, GAIN_STANDARD, RANK_PAIRWISE,
+                            RankLossConfig, adaptive_k, approx_ndcg_at_k,
                             approx_rank, classification_loss, cross_entropy, dcg_at_k,
                             exact_ndcg_at_k, expected_level, gain_values, ideal_dcg_at_k,
                             make_rank_batch, mse_loss, ndcg_loss, pairwise_loss)
@@ -324,18 +324,16 @@ def test_classification_loss_gradient():
         assert check_gradient(fn, point) < 1e-4
 
 
-def test_classification_loss_pairwise_and_none_variants():
+def test_classification_loss_pairwise_variant():
     labels = np.array([0, 4, 2, 1])
     logits = Tensor(np.random.default_rng(8).normal(size=(4, 5)))
     cfg_pw = RankLossConfig(ranking=RANK_PAIRWISE)
-    cfg_none = RankLossConfig(ranking=RANK_NONE)
     scores = expected_level(logits) * cfg_pw.score_scale
     batch = make_rank_batch(scores, labels, 5, cfg_pw)
     ce = cross_entropy(logits, labels).item()
     pw = pairwise_loss(batch.scores, labels.astype(float)).item()
     assert classification_loss(logits, labels, batch, cfg_pw).item() == pytest.approx(
         0.5 * ce + 0.5 * pw, abs=1e-12)
-    assert classification_loss(logits, labels, batch, cfg_none).item() == pytest.approx(ce)
 
 
 def test_classification_loss_improves_when_swapping_misordered_pair():

@@ -108,16 +108,6 @@ def test_head_partition_regression_ignores_cls_head():
     assert any(np.any(g != 0) for g in trunk_grads)
 
 
-def test_rnn_trunk_forward_and_grads():
-    params = init_params(small_arch(trunk="rnn"), seed=6)
-    feats = np.random.default_rng(6).normal(size=(4, 3, 2))
-    out = forward(params, feats)
-    assert out.pred_return.shape == (4,)
-    loss = mse_loss(out.pred_return, np.zeros(4))
-    grads = gradients(loss, params.trunk_tensors())
-    assert any(np.abs(g).max() > 0 for g in grads)
-
-
 def test_window_ok_and_predict_panel():
     p = gen_synthetic(30, 6, 0.5, seed=11)
     p.valid[10, 1] = False
@@ -153,6 +143,39 @@ def test_checkpoint_shape_mismatch_names_file_and_parameter(tmp_path):
     with pytest.raises(ContractError) as exc:
         load_checkpoint(path)
     assert str(path) in str(exc.value) and "trunk.w1" in str(exc.value)
+
+
+def _tamper(change):
+    def corrupt(text):
+        blob = json.loads(text)
+        change(blob)
+        return json.dumps(blob).encode()
+    return corrupt
+
+
+MALFORMED_CHECKPOINTS = {
+    "truncated_json": lambda text: text[:-20].encode(),
+    "not_utf8": lambda text: b"\xff\xfe" + text.encode(),
+    "not_an_object": lambda text: b"[1, 2]",
+    "no_arch": _tamper(lambda b: b.pop("arch")),
+    "no_params": _tamper(lambda b: b.pop("params")),
+    "missing_arch_field": _tamper(lambda b: b["arch"].pop("window")),
+    "unknown_arch_field": _tamper(lambda b: b["arch"].update(depth=3)),
+    "rnn_trunk": _tamper(lambda b: b["arch"].update(trunk="rnn")),
+    "hidden_not_a_list": _tamper(lambda b: b["arch"].update(hidden=8)),
+    "float_window": _tamper(lambda b: b["arch"].update(window=3.0)),
+    "param_without_data": _tamper(lambda b: b["params"]["trunk.b0"].pop("data")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
+def test_malformed_checkpoint_raises_contract_error_naming_file(tmp_path, case):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, init_params(small_arch(), seed=9))
+    path.write_bytes(MALFORMED_CHECKPOINTS[case](path.read_text(encoding="utf-8")))
+    with pytest.raises(ContractError) as exc:
+        load_checkpoint(path)
+    assert str(exc.value).startswith(f"{path}: ")
 
 
 def test_parameters_view_one_flat_buffer_per_group(tmp_path):
