@@ -13,6 +13,12 @@ import json
 import os
 import sys
 
+# One BLAS thread unless the caller chose otherwise: the matmuls are too small
+# to gain from threads, and on a busy host a threaded BLAS is many times slower.
+# This must run before the first numpy import below.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .backtest import cumulative_return, run_topn
 from .config import ExperimentConfig, build_config, load_config, to_flat
 from .data import StockPanel, fraction_split_spec, gen_synthetic, load_csv, normalize_features, split

@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import csv
 import datetime as _dt
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, DataError
+
+_CHUNK = 16384  # CSV records converted per numpy pass
 
 
 @dataclass
@@ -90,14 +93,18 @@ def compute_return(panel: StockPanel) -> ReturnLabel:
     return ReturnLabel(y)
 
 
-def load_csv(path, expected_features: int | None = None) -> StockPanel:
+def load_csv(path) -> StockPanel:
     """Assemble a panel from ``date,ticker,close,f0..f{F-1}`` rows (UTF-8).
 
-    Missing (date, ticker) combinations are masked invalid; duplicate keys,
-    unparseable rows and non-finite values raise with the offending line number.
+    ``csv.reader`` tokenizes the file, so quoted fields, CRLF line ends and
+    blank lines are accepted, and dates and tickers are stripped of
+    surrounding spaces. Rows are converted ``_CHUNK`` at a time: the numbers
+    in one numpy cast, dates and tickers to integer ids through two dicts.
+    Missing (date, ticker) combinations are masked invalid. A wrong field
+    count, an unparseable number or ISO date, a duplicate key or a non-finite
+    value raises ``DataError`` naming the file and the line (the CSV record
+    number, header = 1) of the first offending row.
     """
-    rows: dict[tuple[str, str], tuple[float, list[float], int]] = {}
-    n_feat = 0
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -106,65 +113,139 @@ def load_csv(path, expected_features: int | None = None) -> StockPanel:
         header = [h.strip() for h in header]
         if header[:3] != ["date", "ticker", "close"]:
             raise DataError(f"{path}: header must start 'date,ticker,close', got {header[:3]}")
-        n_feat = len(header) - 3
-        if expected_features is not None and n_feat != expected_features:
-            raise DataError(f"{path}: expected {expected_features} feature columns, got {n_feat}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3 + n_feat:
-                raise DataError(f"{path}:{lineno}: expected {3 + n_feat} fields, got {len(row)}")
-            date, ticker = row[0].strip(), row[1].strip()
+        width = len(header)
+        date_ids: dict[str, int] = {}
+        ticker_ids: dict[str, int] = {}
+        empty = np.empty(0, dtype=np.intp)
+        # (lines, date ids, ticker ids, values) of each chunk
+        parts = [(empty, empty, empty, np.empty((0, width - 2)))]
+        error = pending = None
+        for first_line in itertools.count(2, _CHUNK):
+            rows: list[list[str]] = []
             try:
-                _dt.date.fromisoformat(date)
-                close = float(row[2])
-                feats = [float(v) for v in row[3:]]
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: unparseable row ({exc})") from None
-            key = (date, ticker)
-            if key in rows:
-                raise DataError(f"{path}:{lineno}: duplicate (date,ticker) {key}")
-            rows[key] = (close, feats, lineno)
-    if not rows:
+                rows.extend(itertools.islice(reader, _CHUNK))
+            except (csv.Error, UnicodeDecodeError) as exc:  # raised after earlier bad rows
+                pending = exc
+            if not rows:
+                break
+            *part, error = _parse_chunk(rows, first_line, width, date_ids, ticker_ids)
+            parts.append(part)
+            if error is not None or pending is not None:
+                break
+    lines, d, t = (np.concatenate(col) for col in list(zip(*parts))[:3])
+    if error is not None:
+        before = lines < error[0]
+        lines, d, t = lines[before], d[before], t[before]
+    dates, date_rank = _sorted_ids(date_ids)
+    tickers, ticker_rank = _sorted_ids(ticker_ids)
+    n = len(tickers)
+    cells = date_rank[d] * n + ticker_rank[t]
+    dup = _first_repeat(cells)
+    if dup is not None:
+        key = (dates[cells[dup] // n], tickers[cells[dup] % n])
+        error = (lines[dup], f"duplicate (date,ticker) {key}")
+    if error is not None:
+        raise DataError(f"{path}:{error[0]}: {error[1]}")
+    if pending is not None:
+        raise pending
+    if not lines.size:
         raise DataError(f"{path}: no data rows")
-    dates = sorted({d for d, _ in rows})
-    tickers = sorted({t for _, t in rows})
-    t_idx = {d: i for i, d in enumerate(dates)}
-    n_idx = {t: i for i, t in enumerate(tickers)}
-    close = np.full((len(dates), len(tickers)), np.nan)
-    features = np.full((len(dates), len(tickers), n_feat), np.nan)
-    valid = np.zeros((len(dates), len(tickers)), dtype=bool)
-    for (d, t), (c, f, _) in rows.items():
-        close[t_idx[d], n_idx[t]] = c
-        features[t_idx[d], n_idx[t]] = f
-        valid[t_idx[d], n_idx[t]] = True
-    bad = valid & ~(np.isfinite(close) & np.isfinite(features).all(axis=2))
-    if bad.any():
-        lineno = min(rows[(dates[i], tickers[j])][2] for i, j in np.argwhere(bad))
-        raise DataError(f"{path}:{lineno}: non-finite close or feature value")
-    return StockPanel(dates, tickers, close, features, valid)
+    values = np.concatenate([part[3] for part in parts])
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise DataError(f"{path}:{lines[~finite].min()}: non-finite close or feature value")
+    close = np.full(len(dates) * n, np.nan)
+    features = np.full((len(dates) * n, width - 3), np.nan)
+    valid = np.zeros(len(dates) * n, dtype=bool)
+    close[cells], features[cells], valid[cells] = values[:, 0], values[:, 1:], True
+    return StockPanel(dates, tickers, close.reshape(-1, n), features.reshape(-1, n, width - 3),
+                      valid.reshape(-1, n))
+
+
+def _parse_chunk(rows: list[list[str]], first_line: int, width: int,
+                 date_ids: dict[str, int], ticker_ids: dict[str, int]):
+    """Line numbers, date and ticker ids and float values of one chunk of records.
+
+    Blank records and records with a wrong field count are skipped; the last
+    item is the chunk's first bad row as (line, message), or None.
+    """
+    errors = []  # (line, order of the check within a row, message)
+    lines = np.arange(first_line, first_line + len(rows))
+    keep = np.fromiter(map(len, rows), np.intp, len(rows)) == width
+    for i in np.flatnonzero(~keep):
+        blank = not rows[i] or (len(rows[i]) == 1 and not rows[i][0].strip())
+        if not blank:
+            errors.append((lines[i], 0, f"expected {width} fields, got {len(rows[i])}"))
+            break
+    if not keep.all():
+        rows = [rows[i] for i in np.flatnonzero(keep)]
+        lines = lines[keep]
+    cells = np.array(rows, dtype=object).reshape(len(rows), width)
+    known = len(date_ids)
+    d = _ids(cells[:, 0], date_ids)
+    t = _ids(cells[:, 1], ticker_ids)
+    for k, date in enumerate(itertools.islice(date_ids, known, None), start=known):
+        try:
+            _dt.date.fromisoformat(date)
+        except ValueError as exc:
+            errors.append((lines[np.argmax(d == k)], 1, f"unparseable row ({exc})"))
+    try:
+        values = cells[:, 2:].astype(np.float64)  # float() on each cell, in C
+    except ValueError:  # only a bad chunk pays for naming its row
+        values = None
+        for row, line in zip(rows, lines):
+            try:
+                [float(v) for v in row[2:]]
+            except ValueError as exc:
+                errors.append((line, 2, f"unparseable row ({exc})"))
+                break
+        else:
+            raise
+    line, _, message = min(errors, default=(None, 0, ""))
+    return lines, d, t, values, None if line is None else (line, message)
+
+
+def _ids(column: np.ndarray, ids: dict[str, int]) -> np.ndarray:
+    """Id of each stripped string in ``column``; strings not yet in ``ids`` are added."""
+    local = dict.fromkeys(column)
+    for raw in local:
+        local[raw] = ids.setdefault(raw.strip(), len(ids))
+    return np.fromiter(map(local.__getitem__, column), np.intp, len(column))
+
+
+def _sorted_ids(ids: dict[str, int]) -> tuple[list[str], np.ndarray]:
+    """The names of ``ids`` sorted, and each id's position in that order."""
+    names = list(ids)
+    order = sorted(range(len(names)), key=names.__getitem__)
+    rank = np.empty(len(names), dtype=np.intp)
+    rank[order] = np.arange(len(names))
+    return [names[i] for i in order], rank
+
+
+def _first_repeat(keys: np.ndarray) -> int | None:
+    """Index of the first element equal to an earlier one, or None."""
+    order = np.argsort(keys, kind="stable")
+    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
+    return int(repeats.min()) if repeats.size else None
 
 
 def normalize_features(panel: StockPanel) -> StockPanel:
     """Standardize each feature channel per date cross-section (population std).
 
-    Channels with std below 1e-12 on a date are zeroed. Idempotent within
-    numerical tolerance; invalid cells are untouched.
+    Means and stds of all dates come from masked reductions over the ticker
+    axis. Channels with std below 1e-12 on a date are zeroed. Idempotent
+    within numerical tolerance; invalid cells are untouched.
     """
-    feats = panel.features.copy()
-    for t in range(panel.n_dates):
-        ok = panel.valid[t]
-        if not ok.any():
-            continue
-        block = feats[t, ok, :]
-        mu = block.mean(axis=0)
-        sd = block.std(axis=0)
-        degenerate = sd < 1e-12
-        z = (block - mu) / np.where(degenerate, 1.0, sd)
-        z[:, degenerate] = 0.0
-        feats[t, ok, :] = z
+    valid = panel.valid[..., None]
+    with np.errstate(invalid="ignore", divide="ignore"):  # dates with no valid cell
+        count = panel.valid.sum(axis=1)[:, None]
+        mu = np.add.reduce(panel.features, axis=1, where=valid) / count
+        dev = panel.features - mu[:, None, :]
+        sd = np.sqrt(np.add.reduce(dev * dev, axis=1, where=valid) / count)
+    degenerate = (sd < 1e-12)[:, None, :]
+    z = np.where(degenerate, 0.0, dev / np.where(degenerate, 1.0, sd[:, None, :]))
     return StockPanel(list(panel.dates), list(panel.tickers),
-                      panel.close.copy(), feats, panel.valid.copy())
+                      panel.close.copy(), np.where(valid, z, panel.features), panel.valid.copy())
 
 
 def trading_days(n: int, start: str = "2018-01-02") -> list[str]:

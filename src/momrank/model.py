@@ -143,9 +143,10 @@ def forward(params: BackboneParams, day_features: np.ndarray) -> BatchOutput:
 def window_ok(panel: StockPanel, window: int) -> np.ndarray:
     """[T, N] mask: ticker has a full valid feature window ending at t."""
     t_total, n = panel.valid.shape
+    invalid = np.zeros((t_total + 1, n), dtype=np.intp)  # invalid cells before each date
+    np.cumsum(~panel.valid, axis=0, out=invalid[1:])
     ok = np.zeros((t_total, n), dtype=bool)
-    for t in range(window - 1, t_total):
-        ok[t] = panel.valid[t - window + 1: t + 1].all(axis=0)
+    ok[window - 1:] = invalid[window:] == invalid[:-window]
     return ok
 
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
+import pytest
 
+import momrank
 from momrank.cli import main
 
 FAST = ["data.n_dates=40", "data.n_tickers=8", "data.n_features=3",
@@ -140,3 +145,31 @@ def test_reproduce_emits_comparison_table(tmp_path):
                         "pairwise", "fixed_k", "fixed_beta", "fixed_decay"]
     for name in ("full", "fixed_k"):
         assert (out / name / "checkpoint.json").exists()
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# Records the BLAS variables at the moment numpy is first imported, then
+# imports the CLI module as the console script does.
+SPY_NUMPY_IMPORT = f"""
+import json, os, sys
+seen = {{}}
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.update((v, os.environ.get(v)) for v in {BLAS_VARS!r})
+sys.meta_path.insert(0, Spy())
+import momrank.cli
+print(json.dumps(seen))
+"""
+
+
+@pytest.mark.parametrize("preset,expected", [(None, "1"), ("2", "2")])
+def test_cli_sets_one_blas_thread_before_numpy_unless_set(preset, expected):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update({v: preset for v in BLAS_VARS if preset is not None})
+    src = os.path.dirname(os.path.dirname(momrank.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", SPY_NUMPY_IMPORT], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert json.loads(out) == {v: expected for v in BLAS_VARS}

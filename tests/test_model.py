@@ -122,6 +122,23 @@ def test_window_ok_and_predict_panel():
     assert np.isnan(scores[12, 1])
 
 
+def window_ok_loop(valid, window):
+    """The per-date loop ``window_ok`` replaced; the oracle for its mask."""
+    t_total, n = valid.shape
+    ok = np.zeros((t_total, n), dtype=bool)
+    for t in range(window - 1, t_total):
+        ok[t] = valid[t - window + 1: t + 1].all(axis=0)
+    return ok
+
+
+@pytest.mark.parametrize("drop", [0.0, 0.05, 0.3, 1.0])
+def test_window_ok_matches_per_date_loop(drop):
+    p = gen_synthetic(40, 7, 0.5, seed=2)
+    p.valid[:] = np.random.default_rng(int(drop * 100)).random(p.valid.shape) >= drop
+    for window in (1, 2, 5, p.n_dates - 1, p.n_dates, p.n_dates + 1, p.n_dates + 3):
+        np.testing.assert_array_equal(window_ok(p, window), window_ok_loop(p.valid, window))
+
+
 def test_checkpoint_roundtrip(tmp_path):
     params = init_params(small_arch(), seed=9)
     path = tmp_path / "ckpt.json"
