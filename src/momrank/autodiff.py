@@ -6,12 +6,23 @@ the output gradient to the operands. ``backward()`` walks the graph once in
 reverse topological order, so each node's gradient is accumulated exactly once
 per call. Rank is capped at 2 (scalars, vectors, matrices); elementwise ops
 broadcast under numpy rules within that limit, and broadcast gradients are
-summed back down to the operand shape.
+summed back down to the operand shape. An operand that is not a Tensor (a
+numpy array or a Python number) is a constant: it becomes no node and gets no
+gradient.
 
-Every ``backward()`` call first zeroes the gradients of the nodes reachable
-from its root, so successive calls on different roots of a shared graph do not
-contaminate each other. Gradient accumulation across fan-out happens inside a
-single call via ``+=``.
+Gradients are allocated on demand. A node's gradient slot starts empty, and
+``backward()`` empties the slots of the nodes reachable from its root, so
+successive calls on different roots of a shared graph do not contaminate each
+other. A closure runs only if its node received a gradient, and it hands each
+operand its contribution through ``accumulate_grad``: the first contribution
+is adopted as the operand's gradient and later ones are added as
+``grad + g``, a new array, so an adopted array that two operands share is
+never written to. Reading ``grad`` on a node that no backward reached gives
+zeros.
+
+Inside ``no_grad()`` ops compute their values and record neither operands nor
+closures, so evaluation builds no graph (the ``torch.no_grad`` idiom of
+Paszke et al., 2017). The mode is process-wide and restored on exit.
 
 A backward closure receives its own node as its argument (``backward(out)``)
 and captures only its operands, never the node it belongs to. Links therefore
@@ -22,13 +33,27 @@ root is dropped, without waiting for the cyclic garbage collector.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import GraphError, NumericError, ShapeError
 
-__all__ = ["Tensor", "gradients", "check_gradient", "sigmoid_np"]
+__all__ = ["Tensor", "gradients", "no_grad", "check_gradient", "sigmoid_np"]
+
+_recording = True  # False inside no_grad()
+
+
+@contextmanager
+def no_grad():
+    """Within the block, ops compute values and record no parents or closures."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
 
 
 def sigmoid_np(x):
@@ -52,6 +77,8 @@ def _as_array(value) -> np.ndarray:
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a broadcast gradient back down to the operand shape."""
+    if grad.shape == shape:
+        return grad
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for axis, size in enumerate(shape):
@@ -60,23 +87,117 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-def _check_broadcast(a: np.ndarray, b: np.ndarray, op: str) -> None:
+def _operand(value) -> tuple[np.ndarray, Tensor | None]:
+    """A Tensor's data and the Tensor, or a constant's array and None."""
+    if isinstance(value, Tensor):
+        return value.data, value
+    return _as_array(value), None
+
+
+def _elementwise(op: str, left, right, ufunc, d_left, d_right) -> Tensor:
+    """``ufunc(left, right)`` as a node; ``d_left(g, x, y)`` is the left operand's
+    contribution for output gradient g before unbroadcasting, ``d_right`` the right's."""
+    x, x_node = _operand(left)
+    y, y_node = _operand(right)
     try:
-        np.broadcast_shapes(a.shape, b.shape)
+        value = ufunc(x, y)
     except ValueError:
-        raise ShapeError(f"{op}: operand shapes {a.shape} and {b.shape} do not broadcast") from None
+        raise ShapeError(f"{op}: operand shapes {x.shape} and {y.shape} do not broadcast") from None
+
+    def backward(out):
+        g = out.grad
+        if x_node is not None:
+            x_node.accumulate_grad(_unbroadcast(d_left(g, x, y), x.shape))
+        if y_node is not None:
+            y_node.accumulate_grad(_unbroadcast(d_right(g, x, y), y.shape))
+
+    return Tensor(value, _nodes(x_node, y_node), backward)
+
+
+def _matmul(left, right) -> Tensor:
+    x, x_node = _operand(left)
+    y, y_node = _operand(right)
+    if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[0]:
+        raise ShapeError(f"matmul: incompatible shapes {x.shape} and {y.shape}")
+
+    def backward(out):
+        if x_node is not None:
+            x_node.accumulate_grad(out.grad @ y.T)
+        if y_node is not None:
+            y_node.accumulate_grad(x.T @ out.grad)
+
+    return Tensor(x @ y, _nodes(x_node, y_node), backward)
+
+
+def _nodes(a: Tensor | None, b: Tensor | None) -> tuple:
+    if a is None:
+        return () if b is None else (b,)
+    return (a,) if b is None else (a, b)
+
+
+# Each operand's contribution, before unbroadcasting, for output gradient g of
+# x <op> y, as the ``d_left`` and ``d_right`` arguments of ``_elementwise``.
+
+def _grad_same(g, x, y):
+    return g
+
+
+def _grad_negated(g, x, y):
+    return -g
+
+
+def _grad_times_y(g, x, y):
+    return g * y
+
+
+def _grad_times_x(g, x, y):
+    return g * x
+
+
+def _grad_over_y(g, x, y):
+    return g / y
+
+
+def _grad_quotient_y(g, x, y):
+    return -(g * x / (y * y))
 
 
 class Tensor:
-    """One node of the computation graph: a float64 value and its gradient slot."""
+    """One node of the computation graph: a float64 value and its gradient slot.
 
-    __slots__ = ("data", "grad", "_prev", "_backward")
+    ``_prev`` holds the operand nodes and ``_backward`` the closure that routes
+    this node's gradient to them; both are empty for leaves and for every node
+    made inside ``no_grad()``.
+    """
 
-    def __init__(self, data, _prev: tuple = ()):
+    __slots__ = ("data", "_grad", "_prev", "_backward")
+    __array_ufunc__ = None  # ``array <op> tensor`` defers to the Tensor's reflected op
+
+    def __init__(self, data, _prev: tuple = (),
+                 _backward: Callable[[Tensor], None] | None = None):
         self.data = _as_array(data)
-        self.grad = np.zeros_like(self.data)
-        self._prev = _prev
-        self._backward: Callable[[Tensor], None] | None = None
+        self._grad = None
+        if _recording:
+            self._prev, self._backward = _prev, _backward
+        else:
+            self._prev, self._backward = (), None
+
+    @property
+    def grad(self) -> np.ndarray:
+        """Gradient from the last backward pass that reached this node, else zeros.
+
+        The array may be shared with other nodes or be a read-only broadcast
+        view; copy it before writing (``gradients`` returns copies).
+        """
+        return np.zeros_like(self.data) if self._grad is None else self._grad
+
+    @grad.setter
+    def grad(self, value) -> None:
+        self._grad = value
+
+    def accumulate_grad(self, g) -> None:
+        """Add one contribution: adopt the first, then ``grad + g`` (never in place)."""
+        self._grad = g if self._grad is None else self._grad + g
 
     @property
     def shape(self) -> tuple:
@@ -93,179 +214,105 @@ class Tensor:
     # ---- elementwise binary ops (broadcasting, rank <= 2) ----
 
     def __add__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        _check_broadcast(self.data, other.data, "add")
-        out = Tensor(self.data + other.data, (self, other))
+        return _elementwise("add", self, other, np.add, _grad_same, _grad_same)
 
-        def backward(out):
-            self.grad += _unbroadcast(out.grad, self.data.shape)
-            other.grad += _unbroadcast(out.grad, other.data.shape)
-
-        out._backward = backward
-        return out
+    __radd__ = __add__
 
     def __sub__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        _check_broadcast(self.data, other.data, "sub")
-        out = Tensor(self.data - other.data, (self, other))
-
-        def backward(out):
-            self.grad += _unbroadcast(out.grad, self.data.shape)
-            other.grad -= _unbroadcast(out.grad, other.data.shape)
-
-        out._backward = backward
-        return out
-
-    def __mul__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        _check_broadcast(self.data, other.data, "mul")
-        out = Tensor(self.data * other.data, (self, other))
-
-        def backward(out):
-            self.grad += _unbroadcast(out.grad * other.data, self.data.shape)
-            other.grad += _unbroadcast(out.grad * self.data, other.data.shape)
-
-        out._backward = backward
-        return out
-
-    def __truediv__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        _check_broadcast(self.data, other.data, "div")
-        out = Tensor(self.data / other.data, (self, other))
-
-        def backward(out):
-            self.grad += _unbroadcast(out.grad / other.data, self.data.shape)
-            other.grad -= _unbroadcast(out.grad * self.data / (other.data * other.data),
-                                       other.data.shape)
-
-        out._backward = backward
-        return out
-
-    def __neg__(self):
-        out = Tensor(-self.data, (self,))
-
-        def backward(out):
-            self.grad -= out.grad
-
-        out._backward = backward
-        return out
-
-    def __radd__(self, other):
-        return Tensor(other) + self
+        return _elementwise("sub", self, other, np.subtract, _grad_same, _grad_negated)
 
     def __rsub__(self, other):
-        return Tensor(other) - self
+        return _elementwise("sub", other, self, np.subtract, _grad_same, _grad_negated)
 
-    def __rmul__(self, other):
-        return Tensor(other) * self
+    def __mul__(self, other):
+        return _elementwise("mul", self, other, np.multiply, _grad_times_y, _grad_times_x)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return _elementwise("div", self, other, np.true_divide, _grad_over_y, _grad_quotient_y)
 
     def __rtruediv__(self, other):
-        return Tensor(other) / self
+        return _elementwise("div", other, self, np.true_divide, _grad_over_y, _grad_quotient_y)
+
+    def __neg__(self):
+        def backward(out):
+            self.accumulate_grad(-out.grad)
+
+        return Tensor(-self.data, (self,), backward)
 
     def __pow__(self, exponent: float):
         if isinstance(exponent, Tensor):
             raise GraphError("power supports constant exponents only")
         c = float(exponent)
-        out = Tensor(self.data ** c, (self,))
 
         def backward(out):
-            self.grad += out.grad * c * self.data ** (c - 1.0)
+            self.accumulate_grad(out.grad * c * self.data ** (c - 1.0))
 
-        out._backward = backward
-        return out
+        return Tensor(self.data ** c, (self,), backward)
 
     def __matmul__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        if self.data.ndim != 2 or other.data.ndim != 2 or self.data.shape[1] != other.data.shape[0]:
-            raise ShapeError(
-                f"matmul: incompatible shapes {self.data.shape} and {other.data.shape}")
-        out = Tensor(self.data @ other.data, (self, other))
+        return _matmul(self, other)
 
-        def backward(out):
-            self.grad += out.grad @ other.data.T
-            other.grad += self.data.T @ out.grad
-
-        out._backward = backward
-        return out
+    def __rmatmul__(self, other):
+        return _matmul(other, self)
 
     # ---- elementwise unary ops ----
 
     def exp(self):
-        out = Tensor(np.exp(self.data), (self,))
-
         def backward(out):
-            self.grad += out.grad * out.data
+            self.accumulate_grad(out.grad * out.data)
 
-        out._backward = backward
-        return out
+        return Tensor(np.exp(self.data), (self,), backward)
 
     def log(self):
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = Tensor(np.log(self.data), (self,))
-
         def backward(out):
-            self.grad += out.grad / self.data
+            self.accumulate_grad(out.grad / self.data)
 
-        out._backward = backward
-        return out
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return Tensor(np.log(self.data), (self,), backward)
 
     def tanh(self):
-        out = Tensor(np.tanh(self.data), (self,))
-
         def backward(out):
-            self.grad += out.grad * (1.0 - out.data * out.data)
+            self.accumulate_grad(out.grad * (1.0 - out.data * out.data))
 
-        out._backward = backward
-        return out
+        return Tensor(np.tanh(self.data), (self,), backward)
 
     def sigmoid(self):
-        out = Tensor(sigmoid_np(self.data), (self,))
-
         def backward(out):
-            self.grad += out.grad * out.data * (1.0 - out.data)
+            self.accumulate_grad(out.grad * out.data * (1.0 - out.data))
 
-        out._backward = backward
-        return out
+        return Tensor(sigmoid_np(self.data), (self,), backward)
 
     def relu(self):
-        out = Tensor(np.where(self.data > 0, self.data, 0.0), (self,))
-
         def backward(out):
-            self.grad += out.grad * (self.data > 0)
+            self.accumulate_grad(out.grad * (self.data > 0))
 
-        out._backward = backward
-        return out
+        return Tensor(np.where(self.data > 0, self.data, 0.0), (self,), backward)
 
     # ---- reductions and shape ops ----
 
     def sum(self, axis: int | None = None, keepdims: bool = False):
-        out = Tensor(self.data.sum(axis=axis, keepdims=keepdims), (self,))
-
         def backward(out):
             g = out.grad
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            self.grad += np.broadcast_to(g, self.data.shape)
+            self.accumulate_grad(np.broadcast_to(g, self.data.shape))
 
-        out._backward = backward
-        return out
+        return Tensor(self.data.sum(axis=axis, keepdims=keepdims), (self,), backward)
 
     def mean(self, axis: int | None = None, keepdims: bool = False):
         count = self.data.size if axis is None else self.data.shape[axis]
-        out = Tensor(self.data.mean(axis=axis, keepdims=keepdims), (self,))
 
         def backward(out):
             g = out.grad
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            self.grad += np.broadcast_to(g, self.data.shape) / count
+            self.accumulate_grad(np.broadcast_to(g, self.data.shape) / count)
 
-        out._backward = backward
-        return out
+        return Tensor(self.data.mean(axis=axis, keepdims=keepdims), (self,), backward)
 
     def max(self, axis: int | None = None, keepdims: bool = False):
-        out = Tensor(self.data.max(axis=axis, keepdims=keepdims), (self,))
-
         def backward(out):
             peak = self.data.max(axis=axis, keepdims=True)
             mask = (self.data == peak).astype(np.float64)
@@ -273,10 +320,9 @@ class Tensor:
             g = out.grad
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            self.grad += mask * g
+            self.accumulate_grad(mask * g)
 
-        out._backward = backward
-        return out
+        return Tensor(self.data.max(axis=axis, keepdims=keepdims), (self,), backward)
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -284,21 +330,19 @@ class Tensor:
         new = self.data.reshape(shape)
         if new.ndim > 2:
             raise ShapeError(f"reshape to rank-{new.ndim} unsupported: {new.shape}")
-        out = Tensor(new, (self,))
 
         def backward(out):
-            self.grad += out.grad.reshape(self.data.shape)
+            self.accumulate_grad(out.grad.reshape(self.data.shape))
 
-        out._backward = backward
-        return out
+        return Tensor(new, (self,), backward)
 
     # ---- traversal ----
 
     def backward(self) -> None:
         """Fill the gradients of every node reachable from this scalar root.
 
-        Gradients inside the reachable subgraph are zeroed first, so the call
-        is self-contained; nodes outside the subgraph are untouched.
+        The reachable nodes' gradients are emptied first, so the call is
+        self-contained; nodes outside the subgraph are untouched.
         """
         if self.data.size != 1:
             raise GraphError(f"backward root must be scalar, got shape {self.data.shape}")
@@ -318,17 +362,17 @@ class Tensor:
                 if id(parent) not in visited:
                     stack.append((parent, False))
         for node in topo:
-            node.grad = np.zeros_like(node.data)
-        self.grad = np.ones_like(self.data)
+            node._grad = None
+        self._grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if node._backward is not None:
+            if node._backward is not None and node._grad is not None:
                 node._backward(node)
 
 
 def gradients(loss: Tensor, params: Sequence[Tensor]) -> list[np.ndarray]:
     """Gradient of a scalar loss w.r.t. each parameter (zeros if unreachable)."""
     for p in params:
-        p.grad = np.zeros_like(p.data)
+        p._grad = None
     loss.backward()
     return [p.grad.copy() for p in params]
 

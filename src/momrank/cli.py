@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import time
 
 # One BLAS thread unless the caller chose otherwise: the matmuls are too small
 # to gain from threads, and on a busy host a threaded BLAS is many times slower.
@@ -25,9 +26,9 @@ from .data import StockPanel, fraction_split_spec, gen_synthetic, load_csv, norm
 from .data import SplitSpec
 from .errors import ConfigError, ContractError, MomrankError
 from .metrics import evaluate_predictions
-from .model import load_checkpoint, predict_panel, save_checkpoint
+from .model import Architecture, load_checkpoint, predict_panel, save_checkpoint
 from .momentum import UNLABELED, label_dataset
-from .training import class_labels_for, fit
+from .training import N_CLASSES, class_labels_for, fit
 
 REPRODUCE_CELLS: list[tuple[str, dict[str, str]]] = [
     ("full", {}),
@@ -96,6 +97,18 @@ def _load_params(path):
     return load_checkpoint(path)
 
 
+def _check_arch(arch: Architecture, cfg: ExperimentConfig, panel: StockPanel, path) -> None:
+    """Reject a checkpoint whose architecture does not fit the run's config and panel."""
+    n_classes = N_CLASSES[cfg.train.task]
+    for field, have, want, source in (
+            ("window", arch.window, cfg.train.window, "train.window"),
+            ("n_features", arch.n_features, panel.n_features, "the panel's n_features"),
+            ("n_classes", arch.n_classes, n_classes, f"train.task={cfg.train.task}")):
+        if have != want:
+            raise ContractError(f"{path}: checkpoint arch.{field} = {have} does not match "
+                                f"{source} ({want})")
+
+
 def cmd_label(cfg: ExperimentConfig, out_dir: str) -> None:
     panel = _prepare_panel(cfg)
     labels = label_dataset(panel, cfg.momentum)
@@ -128,6 +141,7 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str) -> None:
 def cmd_evaluate(cfg: ExperimentConfig, out_dir: str, checkpoint: str, split_name: str) -> None:
     params, _ = _load_params(checkpoint)
     panel = _prepare_panel(cfg)
+    _check_arch(params.arch, cfg, panel, checkpoint)
     eval_panel = _pick_split(cfg, panel, split_name)
     scores = predict_panel(params, eval_panel)
     labels = class_labels_for(eval_panel, cfg.train.task, cfg.momentum)
@@ -142,6 +156,7 @@ def cmd_evaluate(cfg: ExperimentConfig, out_dir: str, checkpoint: str, split_nam
 def cmd_backtest(cfg: ExperimentConfig, out_dir: str, checkpoint: str, split_name: str) -> None:
     params, _ = _load_params(checkpoint)
     panel = _prepare_panel(cfg)
+    _check_arch(params.arch, cfg, panel, checkpoint)
     bt_panel = _pick_split(cfg, panel, split_name)
     scores = predict_panel(params, bt_panel)
     ledger = run_topn(bt_panel, scores, cfg.eval.top_n, cfg.eval.cost_bps)
@@ -153,13 +168,17 @@ def cmd_backtest(cfg: ExperimentConfig, out_dir: str, checkpoint: str, split_nam
 
 
 def cmd_reproduce(cfg: ExperimentConfig, out_dir: str) -> None:
-    """Train and evaluate every ablation variant on the configured data."""
+    """Train and evaluate every ablation variant on the configured data.
+
+    Prints one progress line per finished cell to stderr: name, wall time, test IC.
+    """
     base_flat = to_flat(cfg)
     header = ["variant", "ic", "rank_ic", "ic_std_e3", "rank_ic_std_e3"]
     precision_cols = [f"precision_at_{n}" for n in cfg.eval.precision_ns]
     header += precision_cols + ["cum_return_pct", "best_epoch", "epochs_run"]
     rows = []
-    for name, delta in REPRODUCE_CELLS:
+    for i, (name, delta) in enumerate(REPRODUCE_CELLS, 1):
+        started = time.perf_counter()
         overrides = dict(delta)
         if name == "fixed_k":
             overrides["loss.fixed_k"] = str(cfg.eval.top_n)
@@ -183,6 +202,9 @@ def cmd_reproduce(cfg: ExperimentConfig, out_dir: str) -> None:
         row += [report.precision_at.get(n, float("nan")) for n in cell_cfg.eval.precision_ns]
         row += [cumulative_return(ledger), result.best_epoch, result.epochs_run]
         rows.append(row)
+        print(f"reproduce [{i}/{len(REPRODUCE_CELLS)}] {name}: "
+              f"{time.perf_counter() - started:.2f} s, test IC {report.ic:.4f}",
+              file=sys.stderr, flush=True)
     _write_csv(os.path.join(out_dir, "comparison.csv"), base_flat, header, rows)
 
 

@@ -171,13 +171,11 @@ def approx_rank(scores: Tensor) -> Tensor:
     if scores.data.ndim != 1:
         raise ContractError(f"scores must be a vector, got shape {scores.data.shape}")
     s = scores.data
-    out = Tensor(_smooth_ranks(s), (scores,))
 
     def backward(out):
-        scores.grad += _smooth_ranks_vjp(s, out.grad)
+        scores.accumulate_grad(_smooth_ranks_vjp(s, out.grad))
 
-    out._backward = backward
-    return out
+    return Tensor(_smooth_ranks(s), (scores,), backward)
 
 
 def _smooth_dcg_at_k(scores: Tensor, levels: np.ndarray, k: int, gain: str) -> Tensor:
@@ -190,14 +188,12 @@ def _smooth_dcg_at_k(scores: Tensor, levels: np.ndarray, k: int, gain: str) -> T
     ranks = _smooth_ranks(s)
     weight = gain_values(levels, gain) * (ranks <= k + 0.5)
     discount = np.log(ranks + 1.0) / _LN2
-    out = Tensor(np.sum(weight / discount), (scores,))
 
     def backward(out):
         g_rank = -out.grad * weight / (discount * discount) / _LN2 / (ranks + 1.0)
-        scores.grad += _smooth_ranks_vjp(s, g_rank)
+        scores.accumulate_grad(_smooth_ranks_vjp(s, g_rank))
 
-    out._backward = backward
-    return out
+    return Tensor(np.sum(weight / discount), (scores,), backward)
 
 
 def gain_values(levels: np.ndarray, gain: str = GAIN_STANDARD) -> np.ndarray:
@@ -272,7 +268,7 @@ def mse_loss(pred: Tensor, y: np.ndarray) -> Tensor:
     y = np.asarray(y, dtype=np.float64)
     if pred.data.shape != y.shape:
         raise ContractError(f"pred shape {pred.data.shape} does not match y shape {y.shape}")
-    diff = pred - Tensor(y)
+    diff = pred - y
     return (diff * diff).mean()
 
 
@@ -312,7 +308,7 @@ def pairwise_loss(scores: Tensor, target: np.ndarray) -> Tensor:
     score_diff = scores.reshape(n, 1) - scores.reshape(1, n)
     target_diff = target[:, None] - target[None, :]
     upper = np.triu(np.ones((n, n)), k=1)
-    hinge = (-(score_diff * Tensor(target_diff))).relu()
+    hinge = (-(score_diff * target_diff)).relu()
     return (hinge * upper).sum() / float(n * n)
 
 

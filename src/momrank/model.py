@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, no_grad
 from .data import StockPanel
 from .errors import ContractError, NumericError
 
@@ -132,7 +132,7 @@ def forward(params: BackboneParams, day_features: np.ndarray) -> BatchOutput:
         rows = np.flatnonzero(~np.isfinite(feats).all(axis=(1, 2)))
         raise NumericError(f"non-finite features for stock rows {rows.tolist()}")
     n = feats.shape[0]
-    x = Tensor(feats.reshape(n, arch.window * arch.n_features))
+    x = feats.reshape(n, arch.window * arch.n_features)  # a constant, not a graph node
     h = (x @ params.trunk["w0"] + params.trunk["b0"]).tanh()
     h = (h @ params.trunk["w1"] + params.trunk["b1"]).tanh()
     pred = (h @ params.reg_head["w"] + params.reg_head["b"]).reshape(n)
@@ -160,12 +160,13 @@ def predict_panel(params: BackboneParams, panel: StockPanel) -> np.ndarray:
     arch = params.arch
     scores = np.full((panel.n_dates, panel.n_tickers), np.nan)
     ok = window_ok(panel, arch.window)
-    for t in range(arch.window - 1, panel.n_dates):
-        rows = np.flatnonzero(ok[t])
-        if rows.size == 0:
-            continue
-        out = forward(params, day_window(panel, t, arch.window, rows))
-        scores[t, rows] = out.pred_return.data
+    with no_grad():
+        for t in range(arch.window - 1, panel.n_dates):
+            rows = np.flatnonzero(ok[t])
+            if rows.size == 0:
+                continue
+            out = forward(params, day_window(panel, t, arch.window, rows))
+            scores[t, rows] = out.pred_return.data
     return scores
 
 

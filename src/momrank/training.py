@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, gradients, sigmoid_np
+from .autodiff import Tensor, gradients, no_grad, sigmoid_np
 from .data import StockPanel, compute_return
 from .errors import ContractError, TrainingError
 from .losses import (RankLossConfig, classification_loss, expected_level,
@@ -46,6 +46,7 @@ MODE_FULL, MODE_EW, MODE_STL = "full", "ew", "stl"
 MODE_FIXED_BETA, MODE_FIXED_DECAY = "fixed_beta", "fixed_decay"
 TASK_MOMENTUM, TASK_RISE_FALL = "momentum", "rise_fall"
 REG, CLS = "regression", "classification"   # the two heads' tasks
+N_CLASSES = {TASK_MOMENTUM: 5, TASK_RISE_FALL: 2}  # classification head width per task
 LOG_EPS = 1e-8
 
 
@@ -83,7 +84,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ContractError(f"unknown mode {self.mode!r}")
-        if self.task not in (TASK_MOMENTUM, TASK_RISE_FALL):
+        if self.task not in N_CLASSES:
             raise ContractError(f"unknown task {self.task!r}")
         if self.lr <= 0 or self.epochs < 1 or self.decay < 0:
             raise ContractError("need lr > 0, epochs >= 1, decay >= 0")
@@ -278,17 +279,21 @@ def _batch_losses(params: BackboneParams, batch: _DayBatch, loss_cfg: RankLossCo
 
 def _split_metrics(params: BackboneParams, batches: list[_DayBatch],
                    loss_cfg: RankLossConfig, n_classes: int, tasks: tuple[str, ...]):
-    """Mean per-day loss per task plus IC/RankIC of the regression head on a split."""
+    """Mean per-day loss per task plus IC/RankIC of the regression head on a split.
+
+    Runs the training forward and losses under ``no_grad``: values only, no graph.
+    """
     if not batches:
         return dict.fromkeys(tasks, float("nan")), float("nan"), float("nan")
     loss_sums = dict.fromkeys(tasks, 0.0)
     ics, rics = [], []
-    for batch in batches:
-        out, losses, _ = _batch_losses(params, batch, loss_cfg, n_classes, tasks)
-        for task in tasks:
-            loss_sums[task] += losses[task].item()
-        ics.append(daily_ic(out.pred_return.data, batch.y))
-        rics.append(daily_rank_ic(out.pred_return.data, batch.y))
+    with no_grad():
+        for batch in batches:
+            out, losses, _ = _batch_losses(params, batch, loss_cfg, n_classes, tasks)
+            for task in tasks:
+                loss_sums[task] += losses[task].item()
+            ics.append(daily_ic(out.pred_return.data, batch.y))
+            rics.append(daily_rank_ic(out.pred_return.data, batch.y))
     n = len(batches)
     finite_ics = [v for v in ics if np.isfinite(v)]
     finite_rics = [v for v in rics if np.isfinite(v)]
@@ -306,7 +311,7 @@ def fit(train_panel: StockPanel, valid_panel: StockPanel, mom_cfg: MomentumConfi
     """
     mode = MODES[cfg.mode]
     tasks = mode.tasks
-    n_classes = 2 if cfg.task == TASK_RISE_FALL else 5
+    n_classes = N_CLASSES[cfg.task]
     train_batches = build_batches(train_panel, class_labels_for(train_panel, cfg.task, mom_cfg),
                                   cfg.window)
     valid_batches = build_batches(valid_panel, class_labels_for(valid_panel, cfg.task, mom_cfg),

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from momrank.autodiff import Tensor, check_gradient, gradients, sigmoid_np
+from momrank.autodiff import Tensor, check_gradient, gradients, no_grad, sigmoid_np
 from momrank.errors import GraphError, NumericError, ShapeError
+from momrank.losses import RankLossConfig, approx_rank, make_rank_batch, ndcg_loss
 
 
 def test_forward_square():
@@ -194,3 +195,96 @@ def test_sigmoid_np_stability():
     assert sigmoid_np(800.0) == 1.0
     assert sigmoid_np(-800.0) == pytest.approx(0.0, abs=1e-300)
     np.testing.assert_allclose(sigmoid_np(np.array([0.0, 1.0])), [0.5, 1 / (1 + np.exp(-1.0))])
+
+
+
+# ---- gradients on demand ----
+
+def central_differences(fn, point, step=1e-6):
+    numeric = np.empty(point.size)
+    for i in range(point.size):
+        bumped = point.copy()
+        bumped[i] = point[i] + step
+        hi = fn(bumped)
+        bumped[i] = point[i] - step
+        numeric[i] = (hi - fn(bumped)) / (2.0 * step)
+    return numeric
+
+
+@pytest.mark.parametrize("adopted_first", [True, False])
+def test_adopted_gradient_shared_by_two_operands_is_never_written(adopted_first):
+    # s = a + b hands one output-gradient array to both a and b; b * b adds a
+    # second contribution to b. When that one arrives after the adopted one, an
+    # in-place add would change a's gradient as well.
+    a_data, b_data = np.array([0.3, -1.2, 0.8]), np.array([1.1, 0.4, -0.6])
+    c = np.array([2.0, -1.0, 0.5])
+
+    def loss_of(a, b):
+        shared, own = ((a + b) * c).sum(), (b * b).sum()
+        return shared + own if adopted_first else own + shared
+
+    a, b = Tensor(a_data.copy()), Tensor(b_data.copy())
+    loss_of(a, b).backward()
+    np.testing.assert_array_equal(a.grad, c)
+    np.testing.assert_allclose(b.grad, c + 2.0 * b_data, rtol=0, atol=1e-15)
+    fd_a = central_differences(lambda v: loss_of(Tensor(v), Tensor(b_data)).item(), a_data)
+    fd_b = central_differences(lambda v: loss_of(Tensor(a_data), Tensor(v)).item(), b_data)
+    np.testing.assert_allclose(a.grad, fd_a, rtol=0, atol=1e-8)
+    np.testing.assert_allclose(b.grad, fd_b, rtol=0, atol=1e-8)
+
+
+def test_grad_reads_zeros_until_a_backward_reaches_the_node():
+    x, unused = Tensor(np.array([1.0, 2.0])), Tensor(np.ones((2, 2)))
+    assert x._grad is None and unused._grad is None  # nothing allocated at creation
+    np.testing.assert_array_equal(unused.grad, np.zeros((2, 2)))
+    (x * x).sum().backward()
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+    assert unused._grad is None
+
+
+def test_constant_operands_become_no_nodes():
+    x = Tensor(np.array([1.0, -2.0]))
+    for out in (x + 1.0, 1.0 + x, x - np.ones(2), np.ones(2) - x, x * 2.0, 2.0 * x,
+                x / 4.0, 4.0 / x, np.ones((3, 2)) @ x.reshape(2, 1),
+                x.reshape(1, 2) @ np.ones((2, 3))):
+        assert len(out._prev) == 1
+    (np.ones((1, 2)) @ (x * 3.0).reshape(2, 1) + np.array([[5.0]])).sum().backward()
+    np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+
+
+# ---- no-graph mode ----
+
+def every_op(x, w):
+    """One output of each op, for x of shape (2, 3) > 0 and w of shape (3, 2)."""
+    v = x.reshape(6)
+    return [x + w.reshape(2, 3), 1.0 + x, x + 1.0, x - 1.0, 1.0 - x, x * x, 2.0 * x, x * 2.0,
+            x / (x + 1.0), 1.0 / x, -x, x ** 2.0, x @ w, np.ones((2, 2)) @ x, x @ np.ones((3, 2)),
+            x.exp(), x.log(), x.tanh(), x.sigmoid(), x.relu(), x.sum(), x.sum(axis=1),
+            x.mean(), x.mean(axis=0), x.max(axis=1), x.max(), x.reshape(3, 2),
+            approx_rank(v), ndcg_loss(make_rank_batch(v, np.array([0, 1, 2, 3, 4, 4]), 5,
+                                                      RankLossConfig()))]
+
+
+def test_no_grad_records_no_parents_and_no_closure():
+    rng = np.random.default_rng(2)
+    x, w = Tensor(rng.uniform(0.5, 2.0, (2, 3))), Tensor(rng.normal(size=(3, 2)))
+    recorded = every_op(x, w)
+    assert all(out._prev and out._backward is not None for out in recorded)
+    with no_grad():
+        bare = every_op(x, w)
+    for graph, plain in zip(recorded, bare):
+        assert plain._prev == () and plain._backward is None
+        np.testing.assert_array_equal(plain.data, graph.data)
+
+
+def test_no_grad_restores_on_exception_and_nests():
+    x = Tensor(np.array([1.0, 2.0]))
+    with pytest.raises(RuntimeError):
+        with no_grad():
+            raise RuntimeError("inside")
+    assert (x * x)._prev == (x, x)
+    with no_grad():
+        with no_grad():
+            assert (x * x)._prev == ()
+        assert (x * x)._prev == ()  # the inner block restores "off", not "on"
+    assert (x * x)._backward is not None

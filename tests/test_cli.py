@@ -116,6 +116,24 @@ def test_malformed_checkpoint_exits_2_naming_file(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"error: {ckpt}: ")
 
 
+@pytest.mark.parametrize("override,named", [
+    ("train.task=rise_fall", "arch.n_classes = 5 does not match train.task=rise_fall (2)"),
+    ("train.window=3", "arch.window = 2 does not match train.window (3)"),
+    ("data.n_features=4", "arch.n_features = 3 does not match the panel's n_features (4)")])
+def test_checkpoint_not_matching_the_run_exits_2_naming_both_values(tmp_path, capsys,
+                                                                    override, named):
+    code, train_out = run(["train"], tmp_path, "tr", extra=["train.epochs=1"])
+    assert code == 0
+    ckpt = train_out / "checkpoint.json"
+    for command in ("evaluate", "backtest"):
+        capsys.readouterr()
+        code, out = run([command, "--checkpoint", str(ckpt)], tmp_path, command,
+                        extra=[override])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {ckpt}: checkpoint {named}\n"
+        assert not any(out.iterdir())
+
+
 def test_csv_source_roundtrip(tmp_path):
     # label on synthetic, dump a tiny csv panel, then label from csv
     csv_path = tmp_path / "panel.csv"
@@ -145,6 +163,19 @@ def test_reproduce_emits_comparison_table(tmp_path):
                         "pairwise", "fixed_k", "fixed_beta", "fixed_decay"]
     for name in ("full", "fixed_k"):
         assert (out / name / "checkpoint.json").exists()
+
+
+def test_reproduce_reports_each_cell_on_stderr(tmp_path, capsys):
+    code, out = run(["reproduce"], tmp_path, "rep", extra=["train.epochs=1"])
+    assert code == 0
+    lines = capsys.readouterr().err.splitlines()
+    _, _, rows = read_csv_lines(out / "comparison.csv")
+    assert len(lines) == len(rows) == 8
+    for i, (line, row) in enumerate(zip(lines, rows), 1):
+        name, ic = row.split(",")[:2]
+        prefix = f"reproduce [{i}/8] {name}: "
+        assert line.startswith(prefix) and line.endswith(f" s, test IC {float(ic):.4f}")
+        assert float(line[len(prefix):].split(" s,")[0]) >= 0.0
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

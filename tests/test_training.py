@@ -9,12 +9,15 @@ import pytest
 from momrank.autodiff import Tensor, gradients
 from momrank.data import gen_synthetic, StockPanel, trading_days
 from momrank.errors import ContractError, TrainingError
+from momrank.metrics import daily_ic, daily_rank_ic
 from momrank.losses import RankLossConfig, classification_loss, expected_level, make_rank_batch, mse_loss
 from momrank.model import Architecture, forward, init_params
 from momrank.momentum import MomentumConfig
-from momrank.training import (MODE_EW, MODE_STL, TrainConfig, _GroupOptimizer, adapted_beta,
-                              adapted_decay, balance_gradients, balanced_parts, build_batches,
-                              class_labels_for, converge_ratio, ema_update, fit, log_grad)
+from momrank import model, training
+from momrank.training import (CLS, MODE_EW, MODE_STL, REG, TrainConfig, _GroupOptimizer,
+                              _batch_losses, _split_metrics, adapted_beta, adapted_decay,
+                              balance_gradients, balanced_parts, build_batches, class_labels_for,
+                              converge_ratio, ema_update, fit, log_grad)
 
 
 def sigmoid(x):
@@ -254,6 +257,73 @@ def test_fit_leaves_nothing_for_the_cycle_collector():
         gc.enable()
     assert result.epochs_run == 2
 
+
+# ---- evaluation builds no graph ----
+
+def split_metrics_recording(params, batches, loss_cfg, n_classes, tasks):
+    """``_split_metrics`` with the graph of every day's losses recorded: the oracle."""
+    loss_sums = dict.fromkeys(tasks, 0.0)
+    ics, rics = [], []
+    for batch in batches:
+        out, losses, _ = _batch_losses(params, batch, loss_cfg, n_classes, tasks)
+        assert all(losses[task]._prev for task in tasks)
+        for task in tasks:
+            loss_sums[task] += losses[task].item()
+        ics.append(daily_ic(out.pred_return.data, batch.y))
+        rics.append(daily_rank_ic(out.pred_return.data, batch.y))
+    finite_ics = [v for v in ics if np.isfinite(v)]
+    finite_rics = [v for v in rics if np.isfinite(v)]
+    ic = float(np.mean(finite_ics)) if finite_ics else float("nan")
+    ric = float(np.mean(finite_rics)) if finite_rics else float("nan")
+    return {task: total / len(batches) for task, total in loss_sums.items()}, ic, ric
+
+
+@pytest.mark.parametrize("ranking,tasks,task", [("ndcg", (REG, CLS), "momentum"),
+                                                ("pairwise", (REG, CLS), "momentum"),
+                                                ("ndcg", (REG, CLS), "rise_fall"),
+                                                ("ndcg", (REG,), "momentum")])
+def test_split_metrics_without_graph_equals_recorded_graph(ranking, tasks, task):
+    train, valid = tiny_panels(n_dates=12)
+    loss_cfg = RankLossConfig(ranking=ranking)
+    cfg = TrainConfig(lr=1e-2, epochs=2, window=2, hidden=(6, 6), task=task)
+    params = fit(train, valid, small_mom_cfg(), loss_cfg, cfg, seed=7).params
+    n_classes = training.N_CLASSES[task]
+    for panel in (train, valid):
+        batches = build_batches(panel, class_labels_for(panel, task, small_mom_cfg()), 2)
+        assert batches
+        want = split_metrics_recording(params, batches, loss_cfg, n_classes, tasks)
+        assert all(np.isfinite(v) for v in [*want[0].values(), want[1], want[2]])
+        assert _split_metrics(params, batches, loss_cfg, n_classes, tasks) == want
+
+
+def test_epoch_eval_and_predict_build_no_graph(monkeypatch):
+    train, valid = tiny_panels(n_dates=12)
+    seen = []
+
+    def spy_losses(*args):
+        out, losses, rank_batch = _batch_losses(*args)
+        seen.append(out.pred_return)
+        seen.extend(losses.values())
+        return out, losses, rank_batch
+
+    monkeypatch.setattr(training, "_batch_losses", spy_losses)
+    cfg = TrainConfig(lr=1e-2, epochs=1, window=2, hidden=(6, 6))
+    params = fit(train, valid, small_mom_cfg(), RankLossConfig(), cfg, seed=7).params
+    steps = 3 * len(build_batches(train, class_labels_for(train, "momentum", small_mom_cfg()), 2))
+    assert len(seen) > 2 * steps  # one epoch of steps, then evaluation on both splits
+    assert all(t._prev for t in seen[:steps])
+    assert not any(t._prev or t._backward for t in seen[steps:])
+
+    predicted = []
+
+    def spy_forward(*args):
+        out = forward(*args)
+        predicted.extend([out.pred_return, out.class_logits])
+        return out
+
+    monkeypatch.setattr(model, "forward", spy_forward)
+    model.predict_panel(params, valid)
+    assert predicted and not any(t._prev or t._backward for t in predicted)
 
 # ---- fit: oracle equivalence, determinism, modes ----
 
