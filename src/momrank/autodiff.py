@@ -38,9 +38,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import GraphError, NumericError, ShapeError
+from .errors import GraphError, ShapeError
 
-__all__ = ["Tensor", "gradients", "no_grad", "check_gradient", "sigmoid_np"]
+__all__ = ["Tensor", "gradients", "no_grad", "sigmoid_np"]
 
 _recording = True  # False inside no_grad()
 
@@ -241,16 +241,6 @@ class Tensor:
 
         return Tensor(-self.data, (self,), backward)
 
-    def __pow__(self, exponent: float):
-        if isinstance(exponent, Tensor):
-            raise GraphError("power supports constant exponents only")
-        c = float(exponent)
-
-        def backward(out):
-            self.accumulate_grad(out.grad * c * self.data ** (c - 1.0))
-
-        return Tensor(self.data ** c, (self,), backward)
-
     def __matmul__(self, other):
         return _matmul(self, other)
 
@@ -277,12 +267,6 @@ class Tensor:
             self.accumulate_grad(out.grad * (1.0 - out.data * out.data))
 
         return Tensor(np.tanh(self.data), (self,), backward)
-
-    def sigmoid(self):
-        def backward(out):
-            self.accumulate_grad(out.grad * out.data * (1.0 - out.data))
-
-        return Tensor(sigmoid_np(self.data), (self,), backward)
 
     def relu(self):
         def backward(out):
@@ -375,42 +359,3 @@ def gradients(loss: Tensor, params: Sequence[Tensor]) -> list[np.ndarray]:
         p._grad = None
     loss.backward()
     return [p.grad.copy() for p in params]
-
-
-def check_gradient(fn: Callable[[Tensor], Tensor], point, step: float = 1e-5) -> float:
-    """Compare the analytic gradient of ``fn`` against central finite differences.
-
-    ``fn`` maps a 1-D Tensor to a scalar Tensor. Returns the max over
-    coordinates of |analytic - numeric| / max(1, |analytic|).
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    point = np.asarray(point, dtype=np.float64).ravel()
-
-    def evaluate(vec: np.ndarray) -> float:
-        val = fn(Tensor(vec)).item()
-        if not np.isfinite(val):
-            raise NumericError(f"function value {val} is not finite")
-        return val
-
-    x = Tensor(point.copy())
-    out = fn(x)
-    if out.data.size != 1:
-        raise GraphError("check_gradient needs a scalar-valued function")
-    if not np.isfinite(out.data).all():
-        raise NumericError("function value is not finite at the base point")
-    out.backward()
-    analytic = x.grad.ravel().copy()
-
-    numeric = np.empty_like(analytic)
-    for i in range(point.size):
-        bumped = point.copy()
-        bumped[i] = point[i] + step
-        hi = evaluate(bumped)
-        bumped[i] = point[i] - step
-        lo = evaluate(bumped)
-        numeric[i] = (hi - lo) / (2.0 * step)
-    if analytic.size == 0:
-        return 0.0
-    denom = np.maximum(1.0, np.abs(analytic))
-    return float(np.max(np.abs(analytic - numeric) / denom))

@@ -21,7 +21,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 from .backtest import cumulative_return, run_topn
-from .config import ExperimentConfig, build_config, load_config, to_flat
+from .config import ExperimentConfig, _fmt_value, build_config, load_config, to_flat
 from .data import StockPanel, fraction_split_spec, gen_synthetic, load_csv, normalize_features, split
 from .data import SplitSpec
 from .errors import ConfigError, ContractError, MomrankError
@@ -42,19 +42,13 @@ REPRODUCE_CELLS: list[tuple[str, dict[str, str]]] = [
 ]
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):  # incl. numpy floats; repr of builtin float roundtrips
-        return repr(float(value))
-    return str(value)
-
-
 def _write_csv(path, provenance: dict[str, str], header: list[str], rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for key, value in provenance.items():
             fh.write(f"# {key} = {value}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(_fmt_value(v) for v in row) + "\n")
 
 
 def _write_json(path, payload: dict) -> None:

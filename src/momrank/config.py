@@ -208,8 +208,8 @@ def _fmt_value(value) -> str:
         return "none"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, float):  # incl. numpy floats; repr of builtin float roundtrips
+        return repr(float(value))
     if isinstance(value, tuple):
         if value and isinstance(value[0], str):
             return f"{value[0]}:{value[1]}"

@@ -142,7 +142,10 @@ def _pair_blocks(s: np.ndarray, slope: bool = False):
 
 
 def _smooth_ranks(s: np.ndarray) -> np.ndarray:
-    """1 + sum over j != i of sigmoid(s_j - s_i), one row chunk at a time."""
+    """1 + sum over j != i of sigmoid(s_j - s_i), one row chunk at a time.
+
+    The ranks sum to n(n+1)/2: a pair's two sigmoids add to one.
+    """
     ranks = np.empty(s.size)
     for lo, p in _pair_blocks(s):
         ranks[lo:lo + len(p)] = p.sum(axis=1)
@@ -163,23 +166,8 @@ def _smooth_ranks_vjp(s: np.ndarray, g: np.ndarray) -> np.ndarray:
     return grad
 
 
-def approx_rank(scores: Tensor) -> Tensor:
-    """Smooth rank of each item: 1 + sum of sigmoid(score_j - score_i) over j != i.
-
-    Always sums to n(n+1)/2 because the indicator and its mirror add to one.
-    """
-    if scores.data.ndim != 1:
-        raise ContractError(f"scores must be a vector, got shape {scores.data.shape}")
-    s = scores.data
-
-    def backward(out):
-        scores.accumulate_grad(_smooth_ranks_vjp(s, out.grad))
-
-    return Tensor(_smooth_ranks(s), (scores,), backward)
-
-
 def _smooth_dcg_at_k(scores: Tensor, levels: np.ndarray, k: int, gain: str) -> Tensor:
-    """``dcg_at_k`` of ``approx_rank(scores)`` as one node with a closed-form backward.
+    """DCG@k of ``_smooth_ranks(scores)`` as one node with a closed-form backward.
 
     Membership is smooth rank <= k + 0.5; the gradient flows through the
     discount of the included items only.
@@ -205,41 +193,12 @@ def gain_values(levels: np.ndarray, gain: str = GAIN_STANDARD) -> np.ndarray:
     raise ContractError(f"unknown gain variant {gain!r}")
 
 
-def dcg_at_k(ranks: np.ndarray, levels: np.ndarray, k: int, gain: str = GAIN_STANDARD) -> float:
-    """Discounted cumulative gain truncated at depth k over exact 1-based ranks."""
-    gains = gain_values(levels, gain)
-    ranks = np.asarray(ranks, dtype=np.float64)
-    member = ranks <= k + 0.5
-    return float(np.sum(gains[member] / np.log2(1.0 + ranks[member])))
-
-
 def ideal_dcg_at_k(levels: np.ndarray, k: int, gain: str = GAIN_STANDARD) -> float:
     """DCG of the gain-sorted ordering with exact integer ranks."""
     gains = np.sort(gain_values(levels, gain))[::-1]
     ranks = np.arange(1, gains.size + 1, dtype=np.float64)
     top = ranks <= k + 0.5
     return float(np.sum(gains[top] / np.log2(1.0 + ranks[top])))
-
-
-def exact_ranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks by descending score; ties broken by original index."""
-    scores = np.asarray(scores, dtype=np.float64)
-    order = np.argsort(-scores, kind="stable")
-    ranks = np.empty(scores.size, dtype=np.float64)
-    ranks[order] = np.arange(1, scores.size + 1)
-    return ranks
-
-
-def exact_ndcg_at_k(scores: np.ndarray, levels: np.ndarray, k: int,
-                    gain: str = GAIN_STANDARD) -> float:
-    """Non-differentiable NDCG@k on plain arrays (evaluation use)."""
-    levels = np.asarray(levels)
-    if levels.size and levels.max() == levels.min():
-        return 1.0
-    ideal = ideal_dcg_at_k(levels, k, gain)
-    if ideal <= 0.0:
-        return 1.0
-    return dcg_at_k(exact_ranks(scores), levels, k, gain) / ideal
 
 
 def approx_ndcg_at_k(batch: RankBatch, gain: str = GAIN_STANDARD) -> Tensor:

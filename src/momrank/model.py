@@ -4,8 +4,9 @@ The trunk, an MLP over the flattened feature window, embeds one stock; a
 linear head predicts the next-day return and another produces the class
 logits. Parameters are partitioned into three disjoint groups (trunk,
 regression head, classification head) so the trainer can route gradients per
-task. Each group is one flat float64 buffer and every parameter's ``data`` is
-a view into it, so an optimizer updates a whole group in place.
+task. All of them live in one flat float64 buffer, laid out trunk, regression
+head, classification head, and every parameter's ``data`` is a view into it,
+so one optimizer step updates every parameter in place.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ class BackboneParams:
     trunk: dict[str, Tensor]
     reg_head: dict[str, Tensor]
     cls_head: dict[str, Tensor]
-    flat: dict[str, np.ndarray]  # group name -> the buffer its tensors' data views
+    flat: np.ndarray  # trunk, reg_head, cls_head in order; every tensor's data views it
 
     def trunk_tensors(self) -> list[Tensor]:
         return list(self.trunk.values())
@@ -71,15 +72,11 @@ class BackboneParams:
                 out[f"{group}.{name}"] = tensor
         return out
 
-    def n_parameters(self) -> int:
-        return sum(t.data.size for t in self.all_named().values())
+    def copy_data(self) -> np.ndarray:
+        return self.flat.copy()
 
-    def copy_data(self) -> dict[str, np.ndarray]:
-        return {group: flat.copy() for group, flat in self.flat.items()}
-
-    def load_data(self, snapshot: dict[str, np.ndarray]) -> None:
-        for group, flat in self.flat.items():
-            flat[...] = snapshot[group]
+    def load_data(self, snapshot: np.ndarray) -> None:
+        self.flat[...] = snapshot
 
 
 @dataclass
@@ -93,16 +90,6 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def _flat_group(arrays: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, Tensor]]:
-    """One buffer holding the arrays in order, and a Tensor viewing each slice."""
-    flat = np.concatenate([a.ravel() for a in arrays.values()])
-    tensors, offset = {}, 0
-    for name, a in arrays.items():
-        tensors[name] = Tensor(flat[offset: offset + a.size].reshape(a.shape))
-        offset += a.size
-    return flat, tensors
-
-
 def init_params(arch: Architecture, seed: int) -> BackboneParams:
     """Deterministic parameter initialization from the seed."""
     rng = np.random.Generator(np.random.Philox(seed))
@@ -111,9 +98,13 @@ def init_params(arch: Architecture, seed: int) -> BackboneParams:
                         "w1": _glorot(rng, h0, h1), "b1": np.zeros(h1)},
               "reg_head": {"w": _glorot(rng, h1, 1), "b": np.zeros(1)},
               "cls_head": {"w": _glorot(rng, h1, arch.n_classes), "b": np.zeros(arch.n_classes)}}
-    flat, tensors = {}, {}
+    flat = np.concatenate([a.ravel() for arrays in groups.values() for a in arrays.values()])
+    tensors, offset = {}, 0
     for group, arrays in groups.items():
-        flat[group], tensors[group] = _flat_group(arrays)
+        tensors[group] = {}
+        for name, a in arrays.items():
+            tensors[group][name] = Tensor(flat[offset: offset + a.size].reshape(a.shape))
+            offset += a.size
     return BackboneParams(arch, **tensors, flat=flat)
 
 

@@ -46,42 +46,8 @@ class MomentumConfig:
             raise ContractError("anchor_offset must be >= 0")
 
 
-def momentum_value(close: np.ndarray, t: int, gap: int) -> float:
-    """close[t] - close[t - gap] on a single price series."""
-    if t - gap < 0 or t >= len(close):
-        raise ContractError(f"momentum at index {t} with gap {gap} is out of range")
-    return float(close[t] - close[t - gap])
-
-
-def momentum_line(close: np.ndarray, anchor: int, cfg: MomentumConfig) -> np.ndarray:
-    """The length+1 momentum values ending at ``anchor``."""
-    lo = anchor - cfg.length
-    if lo - cfg.gap < 0 or anchor >= len(close):
-        raise ContractError(f"momentum line at anchor {anchor} is out of range")
-    idx = np.arange(lo, anchor + 1)
-    return close[idx] - close[idx - cfg.gap]
-
-
-def classify_line(values: np.ndarray, dead_zone: float = 0.0) -> int:
-    """Map one momentum line to its trend level via its dead-zoned sign pattern."""
-    values = np.asarray(values, dtype=np.float64)
-    signs = np.where(values > dead_zone, 1, np.where(values < -dead_zone, -1, 0))
-    nonzero = signs[signs != 0]
-    if nonzero.size == 0:
-        return LEVEL_VOLATILE
-    if np.all(signs == 1):
-        return LEVEL_POSITIVE
-    if np.all(signs == -1):
-        return LEVEL_NEGATIVE
-    if nonzero[0] == -1 and nonzero[-1] == 1:
-        return LEVEL_BOUNCE
-    if nonzero[0] == 1 and nonzero[-1] == -1:
-        return LEVEL_SINK
-    return LEVEL_VOLATILE
-
-
 def _classify_lines(lines: np.ndarray, dead_zone: float) -> np.ndarray:
-    """``classify_line`` applied to every column of ``lines`` at once."""
+    """Trend level of every column of ``lines`` via its dead-zoned sign pattern."""
     signs = np.where(lines > dead_zone, 1, np.where(lines < -dead_zone, -1, 0))
     nonzero = signs != 0
     cols = np.arange(signs.shape[1])

@@ -4,8 +4,11 @@ One mini-batch is one trading day's full cross-section (the list-wise ranking
 loss needs a coherent per-day list). The full pipeline, per task: take the
 gradient of log(loss + 1e-8) on the shared trunk, smooth it with an
 exponential moving average whose forgetting rate adapts per epoch, rescale
-both task gradients to the larger L2 norm, and feed the sum to a first-order
-adaptive optimizer with decoupled weight decay whose rate also adapts.
+both task gradients to the larger L2 norm, and sum them. Each head steps on
+its own task's gradient. The trunk step and the head gradients form one
+vector, and one first-order adaptive optimizer with decoupled weight decay,
+whose rate also adapts, updates the flat parameter buffer with it once per
+day.
 
 The adaptation signal is the relative converge rate: the recent change of
 validation loss divided by the recent change of training loss, per task. A
@@ -96,6 +99,8 @@ class TrainConfig:
             raise ContractError(f"unknown optimizer {self.optimizer!r}")
         if len(self.hidden) != 2:
             raise ContractError(f"train.hidden needs exactly two layer sizes, got {self.hidden}")
+        if any(h < 1 for h in self.hidden):
+            raise ContractError(f"train.hidden sizes must be >= 1, got {self.hidden}")
 
 
 @dataclass
@@ -192,10 +197,14 @@ def adapted_decay(decay: float, mean_converge: float) -> float:
     return float(decay * sigmoid_np(-mean_converge))
 
 
-# ---- optimizer over flat parameter groups ----
+# ---- optimizer over the flat parameter buffer ----
 
 class _GroupOptimizer:
-    """First-order step on one flat parameter group with decoupled decay."""
+    """First-order step on a flat parameter vector with decoupled decay.
+
+    Every update is elementwise, so stepping the concatenation of several
+    parameter groups equals stepping each group on its own.
+    """
 
     def __init__(self, kind: str, dim: int, lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -207,13 +216,15 @@ class _GroupOptimizer:
         self.t = 0
 
     def step(self, flat: np.ndarray, grad: np.ndarray, decay: float) -> np.ndarray:
-        """Write the updated group into ``flat`` and return it."""
+        """Write the updated parameters into ``flat`` and return it."""
         if self.kind == "sgd":
             flat[...] = flat - self.lr * grad - self.lr * decay * flat
             return flat
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * grad
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * grad * grad
         m_hat = self.m / (1.0 - self.beta1 ** self.t)
         v_hat = self.v / (1.0 - self.beta2 ** self.t)
         flat[...] = flat - self.lr * m_hat / (np.sqrt(v_hat) + self.eps) - self.lr * decay * flat
@@ -323,10 +334,10 @@ def fit(train_panel: StockPanel, valid_panel: StockPanel, mom_cfg: MomentumConfi
                         hidden=cfg.hidden, n_classes=n_classes)
     params = init_params(arch, seed)
     theta = params.trunk_tensors()
-    head_group = {REG: "reg_head", CLS: "cls_head"}
     head_tensors = {REG: params.reg_tensors(), CLS: params.cls_tensors()}
-    opts = {group: _GroupOptimizer(cfg.optimizer, flat.size, cfg.lr)
-            for group, flat in params.flat.items()}
+    # the active tasks' groups are a prefix of the buffer's trunk, reg_head, cls_head layout
+    active = theta + [t for task in tasks for t in head_tensors[task]]
+    opt = _GroupOptimizer(cfg.optimizer, sum(t.data.size for t in active), cfg.lr)
 
     ema: dict[str, np.ndarray | None] = dict.fromkeys(tasks)
     hist = {(split, task): [] for split in ("train", "valid") for task in tasks}
@@ -368,10 +379,8 @@ def fit(train_panel: StockPanel, valid_panel: StockPanel, mom_cfg: MomentumConfi
                 g_tilde = balance_gradients(*trunk_grads)
             else:  # plain joint sum, or the single task's gradient
                 g_tilde = sum(trunk_grads[1:], trunk_grads[0])
-            opts["trunk"].step(params.flat["trunk"], g_tilde, decay_e)
-            for task, g_head in zip(tasks, head_grads):
-                group = head_group[task]
-                opts[group].step(params.flat[group], g_head, decay_e)
+            step = np.concatenate([g_tilde, *head_grads])
+            opt.step(params.flat[:step.size], step, decay_e)
 
         # epoch-end evaluation on both splits
         evals = {split: _split_metrics(params, batches, loss_cfg, n_classes, tasks)

@@ -1,0 +1,150 @@
+"""Reference implementations the tests compare the library against.
+
+Each is a plain or scalar restatement of a concept that ``momrank`` computes
+in one vectorized or fused path: gradients by central differences, a sigmoid
+node for composed reference graphs, exact and smooth ranks and NDCG,
+per-ticker momentum lines and the per-line trend rule. None of them runs
+outside the tests.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from momrank.autodiff import Tensor, sigmoid_np
+from momrank.errors import ContractError, GraphError, NumericError
+from momrank.losses import (GAIN_STANDARD, _smooth_ranks, _smooth_ranks_vjp, gain_values,
+                            ideal_dcg_at_k)
+from momrank.momentum import (LEVEL_BOUNCE, LEVEL_NEGATIVE, LEVEL_POSITIVE, LEVEL_SINK,
+                              LEVEL_VOLATILE, MomentumConfig)
+
+
+# ---- gradients ----
+
+def check_gradient(fn, point, step: float = 1e-5) -> float:
+    """Compare the analytic gradient of ``fn`` against central finite differences.
+
+    ``fn`` maps a 1-D Tensor to a scalar Tensor. Returns the max over
+    coordinates of |analytic - numeric| / max(1, |analytic|).
+    """
+    if step <= 0:
+        raise ValueError("step must be positive")
+    point = np.asarray(point, dtype=np.float64).ravel()
+
+    def evaluate(vec: np.ndarray) -> float:
+        val = fn(Tensor(vec)).item()
+        if not np.isfinite(val):
+            raise NumericError(f"function value {val} is not finite")
+        return val
+
+    x = Tensor(point.copy())
+    out = fn(x)
+    if out.data.size != 1:
+        raise GraphError("check_gradient needs a scalar-valued function")
+    if not np.isfinite(out.data).all():
+        raise NumericError("function value is not finite at the base point")
+    out.backward()
+    analytic = x.grad.ravel().copy()
+
+    numeric = np.empty_like(analytic)
+    for i in range(point.size):
+        bumped = point.copy()
+        bumped[i] = point[i] + step
+        hi = evaluate(bumped)
+        bumped[i] = point[i] - step
+        lo = evaluate(bumped)
+        numeric[i] = (hi - lo) / (2.0 * step)
+    if analytic.size == 0:
+        return 0.0
+    denom = np.maximum(1.0, np.abs(analytic))
+    return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+# ---- ranks and NDCG ----
+
+def sigmoid_node(x: Tensor) -> Tensor:
+    """The logistic function as one node, with ``sigmoid_np``'s values."""
+    def backward(out):
+        x.accumulate_grad(out.grad * out.data * (1.0 - out.data))
+
+    return Tensor(sigmoid_np(x.data), (x,), backward)
+
+
+def approx_rank(scores: Tensor) -> Tensor:
+    """Smooth rank of each item as its own node: 1 + sum of sigmoid(s_j - s_i) over j != i.
+
+    Always sums to n(n+1)/2 because the indicator and its mirror add to one.
+    """
+    if scores.data.ndim != 1:
+        raise ContractError(f"scores must be a vector, got shape {scores.data.shape}")
+    s = scores.data
+
+    def backward(out):
+        scores.accumulate_grad(_smooth_ranks_vjp(s, out.grad))
+
+    return Tensor(_smooth_ranks(s), (scores,), backward)
+
+
+def dcg_at_k(ranks: np.ndarray, levels: np.ndarray, k: int, gain: str = GAIN_STANDARD) -> float:
+    """Discounted cumulative gain truncated at depth k over exact 1-based ranks."""
+    gains = gain_values(levels, gain)
+    ranks = np.asarray(ranks, dtype=np.float64)
+    member = ranks <= k + 0.5
+    return float(np.sum(gains[member] / np.log2(1.0 + ranks[member])))
+
+
+def exact_ranks(scores: np.ndarray) -> np.ndarray:
+    """1-based ranks by descending score; ties broken by original index."""
+    scores = np.asarray(scores, dtype=np.float64)
+    order = np.argsort(-scores, kind="stable")
+    ranks = np.empty(scores.size, dtype=np.float64)
+    ranks[order] = np.arange(1, scores.size + 1)
+    return ranks
+
+
+def exact_ndcg_at_k(scores: np.ndarray, levels: np.ndarray, k: int,
+                    gain: str = GAIN_STANDARD) -> float:
+    """Non-differentiable NDCG@k on plain arrays."""
+    levels = np.asarray(levels)
+    if levels.size and levels.max() == levels.min():
+        return 1.0
+    ideal = ideal_dcg_at_k(levels, k, gain)
+    if ideal <= 0.0:
+        return 1.0
+    return dcg_at_k(exact_ranks(scores), levels, k, gain) / ideal
+
+
+# ---- momentum ----
+
+def momentum_value(close: np.ndarray, t: int, gap: int) -> float:
+    """close[t] - close[t - gap] on a single price series."""
+    if t - gap < 0 or t >= len(close):
+        raise ContractError(f"momentum at index {t} with gap {gap} is out of range")
+    return float(close[t] - close[t - gap])
+
+
+def momentum_line(close: np.ndarray, anchor: int, cfg: MomentumConfig) -> np.ndarray:
+    """The length+1 momentum values ending at ``anchor``."""
+    lo = anchor - cfg.length
+    if lo - cfg.gap < 0 or anchor >= len(close):
+        raise ContractError(f"momentum line at anchor {anchor} is out of range")
+    idx = np.arange(lo, anchor + 1)
+    return close[idx] - close[idx - cfg.gap]
+
+
+def classify_line(values: np.ndarray, dead_zone: float = 0.0) -> int:
+    """Map one momentum line to its trend level via its dead-zoned sign pattern."""
+    values = np.asarray(values, dtype=np.float64)
+    signs = np.where(values > dead_zone, 1, np.where(values < -dead_zone, -1, 0))
+    nonzero = signs[signs != 0]
+    if nonzero.size == 0:
+        return LEVEL_VOLATILE
+    if np.all(signs == 1):
+        return LEVEL_POSITIVE
+    if np.all(signs == -1):
+        return LEVEL_NEGATIVE
+    if nonzero[0] == -1 and nonzero[-1] == 1:
+        return LEVEL_BOUNCE
+    if nonzero[0] == 1 and nonzero[-1] == -1:
+        return LEVEL_SINK
+    return LEVEL_VOLATILE

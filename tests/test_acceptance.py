@@ -2,7 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines. Expensive sanity runs (planted-signal learning, overfitting
-mitigation) sit at the end; the whole module is self-contained.
+mitigation) sit at the end. Apart from the finite-difference gradient
+checker in ``oracles.py`` the module is self-contained.
 """
 
 import itertools
@@ -12,21 +13,22 @@ import time
 import numpy as np
 import pytest
 
-from momrank.autodiff import Tensor, check_gradient
+from momrank.autodiff import Tensor
 from momrank.backtest import cumulative_return, run_topn
 from momrank.cli import main
 from momrank.data import (StockPanel, compute_return, fraction_split_spec, gen_synthetic,
                           normalize_features, split, trading_days)
-from momrank.losses import (RankLossConfig, adaptive_k, approx_ndcg_at_k, approx_rank,
+from momrank.losses import (RankLossConfig, _smooth_ranks, adaptive_k, approx_ndcg_at_k,
                             classification_loss, cross_entropy, expected_level, make_rank_batch,
                             mse_loss, ndcg_loss, pairwise_loss)
 from momrank.metrics import daily_ic, daily_rank_ic, evaluate_predictions, precision_at_n
 from momrank.model import Architecture, forward, init_params, predict_panel
 from momrank.momentum import (LEVEL_BOUNCE, LEVEL_NEGATIVE, LEVEL_POSITIVE, LEVEL_SINK,
-                              LEVEL_VOLATILE, MomentumConfig, classify_line)
+                              LEVEL_VOLATILE, MomentumConfig, _classify_lines)
 from momrank.training import (TrainConfig, adapted_beta, adapted_decay, balanced_parts,
                               build_batches, class_labels_for, fit)
 from momrank.autodiff import gradients
+from oracles import check_gradient
 
 
 def ok(n, text):
@@ -138,7 +140,7 @@ def test_criterion_4_rank_sum_identity():
     for _ in range(1000):
         n = int(rng.integers(2, 40))
         scores = rng.normal(size=n) * rng.uniform(0.01, 100.0)
-        total = approx_rank(Tensor(scores)).data.sum()
+        total = _smooth_ranks(scores).sum()
         assert abs(total - n * (n + 1) / 2.0) < 1e-9
     ok(4, "sum of smooth ranks equals n(n+1)/2 within 1e-9 on 1000 random score vectors")
 
@@ -333,14 +335,14 @@ def test_criterion_11_momentum_rule_oracle():
     swap = {LEVEL_BOUNCE: LEVEL_SINK, LEVEL_SINK: LEVEL_BOUNCE,
             LEVEL_POSITIVE: LEVEL_NEGATIVE, LEVEL_NEGATIVE: LEVEL_POSITIVE,
             LEVEL_VOLATILE: LEVEL_VOLATILE}
-    count = 0
-    for pattern in itertools.product((-1, 0, 1), repeat=7):
-        line = np.array(pattern, dtype=np.float64)
-        got = classify_line(line, 0.0)
-        assert got == oracle(pattern), pattern
-        assert classify_line(-line, 0.0) == swap[got], pattern
-        count += 1
-    assert count == 3 ** 7
+    patterns = list(itertools.product((-1, 0, 1), repeat=7))
+    lines = np.array(patterns, dtype=np.float64).T  # one line per column
+    got = _classify_lines(lines, 0.0)
+    negated = _classify_lines(-lines, 0.0)
+    for pattern, level, level_of_negation in zip(patterns, got, negated):
+        assert level == oracle(pattern), pattern
+        assert level_of_negation == swap[level], pattern
+    assert len(patterns) == got.size == 3 ** 7
     ok(11, "all 2187 sign patterns match the rule-table oracle; negation swaps "
            "bounce/sink and positive/negative and fixes volatile")
 

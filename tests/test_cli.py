@@ -102,6 +102,16 @@ def test_hidden_with_three_sizes_exits_1_naming_the_key(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("hidden", ["0,4", "8,-2"])
+def test_non_positive_hidden_size_is_a_config_error(tmp_path, capsys, hidden):
+    out = tmp_path / "hid"
+    code = main(["train", "--set", f"train.hidden={hidden}", "--out-dir", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "train.hidden" in err
+    assert not out.exists()
+
+
 def test_missing_checkpoint_exits_2(tmp_path):
     code, _ = run(["evaluate", "--checkpoint", str(tmp_path / "nope.json")], tmp_path, "e2")
     assert code == 2

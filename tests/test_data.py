@@ -42,6 +42,33 @@ def test_return_nonpositive_close_names_cell():
     assert "S001" in str(exc.value)
 
 
+@pytest.mark.parametrize("channel,where,date,ticker", [
+    ("features", (60, 3, 1), "2018-03-27", "S003"),
+    ("close", (30, 2), "2018-02-13", "S002"),
+    ("features", (5, 0, 0), "2018-01-09", "S000"),
+])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_panel_rejects_non_finite_valid_cell_naming_date_and_ticker(channel, where, date,
+                                                                    ticker, bad):
+    p = gen_synthetic(80, 10, 0.6, seed=1)
+    arrays = {"close": p.close.copy(), "features": p.features.copy()}
+    arrays[channel][where] = bad
+    with pytest.raises(DataError) as exc:
+        StockPanel(p.dates, p.tickers, arrays["close"], arrays["features"], p.valid.copy())
+    assert str(exc.value) == f"non-finite close or feature at date {date} ticker {ticker}"
+
+
+def test_panel_accepts_non_finite_invalid_cell_and_names_the_first_valid_one():
+    p = gen_synthetic(40, 6, 0.6, seed=2)
+    close, features, valid = p.close.copy(), p.features.copy(), p.valid.copy()
+    close[3, 1] = features[3, 4, 2] = np.nan
+    valid[3, 1] = valid[3, 4] = False
+    StockPanel(p.dates, p.tickers, close, features, valid)  # masked cells may carry NaN
+    features[7, 5, 0] = close[9, 0] = np.nan  # first in date order: 7, then 9
+    with pytest.raises(DataError, match=f"date {p.dates[7]} ticker S005"):
+        StockPanel(p.dates, p.tickers, close, features, valid)
+
+
 def test_return_roundtrip_recovers_prices():
     p = gen_synthetic(30, 6, 0.5, seed=9)
     y = compute_return(p).y

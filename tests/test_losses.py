@@ -3,14 +3,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from momrank.autodiff import Tensor, check_gradient
+from momrank.autodiff import Tensor
 from momrank.errors import ContractError
 from momrank.losses import (_LN2, _ROW_CHUNK, GAIN_SHIFTED, GAIN_STANDARD, RANK_PAIRWISE,
                             RankLossConfig, adaptive_k, approx_ndcg_at_k,
-                            approx_rank, classification_loss, cross_entropy, dcg_at_k,
-                            exact_ndcg_at_k, expected_level, gain_values, ideal_dcg_at_k,
-                            make_rank_batch, mse_loss, ndcg_loss, pairwise_loss)
+                            classification_loss, cross_entropy, expected_level, gain_values,
+                            ideal_dcg_at_k, make_rank_batch, mse_loss, ndcg_loss, pairwise_loss)
+from oracles import approx_rank, check_gradient, dcg_at_k, exact_ndcg_at_k, sigmoid_node
 
 
 def sigmoid(x):
@@ -90,6 +91,15 @@ def test_adaptive_k_matches_prefix_oracle_and_never_splits():
         assert k == prefix_oracle(sizes, threshold)
         cumulative = np.cumsum(sizes)
         assert k in cumulative.tolist()  # always a whole-group boundary
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(sizes=st.lists(st.integers(0, 60), min_size=1, max_size=8).filter(any),
+       threshold=st.integers(-5, 400))
+def test_adaptive_k_equals_prefix_oracle_on_random_groups(sizes, threshold):
+    k = adaptive_k(sizes, threshold)
+    assert k == prefix_oracle(sizes, threshold)
+    assert k in np.cumsum(sizes).tolist()
 
 
 # ---- DCG / NDCG ----
@@ -355,7 +365,7 @@ def test_classification_loss_improves_when_swapping_misordered_pair():
 def composed_approx_rank(scores):
     """Reference: smooth ranks as a graph of elementwise ops over the full n x n block."""
     n = scores.data.shape[0]
-    pair = (scores.reshape(1, n) - scores.reshape(n, 1)).sigmoid()  # sigmoid(f_j - f_i)
+    pair = sigmoid_node(scores.reshape(1, n) - scores.reshape(n, 1))  # sigmoid(f_j - f_i)
     return (pair * (1.0 - np.eye(n))).sum(axis=1) + 1.0
 
 

@@ -37,7 +37,7 @@ def test_parameter_count_formula():
     params = init_params(arch, seed=0)
     d_in = 5 * 4
     expected = (d_in + 1) * 64 + (64 + 1) * 64 + (64 + 1) * 1 + (64 + 1) * 5
-    assert params.n_parameters() == expected
+    assert params.flat.size == expected
 
 
 def test_zero_width_layer_rejected():
@@ -195,15 +195,21 @@ def test_malformed_checkpoint_raises_contract_error_naming_file(tmp_path, case):
     assert str(exc.value).startswith(f"{path}: ")
 
 
-def test_parameters_view_one_flat_buffer_per_group(tmp_path):
+def test_parameters_view_one_flat_buffer(tmp_path):
     params = init_params(small_arch(), seed=3)
     path = tmp_path / "ckpt.json"
     save_checkpoint(path, params)
     loaded, _ = load_checkpoint(path)
     loaded.load_data(params.copy_data())
     for p in (params, loaded):
-        for group in ("trunk", "reg_head", "cls_head"):
-            tensors = getattr(p, group).values()
-            assert p.flat[group].size == sum(t.data.size for t in tensors)
-            assert all(np.shares_memory(t.data, p.flat[group]) for t in tensors)
-    np.testing.assert_array_equal(loaded.flat["trunk"], params.flat["trunk"])
+        assert isinstance(p.flat, np.ndarray) and p.flat.dtype == np.float64
+        # laid out trunk, reg_head, cls_head, each tensor's values in order
+        tensors = p.trunk_tensors() + p.reg_tensors() + p.cls_tensors()
+        np.testing.assert_array_equal(p.flat, np.concatenate([t.data.ravel() for t in tensors]))
+        assert all(np.shares_memory(t.data, p.flat) for t in tensors)
+    np.testing.assert_array_equal(loaded.flat, params.flat)
+    snapshot = params.copy_data()
+    params.trunk["w0"].data[0, 0] += 1.0  # a write through a tensor lands in the buffer
+    assert params.flat[0] == snapshot[0] + 1.0
+    params.load_data(snapshot)
+    assert params.trunk["w0"].data[0, 0] == snapshot[0]

@@ -2,12 +2,24 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from momrank.data import ReturnLabel, StockPanel, compute_return, gen_synthetic, trading_days
 from momrank.errors import ContractError
 from momrank.momentum import (LEVEL_BOUNCE, LEVEL_NEGATIVE, LEVEL_POSITIVE, LEVEL_SINK,
-                              LEVEL_VOLATILE, UNLABELED, MomentumConfig, classify_line,
-                              label_dataset, momentum_line, momentum_value, rise_fall_label)
+                              LEVEL_VOLATILE, UNLABELED, MomentumConfig, _classify_lines,
+                              label_dataset, rise_fall_label)
+from oracles import classify_line, momentum_line, momentum_value
+
+SWAP = {LEVEL_BOUNCE: LEVEL_SINK, LEVEL_SINK: LEVEL_BOUNCE,
+        LEVEL_POSITIVE: LEVEL_NEGATIVE, LEVEL_NEGATIVE: LEVEL_POSITIVE,
+        LEVEL_VOLATILE: LEVEL_VOLATILE}
+
+
+def classify(line, dead_zone):
+    """The level ``_classify_lines`` gives one line."""
+    return int(_classify_lines(np.asarray(line, dtype=np.float64)[:, None], dead_zone)[0])
 
 
 def series_panel(series_per_ticker):
@@ -17,7 +29,7 @@ def series_panel(series_per_ticker):
                       np.zeros((t, n, 1)), np.ones((t, n), dtype=bool))
 
 
-# ---- momentum_value / momentum_line ----
+# ---- momentum_value / momentum_line (the per-ticker oracle) ----
 
 def test_momentum_flat():
     assert momentum_value(np.full(5, 10.0), 4, 4) == 0.0
@@ -44,38 +56,36 @@ def test_momentum_line_values():
     np.testing.assert_allclose(line, expected)
 
 
-# ---- classify_line ----
+# ---- _classify_lines: the trend rule label_dataset runs ----
 
 def test_classify_bounce():
-    assert classify_line(np.array([-1.0, -0.5, 0.2, 1.0]), 0.05) == LEVEL_BOUNCE
+    assert classify(np.array([-1.0, -0.5, 0.2, 1.0]), 0.05) == LEVEL_BOUNCE
 
 
 def test_classify_all_zero_is_volatile():
-    assert classify_line(np.zeros(4), 0.0) == LEVEL_VOLATILE
-    assert classify_line(np.zeros(4), 1.0) == LEVEL_VOLATILE
+    assert classify(np.zeros(4), 0.0) == LEVEL_VOLATILE
+    assert classify(np.zeros(4), 1.0) == LEVEL_VOLATILE
 
 
 def test_classify_positive():
-    assert classify_line(np.array([1.0, 2.0, 3.0, 4.0]), 0.05) == LEVEL_POSITIVE
+    assert classify(np.array([1.0, 2.0, 3.0, 4.0]), 0.05) == LEVEL_POSITIVE
 
 
 def test_classify_negative_and_sink():
-    assert classify_line(np.array([-1.0, -2.0, -0.5]), 0.0) == LEVEL_NEGATIVE
-    assert classify_line(np.array([1.0, 0.5, -2.0]), 0.0) == LEVEL_SINK
+    assert classify(np.array([-1.0, -2.0, -0.5]), 0.0) == LEVEL_NEGATIVE
+    assert classify(np.array([1.0, 0.5, -2.0]), 0.0) == LEVEL_SINK
 
 
 def test_classify_dead_zone_damps_small_values():
     # a dead-zoned value breaks "stays positive", and [0,1,1] is no bounce either
-    assert classify_line(np.array([0.01, 1.0, 2.0]), 0.05) == LEVEL_VOLATILE
-    assert classify_line(np.array([0.01, 1.0, 2.0]), 0.0) == LEVEL_POSITIVE
+    assert classify(np.array([0.01, 1.0, 2.0]), 0.05) == LEVEL_VOLATILE
+    assert classify(np.array([0.01, 1.0, 2.0]), 0.0) == LEVEL_POSITIVE
 
 
 def test_classify_scale_covariant_at_zero_eps():
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        line = rng.normal(size=7)
-        base = classify_line(line, 0.0)
-        assert classify_line(line * 13.7, 0.0) == base
+    lines = np.random.default_rng(0).normal(size=(7, 200))  # one line per column
+    np.testing.assert_array_equal(_classify_lines(lines * 13.7, 0.0),
+                                  _classify_lines(lines, 0.0))
 
 
 def rule_table_oracle(signs):
@@ -93,18 +103,40 @@ def rule_table_oracle(signs):
 
 
 def test_exhaustive_sign_patterns_match_oracle():
-    for pattern in itertools.product((-1, 0, 1), repeat=7):
-        line = np.array(pattern, dtype=np.float64)
-        assert classify_line(line, 0.0) == rule_table_oracle(pattern), pattern
+    patterns = list(itertools.product((-1, 0, 1), repeat=7))
+    levels = _classify_lines(np.array(patterns, dtype=np.float64).T, 0.0)
+    for pattern, level in zip(patterns, levels):
+        assert level == rule_table_oracle(pattern), pattern
+        assert classify_line(np.array(pattern, dtype=np.float64), 0.0) == level, pattern
 
 
 def test_negation_symmetry():
-    swap = {LEVEL_BOUNCE: LEVEL_SINK, LEVEL_SINK: LEVEL_BOUNCE,
-            LEVEL_POSITIVE: LEVEL_NEGATIVE, LEVEL_NEGATIVE: LEVEL_POSITIVE,
-            LEVEL_VOLATILE: LEVEL_VOLATILE}
-    for pattern in itertools.product((-1, 0, 1), repeat=5):
-        line = np.array(pattern, dtype=np.float64)
-        assert classify_line(-line, 0.0) == swap[classify_line(line, 0.0)]
+    lines = np.array(list(itertools.product((-1, 0, 1), repeat=5)), dtype=np.float64).T
+    levels = _classify_lines(lines, 0.0)
+    np.testing.assert_array_equal(_classify_lines(-lines, 0.0), [SWAP[v] for v in levels])
+
+
+# lines of 1..9 values, each column one line; values and dead zones include exact
+# zeros and the dead-zone boundary through a coarse grid of multiples of 0.25
+_LINE_VALUES = st.one_of(st.integers(-8, 8).map(lambda v: v * 0.25),
+                         st.floats(-10.0, 10.0, allow_nan=False))
+_LINES = st.tuples(st.integers(1, 9), st.integers(1, 12)).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=_LINE_VALUES))
+_DEAD_ZONES = st.one_of(st.integers(0, 8).map(lambda v: v * 0.25), st.floats(0.0, 5.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(lines=_LINES, dead_zone=_DEAD_ZONES)
+def test_classify_lines_equals_scalar_oracle_per_column(lines, dead_zone):
+    want = [classify_line(lines[:, j], dead_zone) for j in range(lines.shape[1])]
+    np.testing.assert_array_equal(_classify_lines(lines, dead_zone), want)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(lines=_LINES, dead_zone=_DEAD_ZONES)
+def test_classify_lines_negation_swaps_levels(lines, dead_zone):
+    levels = _classify_lines(lines, dead_zone)
+    np.testing.assert_array_equal(_classify_lines(-lines, dead_zone), [SWAP[v] for v in levels])
 
 
 # ---- label_dataset ----

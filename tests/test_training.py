@@ -189,6 +189,42 @@ def test_adam_decay_shrinks_params_without_gradient():
     assert 0 < p[0] < 5.0
 
 
+def test_adam_updates_moments_in_place():
+    opt = _GroupOptimizer("adam", 3, lr=0.01)
+    m, v = opt.m, opt.v
+    g = np.array([1.0, -2.0, 0.5])
+    opt.step(np.zeros(3), g, decay=0.0)
+    opt.step(np.zeros(3), 2.0 * g, decay=0.0)
+    assert opt.m is m and opt.v is v
+    np.testing.assert_array_equal(m, 0.9 * ((1.0 - 0.9) * g) + (1.0 - 0.9) * (2.0 * g))
+    np.testing.assert_array_equal(v, 0.999 * ((1.0 - 0.999) * g * g)
+                                  + (1.0 - 0.999) * (2.0 * g) * (2.0 * g))
+
+
+@pytest.mark.parametrize("kind", ["adam", "sgd"])
+@pytest.mark.parametrize("n_groups", [3, 2])  # both heads; stl steps trunk and reg_head only
+def test_one_buffer_step_equals_per_group_steps(kind, n_groups):
+    # the oracle is the per-group path: one optimizer per group, each on its own buffer
+    params = init_params(Architecture(window=3, n_features=2, hidden=(6, 5)), seed=1)
+    groups = [params.trunk_tensors(), params.reg_tensors(), params.cls_tensors()]
+    sizes = [sum(t.data.size for t in group) for group in groups][:n_groups]
+    bounds = np.cumsum([0] + sizes)
+    buffers = [params.flat[lo:hi].copy() for lo, hi in zip(bounds, bounds[1:])]
+    group_opts = [_GroupOptimizer(kind, size, lr=1e-2) for size in sizes]
+    opt = _GroupOptimizer(kind, bounds[-1], lr=1e-2)
+    rest = params.flat[bounds[-1]:].copy()
+    rng = np.random.default_rng(4)
+    for step in range(6):
+        grads = [rng.normal(size=size) * 10.0 ** (step - 3) for size in sizes]
+        decay = 0.02 * step
+        for group_opt, buffer, grad in zip(group_opts, buffers, grads):
+            group_opt.step(buffer, grad, decay)
+        grad = np.concatenate(grads)
+        opt.step(params.flat[:grad.size], grad, decay)
+        np.testing.assert_array_equal(params.flat[:bounds[-1]], np.concatenate(buffers))
+    np.testing.assert_array_equal(params.flat[bounds[-1]:], rest)
+
+
 # ---- batches / config ----
 
 def small_mom_cfg():
@@ -218,6 +254,12 @@ def test_train_config_validation():
         TrainConfig(optimizer="rmsprop")
     for hidden in ((8, 4, 2), (8,)):
         with pytest.raises(ContractError, match="train.hidden"):
+            TrainConfig(hidden=hidden)
+
+
+def test_train_config_rejects_non_positive_hidden_size():
+    for hidden in ((0, 4), (8, -1)):
+        with pytest.raises(ContractError, match="train.hidden sizes must be >= 1"):
             TrainConfig(hidden=hidden)
 
 
@@ -373,6 +415,31 @@ def test_fit_deterministic_logs():
     assert a.best_epoch == b.best_epoch
     for name, tensor in a.params.all_named().items():
         np.testing.assert_array_equal(tensor.data, b.params.all_named()[name].data)
+
+
+@pytest.mark.parametrize("mode", ["full", "ew", "stl"])
+def test_fit_builds_one_optimizer_and_steps_it_once_per_day(monkeypatch, mode):
+    made, steps = [], []
+
+    class CountingOptimizer(_GroupOptimizer):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+        def step(self, flat, grad, decay):
+            steps.append(flat)
+            return super().step(flat, grad, decay)
+
+    monkeypatch.setattr(training, "_GroupOptimizer", CountingOptimizer)
+    train, valid = tiny_panels()
+    cfg = TrainConfig(mode=mode, lr=1e-3, epochs=2, window=2, hidden=(6, 6))
+    params = fit(train, valid, small_mom_cfg(), RankLossConfig(), cfg, seed=5).params
+    days = len(build_batches(train, class_labels_for(train, "momentum", small_mom_cfg()), 2))
+    assert len(made) == 1 and len(steps) == 2 * days
+    n_cls = params.cls_head["w"].data.size + params.cls_head["b"].data.size
+    want = params.flat.size - (n_cls if mode == "stl" else 0)  # stl: the prefix before cls_head
+    assert made[0].m.size == want
+    assert all(flat.size == want and np.shares_memory(flat, params.flat) for flat in steps)
 
 
 def test_fit_stl_leaves_classification_head_untouched():
