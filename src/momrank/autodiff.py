@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import GraphError, ShapeError
 
-__all__ = ["Tensor", "gradients", "no_grad", "sigmoid_np"]
+__all__ = ["Tensor", "gradients", "no_grad"]
 
 _recording = True  # False inside no_grad()
 
@@ -54,18 +54,6 @@ def no_grad():
         yield
     finally:
         _recording = previous
-
-
-def sigmoid_np(x):
-    """Numerically stable logistic function on plain numpy data (or floats)."""
-    arr = np.asarray(x, dtype=np.float64)
-    flat = np.atleast_1d(arr)
-    out = np.empty_like(flat)
-    pos = flat >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-flat[pos]))
-    ex = np.exp(flat[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def _as_array(value) -> np.ndarray:
@@ -191,10 +179,6 @@ class Tensor:
         """
         return np.zeros_like(self.data) if self._grad is None else self._grad
 
-    @grad.setter
-    def grad(self, value) -> None:
-        self._grad = value
-
     def accumulate_grad(self, g) -> None:
         """Add one contribution: adopt the first, then ``grad + g`` (never in place)."""
         self._grad = g if self._grad is None else self._grad + g
@@ -276,37 +260,18 @@ class Tensor:
 
     # ---- reductions and shape ops ----
 
-    def sum(self, axis: int | None = None, keepdims: bool = False):
+    def sum(self, axis: int | None = None):
         def backward(out):
-            g = out.grad
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
+            g = out.grad if axis is None else np.expand_dims(out.grad, axis)
             self.accumulate_grad(np.broadcast_to(g, self.data.shape))
 
-        return Tensor(self.data.sum(axis=axis, keepdims=keepdims), (self,), backward)
+        return Tensor(self.data.sum(axis=axis), (self,), backward)
 
-    def mean(self, axis: int | None = None, keepdims: bool = False):
-        count = self.data.size if axis is None else self.data.shape[axis]
-
+    def mean(self):
         def backward(out):
-            g = out.grad
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            self.accumulate_grad(np.broadcast_to(g, self.data.shape) / count)
+            self.accumulate_grad(np.broadcast_to(out.grad, self.data.shape) / self.data.size)
 
-        return Tensor(self.data.mean(axis=axis, keepdims=keepdims), (self,), backward)
-
-    def max(self, axis: int | None = None, keepdims: bool = False):
-        def backward(out):
-            peak = self.data.max(axis=axis, keepdims=True)
-            mask = (self.data == peak).astype(np.float64)
-            mask /= mask.sum(axis=axis, keepdims=True)  # ties share the gradient
-            g = out.grad
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            self.accumulate_grad(mask * g)
-
-        return Tensor(self.data.max(axis=axis, keepdims=keepdims), (self,), backward)
+        return Tensor(self.data.mean(), (self,), backward)
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):

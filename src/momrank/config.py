@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, field, fields
 
+from .data import check_synthetic
 from .errors import ConfigError, ContractError
 from .losses import RankLossConfig
 from .momentum import MomentumConfig
@@ -34,6 +35,8 @@ class DataConfig:
             raise ContractError(f"unknown data source {self.source!r}")
         if self.source == "csv" and not self.csv_path:
             raise ContractError("data.csv_path is required when data.source = csv")
+        check_synthetic(self.n_dates, self.n_tickers, self.n_features, self.signal_strength,
+                        self.shifted_signal_strength)
 
 
 @dataclass(frozen=True)
@@ -50,6 +53,9 @@ class SplitConfig:
             raise ContractError("give all three explicit split ranges or none")
         if not 0.0 < self.train_frac < 1.0 or not 0.0 < self.valid_frac < 1.0:
             raise ContractError("split fractions must lie in (0, 1)")
+        if self.train_frac + self.valid_frac >= 1.0:
+            raise ContractError(f"split.train_frac + split.valid_frac must be < 1, got "
+                                f"{self.train_frac} + {self.valid_frac}")
 
 
 @dataclass(frozen=True)

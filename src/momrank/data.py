@@ -276,6 +276,18 @@ def _standardize(v: np.ndarray) -> np.ndarray:
     return (v - v.mean()) / sd
 
 
+def check_synthetic(n_dates: int, n_tickers: int, n_features: int, signal_strength: float,
+                    shifted_signal_strength: float | None = None) -> None:
+    """Reject a synthetic-market shape or signal mix that ``gen_synthetic`` cannot build."""
+    if n_dates < 20 or n_tickers < 5 or n_features < 1:
+        raise ContractError("synthetic data needs n_dates >= 20, n_tickers >= 5 and "
+                            f"n_features >= 1, got {n_dates}, {n_tickers} and {n_features}")
+    for name, s in (("signal_strength", signal_strength),
+                    ("shifted_signal_strength", shifted_signal_strength)):
+        if s is not None and not 0.0 <= s <= 1.0:
+            raise ContractError(f"{name} must lie in [0, 1], got {s}")
+
+
 def gen_synthetic(n_dates: int, n_tickers: int, signal_strength: float, seed: int,
                   n_features: int = 4, drift: float = 5e-4, vol: float = 0.02,
                   shift_after: int | None = None,
@@ -288,10 +300,7 @@ def gen_synthetic(n_dates: int, n_tickers: int, signal_strength: float, seed: in
     ``shifted_signal_strength`` from that date index onward, creating a
     train/eval distribution shift for overfitting stress tests.
     """
-    if n_dates < 20 or n_tickers < 5:
-        raise ContractError("gen_synthetic needs n_dates >= 20 and n_tickers >= 5")
-    if not 0.0 <= signal_strength <= 1.0:
-        raise ContractError("signal_strength must lie in [0, 1]")
+    check_synthetic(n_dates, n_tickers, n_features, signal_strength, shifted_signal_strength)
     rng = np.random.Generator(np.random.Philox(seed))
     rets = rng.normal(drift, vol, size=(n_dates - 1, n_tickers))
     close = np.empty((n_dates, n_tickers))

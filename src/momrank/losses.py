@@ -5,7 +5,8 @@ differentiable by replacing the pairwise comparison indicator with a sigmoid,
 truncation depth k is chosen per day by accumulating whole label groups from
 the top level down until a floor is met (so a level is never split), and the
 final loss is ``exp(-NDCG@k)``. The classification objective averages
-cross-entropy and that ranking loss 50/50.
+cross-entropy and that ranking loss 50/50; ``classification_loss`` builds it
+from one log-probability node that cross-entropy and the ranking scores share.
 
 Smooth rank -> DCG@k is one autodiff node with a closed-form backward (the
 smooth-rank derivative of Qin, Liu & Li, 2010). It builds the n x n pairwise
@@ -13,9 +14,9 @@ sigmoid block ``_ROW_CHUNK`` rows at a time and its backward recomputes each
 chunk, so a day of n names holds O(n * chunk) floats rather than several
 n x n arrays.
 
-Ranking scores derived from class probabilities (the expected level) are
-multiplied by a fixed scale so that confidently separated classes land in the
-regime where smooth ranks are numerically close to exact ranks.
+The ranking scores are the expected level under the class probabilities times
+``SCORE_SCALE``, so that confidently separated classes land in the regime
+where smooth ranks are numerically close to exact ranks.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ RANK_NDCG, RANK_PAIRWISE = "ndcg", "pairwise"
 
 _LN2 = math.log(2.0)
 _ROW_CHUNK = 64  # rows of the n x n pairwise sigmoid block built at a time
+SCORE_SCALE = 10.0  # spread applied to expected-level ranking scores
 
 
 @dataclass(frozen=True)
@@ -42,7 +44,6 @@ class RankLossConfig:
     fixed_k: int | None = None         # pin k instead of the adaptive rule
     gain: str = GAIN_STANDARD
     ranking: str = RANK_NDCG
-    score_scale: float = 10.0          # spread applied to expected-level scores
 
     def __post_init__(self):
         if not 0.0 < self.threshold_frac <= 1.0:
@@ -53,8 +54,6 @@ class RankLossConfig:
             raise ContractError(f"unknown gain variant {self.gain!r}")
         if self.ranking not in (RANK_NDCG, RANK_PAIRWISE):
             raise ContractError(f"unknown ranking term {self.ranking!r}")
-        if self.score_scale <= 0:
-            raise ContractError("score_scale must be positive")
 
 
 @dataclass
@@ -117,9 +116,9 @@ def _pair_blocks(s: np.ndarray, slope: bool = False):
 
     The block holds P[i, j] = sigmoid(s_j - s_i), or with ``slope`` its
     derivative W = P(1 - P), and is 0 on the diagonal. With x = s_j - s_i and
-    e = exp(-|x|), P is 1/(1+e) where x >= 0 and e/(1+e) elsewhere (exactly
-    ``sigmoid_np``'s values) and W = e/(1+e)^2. All chunks share one set of
-    buffers, so a block is valid only until the next one is yielded.
+    e = exp(-|x|), P is 1/(1+e) where x >= 0 and e/(1+e) elsewhere (the
+    two-branch stable logistic) and W = e/(1+e)^2. All chunks share one set
+    of buffers, so a block is valid only until the next one is yielded.
     """
     n = s.size
     e_buf = np.empty((min(_ROW_CHUNK, n), n))
@@ -232,28 +231,35 @@ def mse_loss(pred: Tensor, y: np.ndarray) -> Tensor:
 
 
 def log_softmax(logits: Tensor) -> Tensor:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - shifted.exp().sum(axis=1, keepdims=True).log()
+    """Row-wise log-probabilities as one node; backward g - softmax * (row sum of g)."""
+    x = logits.data
+    shifted = x - x.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+    def backward(out):
+        g = out.grad
+        logits.accumulate_grad(g - np.exp(out.data) * g.sum(axis=1, keepdims=True))
+
+    return Tensor(logp, (logits,), backward)
 
 
-def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
+def cross_entropy(logp: Tensor, labels: np.ndarray) -> Tensor:
+    """Mean negative log-probability of each row's label."""
     labels = np.asarray(labels, dtype=np.int64)
-    n, n_classes = logits.data.shape
+    n, n_classes = logp.data.shape
     if labels.shape != (n,):
         raise ContractError(f"labels shape {labels.shape} does not match {n} rows")
     if labels.min() < 0 or labels.max() >= n_classes:
         raise ContractError(f"labels must lie in [0, {n_classes - 1}]")
     onehot = np.zeros((n, n_classes))
     onehot[np.arange(n), labels] = 1.0
-    picked = (log_softmax(logits) * onehot).sum(axis=1)
-    return -picked.mean()
+    return -(logp * onehot).sum(axis=1).mean()
 
 
-def expected_level(logits: Tensor) -> Tensor:
-    """Per-row expectation of the class index under softmax probabilities."""
-    probs = log_softmax(logits).exp()
-    levels = np.arange(logits.data.shape[1], dtype=np.float64)
-    return (probs * levels).sum(axis=1)
+def expected_level(logp: Tensor) -> Tensor:
+    """Per-row expectation of the class index under the probabilities exp(logp)."""
+    levels = np.arange(logp.data.shape[1], dtype=np.float64)
+    return (logp.exp() * levels).sum(axis=1)
 
 
 def pairwise_loss(scores: Tensor, target: np.ndarray) -> Tensor:
@@ -271,12 +277,19 @@ def pairwise_loss(scores: Tensor, target: np.ndarray) -> Tensor:
     return (hinge * upper).sum() / float(n * n)
 
 
-def classification_loss(logits: Tensor, labels: np.ndarray, batch: RankBatch,
-                        cfg: RankLossConfig) -> Tensor:
-    """Combined classification objective: the mean of cross-entropy and the ranking term."""
-    ce = cross_entropy(logits, labels)
+def classification_loss(logits: Tensor, labels: np.ndarray,
+                        cfg: RankLossConfig) -> tuple[Tensor, RankBatch]:
+    """The classification objective and its rank batch.
+
+    One log-probability node feeds both terms: cross-entropy on the labels,
+    and the ranking term on ``SCORE_SCALE`` times the expected level. The
+    loss is the mean of the two terms.
+    """
+    logp = log_softmax(logits)
+    scores = expected_level(logp) * SCORE_SCALE
+    batch = make_rank_batch(scores, labels, logits.data.shape[1], cfg)
     if cfg.ranking == RANK_PAIRWISE:
         rank_term = pairwise_loss(batch.scores, batch.gains.astype(np.float64))
     else:
         rank_term = ndcg_loss(batch, cfg.gain)
-    return ce * 0.5 + rank_term * 0.5
+    return cross_entropy(logp, labels) * 0.5 + rank_term * 0.5, batch

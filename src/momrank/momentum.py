@@ -11,8 +11,9 @@ Lines are bucketed into five trend levels used as the classification target:
     0 Sink      starts positive, ends negative
 
 "Starts"/"ends" refer to the first/last value whose sign survives the dead
-zone. The dead zone defaults to 0.01 x the per-date population std of the
-cross-section's line values, so flat noise lands in Volatile.
+zone. Unless ``dead_zone`` is set, the dead zone is ``DEAD_ZONE_SCALE`` (0.01)
+x the per-date population std of the cross-section's line values, so flat
+noise lands in Volatile.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .errors import ContractError
 LEVEL_SINK, LEVEL_NEGATIVE, LEVEL_VOLATILE, LEVEL_POSITIVE, LEVEL_BOUNCE = 0, 1, 2, 3, 4
 N_LEVELS = 5
 UNLABELED = -1
+DEAD_ZONE_SCALE = 0.01  # dead zone vs the per-date std of line values when dead_zone is None
 
 
 @dataclass(frozen=True)
@@ -34,7 +36,6 @@ class MomentumConfig:
     gap: int = 4                     # days between the two closes in one momentum value
     length: int = 6                  # line has length + 1 values
     dead_zone: float | None = None   # absolute |value| treated as zero; None = scaled rule
-    dead_zone_scale: float = 0.01    # scale vs per-date std when dead_zone is None
     anchor_offset: int = 2           # line for sample date t ends at t + anchor_offset
 
     def __post_init__(self):
@@ -83,7 +84,7 @@ def label_dataset(panel: StockPanel, cfg: MomentumConfig) -> np.ndarray:
         lines = closes[cfg.gap:, :] - closes[: closes.shape[0] - cfg.gap, :]
         eps = cfg.dead_zone
         if eps is None:
-            eps = cfg.dead_zone_scale * float(lines.std())
+            eps = DEAD_ZONE_SCALE * float(lines.std())
         labels[t, ok] = _classify_lines(lines, eps)
     return labels
 

@@ -36,11 +36,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, gradients, no_grad, sigmoid_np
+from .autodiff import Tensor, gradients, no_grad
 from .data import StockPanel, compute_return
 from .errors import ContractError, TrainingError
-from .losses import (RankLossConfig, classification_loss, expected_level,
-                     make_rank_batch, mse_loss)
+from .losses import RankLossConfig, classification_loss, mse_loss
 from .metrics import daily_ic, daily_rank_ic
 from .model import (Architecture, BackboneParams, day_window, forward, init_params, window_ok)
 from .momentum import UNLABELED, MomentumConfig, label_dataset, rise_fall_label
@@ -187,14 +186,22 @@ def converge_ratio(train_hist, valid_hist, epoch: int, window: int) -> float:
     return float(np.clip(d_valid / d_train, -5.0, 5.0))
 
 
+def _logistic(x: float) -> float:
+    """Stable two-branch logistic of a float (``np.exp`` keeps the array form's values)."""
+    if x >= 0:
+        return float(1.0 / (1.0 + np.exp(-x)))
+    e = np.exp(x)
+    return float(e / (1.0 + e))
+
+
 def adapted_beta(beta: float, converge: float) -> float:
     """Forgetting rate for the epoch: beta ** sigmoid(converge rate)."""
-    return float(beta ** sigmoid_np(converge))
+    return float(beta ** _logistic(converge))
 
 
 def adapted_decay(decay: float, mean_converge: float) -> float:
     """Weight decay for the epoch: decay * sigmoid(-mean converge rate)."""
-    return float(decay * sigmoid_np(-mean_converge))
+    return float(decay * _logistic(-mean_converge))
 
 
 # ---- optimizer over the flat parameter buffer ----
@@ -276,20 +283,18 @@ def build_batches(panel: StockPanel, labels: np.ndarray, window: int) -> list[_D
 
 
 def _batch_losses(params: BackboneParams, batch: _DayBatch, loss_cfg: RankLossConfig,
-                  n_classes: int, tasks: tuple[str, ...]):
+                  tasks: tuple[str, ...]):
     """Forward one day; the loss per task, plus the rank batch when ranking runs."""
     out = forward(params, batch.feats)
     losses = {REG: mse_loss(out.pred_return, batch.y)}
     if CLS not in tasks:
         return out, losses, None
-    scores = expected_level(out.class_logits) * loss_cfg.score_scale
-    rank_batch = make_rank_batch(scores, batch.labels, n_classes, loss_cfg)
-    losses[CLS] = classification_loss(out.class_logits, batch.labels, rank_batch, loss_cfg)
+    losses[CLS], rank_batch = classification_loss(out.class_logits, batch.labels, loss_cfg)
     return out, losses, rank_batch
 
 
 def _split_metrics(params: BackboneParams, batches: list[_DayBatch],
-                   loss_cfg: RankLossConfig, n_classes: int, tasks: tuple[str, ...]):
+                   loss_cfg: RankLossConfig, tasks: tuple[str, ...]):
     """Mean per-day loss per task plus IC/RankIC of the regression head on a split.
 
     Runs the training forward and losses under ``no_grad``: values only, no graph.
@@ -300,7 +305,7 @@ def _split_metrics(params: BackboneParams, batches: list[_DayBatch],
     ics, rics = [], []
     with no_grad():
         for batch in batches:
-            out, losses, _ = _batch_losses(params, batch, loss_cfg, n_classes, tasks)
+            out, losses, _ = _batch_losses(params, batch, loss_cfg, tasks)
             for task in tasks:
                 loss_sums[task] += losses[task].item()
             ics.append(daily_ic(out.pred_return.data, batch.y))
@@ -322,7 +327,6 @@ def fit(train_panel: StockPanel, valid_panel: StockPanel, mom_cfg: MomentumConfi
     """
     mode = MODES[cfg.mode]
     tasks = mode.tasks
-    n_classes = N_CLASSES[cfg.task]
     train_batches = build_batches(train_panel, class_labels_for(train_panel, cfg.task, mom_cfg),
                                   cfg.window)
     valid_batches = build_batches(valid_panel, class_labels_for(valid_panel, cfg.task, mom_cfg),
@@ -331,7 +335,7 @@ def fit(train_panel: StockPanel, valid_panel: StockPanel, mom_cfg: MomentumConfi
         raise TrainingError("no usable training days (window/label/return constraints)")
 
     arch = Architecture(window=cfg.window, n_features=train_panel.n_features,
-                        hidden=cfg.hidden, n_classes=n_classes)
+                        hidden=cfg.hidden, n_classes=N_CLASSES[cfg.task])
     params = init_params(arch, seed)
     theta = params.trunk_tensors()
     head_tensors = {REG: params.reg_tensors(), CLS: params.cls_tensors()}
@@ -358,7 +362,7 @@ def fit(train_panel: StockPanel, valid_panel: StockPanel, mom_cfg: MomentumConfi
         decay_e = adapted_decay(cfg.decay, mean_converge) if mode.adapt_decay else cfg.decay
 
         for batch in train_batches:
-            _, losses, rank_batch = _batch_losses(params, batch, loss_cfg, n_classes, tasks)
+            _, losses, rank_batch = _batch_losses(params, batch, loss_cfg, tasks)
             if not all(np.isfinite(loss.data).all() for loss in losses.values()):
                 raise TrainingError(f"training diverged at epoch {epoch}, day index {batch.t}")
             if epoch == 1 and rank_batch is not None:
@@ -383,7 +387,7 @@ def fit(train_panel: StockPanel, valid_panel: StockPanel, mom_cfg: MomentumConfi
             opt.step(params.flat[:step.size], step, decay_e)
 
         # epoch-end evaluation on both splits
-        evals = {split: _split_metrics(params, batches, loss_cfg, n_classes, tasks)
+        evals = {split: _split_metrics(params, batches, loss_cfg, tasks)
                  for split, batches in (("train", train_batches), ("valid", valid_batches))}
         for split, (split_losses, ic, ric) in evals.items():
             for task in tasks:

@@ -1,9 +1,10 @@
 """Reference implementations the tests compare the library against.
 
 Each is a plain or scalar restatement of a concept that ``momrank`` computes
-in one vectorized or fused path: gradients by central differences, a sigmoid
-node for composed reference graphs, exact and smooth ranks and NDCG,
-per-ticker momentum lines and the per-line trend rule. None of them runs
+in one vectorized or fused path: gradients by central differences, the
+array logistic and a sigmoid node for composed reference graphs, composed
+log-probabilities, exact and smooth ranks and NDCG, per-ticker momentum lines
+and the per-line trend rule. None of them runs
 outside the tests.
 """
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from momrank.autodiff import Tensor, sigmoid_np
+from momrank.autodiff import Tensor
 from momrank.errors import ContractError, GraphError, NumericError
 from momrank.losses import (GAIN_STANDARD, _smooth_ranks, _smooth_ranks_vjp, gain_values,
                             ideal_dcg_at_k)
@@ -60,7 +61,30 @@ def check_gradient(fn, point, step: float = 1e-5) -> float:
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
-# ---- ranks and NDCG ----
+# ---- logistic and log-probabilities ----
+
+def sigmoid_np(x):
+    """Numerically stable logistic function on plain numpy data (or floats)."""
+    arr = np.asarray(x, dtype=np.float64)
+    flat = np.atleast_1d(arr)
+    out = np.empty_like(flat)
+    pos = flat >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-flat[pos]))
+    ex = np.exp(flat[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+
+def log_softmax(logits: Tensor) -> Tensor:
+    """Row-wise log-probabilities composed of elementwise ops, sum and reshape.
+
+    The shift by each row's maximum is a constant: log-probabilities do not
+    depend on it, so no gradient flows through it.
+    """
+    n = logits.data.shape[0]
+    shifted = logits - logits.data.max(axis=1, keepdims=True)
+    return shifted - shifted.exp().sum(axis=1).log().reshape(n, 1)
+
 
 def sigmoid_node(x: Tensor) -> Tensor:
     """The logistic function as one node, with ``sigmoid_np``'s values."""
@@ -68,6 +92,9 @@ def sigmoid_node(x: Tensor) -> Tensor:
         x.accumulate_grad(out.grad * out.data * (1.0 - out.data))
 
     return Tensor(sigmoid_np(x.data), (x,), backward)
+
+
+# ---- ranks and NDCG ----
 
 
 def approx_rank(scores: Tensor) -> Tensor:

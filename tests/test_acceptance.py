@@ -19,7 +19,7 @@ from momrank.cli import main
 from momrank.data import (StockPanel, compute_return, fraction_split_spec, gen_synthetic,
                           normalize_features, split, trading_days)
 from momrank.losses import (RankLossConfig, _smooth_ranks, adaptive_k, approx_ndcg_at_k,
-                            classification_loss, cross_entropy, expected_level, make_rank_batch,
+                            classification_loss, cross_entropy, log_softmax, make_rank_batch,
                             mse_loss, ndcg_loss, pairwise_loss)
 from momrank.metrics import daily_ic, daily_rank_ic, evaluate_predictions, precision_at_n
 from momrank.model import Architecture, forward, init_params, predict_panel
@@ -48,7 +48,8 @@ def test_criterion_1_gradient_correctness():
     labels = np.random.default_rng(101).integers(0, 5, size=6)
     for seed in range(25):
         point = np.random.default_rng(300 + seed).normal(size=30)
-        assert check_gradient(lambda x: cross_entropy(x.reshape(6, 5), labels), point) < tol
+        assert check_gradient(lambda x: cross_entropy(log_softmax(x.reshape(6, 5)), labels),
+                              point) < tol
 
     target = np.random.default_rng(102).normal(size=8)
     for seed in range(25):
@@ -190,10 +191,8 @@ def test_criterion_6_plain_joint_training_equivalence():
     tensors = ref.trunk_tensors() + ref.reg_tensors() + ref.cls_tensors()
     for batch in batches:
         out = forward(ref, batch.feats)
-        scores = expected_level(out.class_logits) * loss_cfg.score_scale
-        rank_batch = make_rank_batch(scores, batch.labels, 5, loss_cfg)
         joint = mse_loss(out.pred_return, batch.y) + classification_loss(
-            out.class_logits, batch.labels, rank_batch, loss_cfg)
+            out.class_logits, batch.labels, loss_cfg)[0]
         for tensor, grad in zip(tensors, gradients(joint, tensors)):
             tensor.data = tensor.data - lr * grad
 

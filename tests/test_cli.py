@@ -112,6 +112,24 @@ def test_non_positive_hidden_size_is_a_config_error(tmp_path, capsys, hidden):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("setting,named", [("data.n_features=0", "n_features"),
+                                           ("data.n_dates=5", "n_dates"),
+                                           ("data.n_tickers=4", "n_tickers"),
+                                           ("data.signal_strength=2", "signal_strength"),
+                                           ("data.signal_strength=-0.1", "signal_strength"),
+                                           ("data.shifted_signal_strength=3",
+                                            "shifted_signal_strength"),
+                                           ("split.train_frac=0.9", "train_frac"),
+                                           ("split.train_frac=0.8", "train_frac")])
+def test_bad_synthetic_data_or_split_is_a_config_error(tmp_path, capsys, setting, named):
+    out = tmp_path / "bad"
+    code = main(["train", "--set", setting, "--set", "train.epochs=1", "--out-dir", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and named in err
+    assert not out.exists()
+
+
 def test_missing_checkpoint_exits_2(tmp_path):
     code, _ = run(["evaluate", "--checkpoint", str(tmp_path / "nope.json")], tmp_path, "e2")
     assert code == 2

@@ -58,7 +58,8 @@ def test_unknown_key_rejected():
 
 
 @pytest.mark.parametrize("key", ["train.trunk", "train.standardize_y", "loss.ce_weight",
-                                 "loss.rank_weight"])
+                                 "loss.rank_weight", "loss.score_scale",
+                                 "momentum.dead_zone_scale"])
 def test_removed_keys_rejected(key):
     with pytest.raises(ConfigError, match="unknown config key"):
         build_config({key: "1"})
@@ -76,9 +77,8 @@ def test_flat_keys_are_the_declared_knobs():
         "data.shift_after", "data.shifted_signal_strength", "data.signal_strength",
         "data.source",
         "eval.precision_ns",
-        "loss.fixed_k", "loss.gain", "loss.ranking", "loss.score_scale", "loss.threshold_frac",
-        "momentum.anchor_offset", "momentum.dead_zone", "momentum.dead_zone_scale",
-        "momentum.gap", "momentum.length",
+        "loss.fixed_k", "loss.gain", "loss.ranking", "loss.threshold_frac",
+        "momentum.anchor_offset", "momentum.dead_zone", "momentum.gap", "momentum.length",
         "seed",
         "split.test", "split.train", "split.train_frac", "split.valid", "split.valid_frac",
         "train.beta", "train.decay", "train.epochs", "train.hidden", "train.loss_window",

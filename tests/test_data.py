@@ -460,6 +460,19 @@ def test_synthetic_contract():
         gen_synthetic(30, 3, 0.5, seed=0)
 
 
+@pytest.mark.parametrize("kwargs,named", [({"n_features": 0}, "n_features"),
+                                          ({"signal_strength": 1.5}, "signal_strength"),
+                                          ({"signal_strength": -0.5}, "signal_strength"),
+                                          ({"shifted_signal_strength": 3.0},
+                                           "shifted_signal_strength"),
+                                          ({"shifted_signal_strength": -1.0},
+                                           "shifted_signal_strength")])
+def test_synthetic_rejects_no_features_and_strengths_outside_unit_range(kwargs, named):
+    args = {"n_dates": 30, "n_tickers": 6, "signal_strength": 0.5, "seed": 0, "shift_after": 10}
+    with pytest.raises(ContractError, match=named):
+        gen_synthetic(**{**args, **kwargs})
+
+
 # ---- split ----
 
 def test_split_6_2_2():

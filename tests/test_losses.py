@@ -1,16 +1,20 @@
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+import oracles
 from momrank.autodiff import Tensor
 from momrank.errors import ContractError
 from momrank.losses import (_LN2, _ROW_CHUNK, GAIN_SHIFTED, GAIN_STANDARD, RANK_PAIRWISE,
-                            RankLossConfig, adaptive_k, approx_ndcg_at_k,
+                            SCORE_SCALE, RankLossConfig, adaptive_k, approx_ndcg_at_k,
                             classification_loss, cross_entropy, expected_level, gain_values,
-                            ideal_dcg_at_k, make_rank_batch, mse_loss, ndcg_loss, pairwise_loss)
+                            ideal_dcg_at_k, log_softmax, make_rank_batch, mse_loss, ndcg_loss,
+                            pairwise_loss)
 from oracles import approx_rank, check_gradient, dcg_at_k, exact_ndcg_at_k, sigmoid_node
 
 
@@ -232,25 +236,25 @@ def test_mse_gradient_formula():
     assert check_gradient(lambda x: mse_loss(x, y), pred.data.copy()) < 1e-6
 
 
-# ---- cross-entropy and expected level ----
+# ---- log-probabilities, cross-entropy and expected level ----
 
 def test_cross_entropy_uniform_logits():
     logits = Tensor(np.zeros((3, 5)))
-    val = cross_entropy(logits, np.array([0, 2, 4])).item()
+    val = cross_entropy(log_softmax(logits), np.array([0, 2, 4])).item()
     assert val == pytest.approx(math.log(5.0), abs=1e-12)
 
 
 def test_cross_entropy_one_hot_near_zero():
     labels = np.array([1, 3])
     logits = Tensor(np.eye(5)[labels] * 50.0)
-    assert cross_entropy(logits, labels).item() < 1e-9
+    assert cross_entropy(log_softmax(logits), labels).item() < 1e-9
 
 
 def test_cross_entropy_gradient():
     labels = np.array([0, 2, 4, 1])
 
     def fn(x):
-        return cross_entropy(x.reshape(4, 5), labels)
+        return cross_entropy(log_softmax(x.reshape(4, 5)), labels)
 
     for seed in range(5):
         point = np.random.default_rng(seed + 7).normal(size=20)
@@ -259,7 +263,33 @@ def test_cross_entropy_gradient():
 
 def test_expected_level_confident():
     logits = Tensor(np.eye(5)[[4, 0, 2]] * 60.0)
-    np.testing.assert_allclose(expected_level(logits).data, [4.0, 0.0, 2.0], atol=1e-12)
+    np.testing.assert_allclose(expected_level(log_softmax(logits)).data, [4.0, 0.0, 2.0],
+                               atol=1e-12)
+
+
+@st.composite
+def logit_matrices(draw):
+    """Logits within +-700 on 1-64 rows x 2-5 columns; some rows tie their maximum."""
+    rows, cols = draw(st.integers(1, 64)), draw(st.integers(2, 5))
+    logits = draw(hnp.arrays(np.float64, (rows, cols), elements=st.floats(-700.0, 700.0)))
+    for i in draw(st.lists(st.integers(0, rows - 1), max_size=4)):
+        logits[i, :draw(st.integers(2, cols))] = logits[i].max()  # all equal when cols tie
+    weights = draw(hnp.arrays(np.float64, (rows, cols), elements=st.floats(-3.0, 3.0)))
+    return logits, weights
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(logit_matrices())
+def test_log_softmax_node_matches_composed_oracle(case):
+    logits, weights = case
+    x, ref_x = Tensor(logits.copy()), Tensor(logits.copy())
+    node, ref = log_softmax(x), oracles.log_softmax(ref_x)
+    assert len(node._prev) == 1 and node._prev[0] is x  # one node over the logits
+    np.testing.assert_array_equal(node.data, ref.data)
+    (node * weights).sum().backward()
+    (ref * weights).sum().backward()
+    scale = max(1.0, np.abs(ref_x.grad).max())
+    assert np.abs(x.grad - ref_x.grad).max() <= 1e-12 * scale
 
 
 # ---- pairwise ----
@@ -300,64 +330,84 @@ def test_pairwise_gradient():
 def test_classification_loss_perfect_predictions():
     labels = np.array([4, 3, 2, 1, 0])
     logits = Tensor(np.eye(5)[labels] * 60.0)
-    cfg = RankLossConfig()
-    scores = expected_level(logits) * cfg.score_scale
-    batch = make_rank_batch(scores, labels, 5, cfg)
-    val = classification_loss(logits, labels, batch, cfg).item()
-    assert val == pytest.approx(0.5 * math.exp(-1.0), abs=2e-4)
-    assert val == pytest.approx(0.18394, abs=2e-4)
+    loss, batch = classification_loss(logits, labels, RankLossConfig())
+    np.testing.assert_allclose(batch.scores.data, labels * SCORE_SCALE, atol=1e-12)
+    assert loss.item() == pytest.approx(0.5 * math.exp(-1.0), abs=2e-4)
+    assert loss.item() == pytest.approx(0.18394, abs=2e-4)
 
 
 def test_classification_loss_uniform_logits_ce_term():
     labels = np.array([4, 3, 2, 1, 0])
     logits = Tensor(np.zeros((5, 5)))
-    cfg = RankLossConfig()
-    batch = make_rank_batch(expected_level(logits) * cfg.score_scale, labels, 5, cfg)
-    val = classification_loss(logits, labels, batch, cfg).item()
+    loss, batch = classification_loss(logits, labels, RankLossConfig())
     rank_part = ndcg_loss(batch).item()
-    assert val == pytest.approx(0.5 * math.log(5.0) + 0.5 * rank_part, abs=1e-12)
+    assert loss.item() == pytest.approx(0.5 * math.log(5.0) + 0.5 * rank_part, abs=1e-12)
     assert 0.5 * math.log(5.0) == pytest.approx(0.80472, abs=1e-5)
 
 
 def test_classification_loss_gradient():
-    labels = np.array([0, 4, 2, 2, 1, 3])
-    cfg = RankLossConfig()
+    for ranking, width in itertools.product(("ndcg", "pairwise"), (5, 2)):
+        labels = np.array([0, 4, 2, 2, 1, 3]) % width
+        cfg = RankLossConfig(ranking=ranking)
 
-    def fn(x):
-        logits = x.reshape(6, 5)
-        scores = expected_level(logits) * cfg.score_scale
-        batch = make_rank_batch(scores, labels, 5, cfg)
-        return classification_loss(logits, labels, batch, cfg)
+        def fn(x):
+            return classification_loss(x.reshape(6, width), labels, cfg)[0]
 
-    for seed in range(5):
-        point = np.random.default_rng(seed + 90).normal(size=30)
-        assert check_gradient(fn, point) < 1e-4
+        for seed in range(5):
+            point = np.random.default_rng(seed + 90).normal(size=6 * width)
+            assert check_gradient(fn, point) < 1e-4, (ranking, width, seed)
 
 
 def test_classification_loss_pairwise_variant():
     labels = np.array([0, 4, 2, 1])
     logits = Tensor(np.random.default_rng(8).normal(size=(4, 5)))
-    cfg_pw = RankLossConfig(ranking=RANK_PAIRWISE)
-    scores = expected_level(logits) * cfg_pw.score_scale
-    batch = make_rank_batch(scores, labels, 5, cfg_pw)
-    ce = cross_entropy(logits, labels).item()
+    loss, batch = classification_loss(logits, labels, RankLossConfig(ranking=RANK_PAIRWISE))
+    ce = cross_entropy(log_softmax(logits), labels).item()
     pw = pairwise_loss(batch.scores, labels.astype(float)).item()
-    assert classification_loss(logits, labels, batch, cfg_pw).item() == pytest.approx(
-        0.5 * ce + 0.5 * pw, abs=1e-12)
+    assert loss.item() == pytest.approx(0.5 * ce + 0.5 * pw, abs=1e-12)
+
+
+def test_classification_loss_scores_and_k_match_composed_terms():
+    labels = np.array([4, 3, 3, 0, 2, 1, 0])
+    logits = Tensor(np.random.default_rng(10).normal(size=(7, 5)) * 3.0)
+    cfg = RankLossConfig(threshold_frac=0.3)
+    loss, batch = classification_loss(logits, labels, cfg)
+    logp = oracles.log_softmax(Tensor(logits.data))
+    scores = (logp.exp() * np.arange(5.0)).sum(axis=1) * SCORE_SCALE
+    want = make_rank_batch(scores, labels, 5, cfg)
+    np.testing.assert_array_equal(batch.scores.data, scores.data)
+    assert (batch.k, batch.threshold, batch.group_sizes) == (want.k, want.threshold,
+                                                             want.group_sizes)
+    np.testing.assert_array_equal(batch.gains, labels)
+    ce = -(logp * np.eye(5)[labels]).sum(axis=1).mean()
+    assert loss.item() == (ce * 0.5 + ndcg_loss(want) * 0.5).item()
 
 
 def test_classification_loss_improves_when_swapping_misordered_pair():
     labels = np.array([4, 3, 2, 1, 0])
     cfg = RankLossConfig()
-    good = np.array([40.0, 30.0, 20.0, 10.0, 0.0])
-    swapped = good.copy()
-    swapped[[0, 1]] = swapped[[1, 0]]  # mis-order the top pair, gain-wise
-    logits = Tensor(np.random.default_rng(9).normal(size=(5, 5)))
-    loss_good = classification_loss(
-        logits, labels, make_rank_batch(Tensor(good), labels, 5, cfg), cfg).item()
-    loss_swapped = classification_loss(
-        logits, labels, make_rank_batch(Tensor(swapped), labels, 5, cfg), cfg).item()
-    assert loss_good < loss_swapped
+    good = np.eye(5)[labels] * 4.0
+    swapped = good[[1, 0, 2, 3, 4]]  # mis-order the top pair, gain-wise
+    loss_good, batch_good = classification_loss(Tensor(good), labels, cfg)
+    loss_swapped, batch_swapped = classification_loss(Tensor(swapped), labels, cfg)
+    assert ndcg_loss(batch_good).item() < ndcg_loss(batch_swapped).item()
+    assert loss_good.item() < loss_swapped.item()
+
+
+def test_classification_loss_computes_log_probabilities_once():
+    labels = np.array([0, 4, 2, 2, 1, 3])
+    logits = Tensor(np.random.default_rng(11).normal(size=(6, 5)))
+    for ranking in ("ndcg", "pairwise"):
+        loss, _ = classification_loss(logits, labels, RankLossConfig(ranking=ranking))
+        seen, stack, readers = set(), [loss], 0
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            readers += any(parent is logits for parent in node._prev)
+            stack.extend(node._prev)
+        assert readers == 1
 
 
 # ---- fused smooth-DCG node against the composed graph ----

@@ -8,8 +8,8 @@ from hypothesis.extra.numpy import arrays
 from momrank.data import ReturnLabel, StockPanel, compute_return, gen_synthetic, trading_days
 from momrank.errors import ContractError
 from momrank.momentum import (LEVEL_BOUNCE, LEVEL_NEGATIVE, LEVEL_POSITIVE, LEVEL_SINK,
-                              LEVEL_VOLATILE, UNLABELED, MomentumConfig, _classify_lines,
-                              label_dataset, rise_fall_label)
+                              LEVEL_VOLATILE, UNLABELED, DEAD_ZONE_SCALE, MomentumConfig,
+                              _classify_lines, label_dataset, rise_fall_label)
 from oracles import classify_line, momentum_line, momentum_value
 
 SWAP = {LEVEL_BOUNCE: LEVEL_SINK, LEVEL_SINK: LEVEL_BOUNCE,
@@ -199,7 +199,7 @@ def reference_labels(panel, cfg):
         lines = {i: momentum_line(panel.close[:, i], anchor, cfg) for i in np.flatnonzero(ok)}
         eps = cfg.dead_zone
         if eps is None:
-            eps = cfg.dead_zone_scale * float(np.stack(list(lines.values()), axis=1).std())
+            eps = DEAD_ZONE_SCALE * float(np.stack(list(lines.values()), axis=1).std())
         for i, line in lines.items():
             labels[t, i] = classify_line(line, eps)
     return labels

@@ -10,10 +10,11 @@ from momrank.autodiff import Tensor, gradients
 from momrank.data import gen_synthetic, StockPanel, trading_days
 from momrank.errors import ContractError, TrainingError
 from momrank.metrics import daily_ic, daily_rank_ic
-from momrank.losses import RankLossConfig, classification_loss, expected_level, make_rank_batch, mse_loss
+from momrank.losses import RankLossConfig, classification_loss, mse_loss
 from momrank.model import Architecture, forward, init_params
 from momrank.momentum import MomentumConfig
 from momrank import model, training
+from oracles import sigmoid_np
 from momrank.training import (CLS, MODE_EW, MODE_STL, REG, TrainConfig, _GroupOptimizer,
                               _batch_losses, _split_metrics, adapted_beta, adapted_decay,
                               balance_gradients, balanced_parts, build_batches, class_labels_for,
@@ -88,6 +89,15 @@ def test_adapted_decay():
     vals = [adapted_decay(1e-3, v) for v in grid]
     assert all(a > b for a, b in zip(vals, vals[1:]))
     assert all(0.0 <= v <= 1e-3 for v in vals)
+
+
+def test_scalar_logistic_equals_the_array_logistic_bitwise():
+    grid = np.concatenate([np.linspace(-5.0, 5.0, 20_001), np.linspace(-800.0, 800.0, 1_601),
+                           [0.0, -0.0, 1e-300, -1e-300]])
+    want = sigmoid_np(grid)
+    got = np.array([training._logistic(float(x)) for x in grid])
+    np.testing.assert_array_equal(got, want)
+    assert training._logistic(800.0) == 1.0 and training._logistic(-800.0) == 0.0  # no overflow
 
 
 # ---- EMA ----
@@ -275,13 +285,11 @@ def test_training_graph_leaves_nothing_for_the_cycle_collector(ranking):
     gc.disable()
     try:
         out = forward(params, feats)
-        scores = expected_level(out.class_logits) * loss_cfg.score_scale
-        batch = make_rank_batch(scores, labels, 5, loss_cfg)
         reg = mse_loss(out.pred_return, y)
-        cls = classification_loss(out.class_logits, labels, batch, loss_cfg)
+        cls, batch = classification_loss(out.class_logits, labels, loss_cfg)
         reg.backward()
         cls.backward()
-        del out, scores, batch, reg, cls
+        del out, batch, reg, cls
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -302,12 +310,12 @@ def test_fit_leaves_nothing_for_the_cycle_collector():
 
 # ---- evaluation builds no graph ----
 
-def split_metrics_recording(params, batches, loss_cfg, n_classes, tasks):
+def split_metrics_recording(params, batches, loss_cfg, tasks):
     """``_split_metrics`` with the graph of every day's losses recorded: the oracle."""
     loss_sums = dict.fromkeys(tasks, 0.0)
     ics, rics = [], []
     for batch in batches:
-        out, losses, _ = _batch_losses(params, batch, loss_cfg, n_classes, tasks)
+        out, losses, _ = _batch_losses(params, batch, loss_cfg, tasks)
         assert all(losses[task]._prev for task in tasks)
         for task in tasks:
             loss_sums[task] += losses[task].item()
@@ -329,13 +337,12 @@ def test_split_metrics_without_graph_equals_recorded_graph(ranking, tasks, task)
     loss_cfg = RankLossConfig(ranking=ranking)
     cfg = TrainConfig(lr=1e-2, epochs=2, window=2, hidden=(6, 6), task=task)
     params = fit(train, valid, small_mom_cfg(), loss_cfg, cfg, seed=7).params
-    n_classes = training.N_CLASSES[task]
     for panel in (train, valid):
         batches = build_batches(panel, class_labels_for(panel, task, small_mom_cfg()), 2)
         assert batches
-        want = split_metrics_recording(params, batches, loss_cfg, n_classes, tasks)
+        want = split_metrics_recording(params, batches, loss_cfg, tasks)
         assert all(np.isfinite(v) for v in [*want[0].values(), want[1], want[2]])
-        assert _split_metrics(params, batches, loss_cfg, n_classes, tasks) == want
+        assert _split_metrics(params, batches, loss_cfg, tasks) == want
 
 
 def test_epoch_eval_and_predict_build_no_graph(monkeypatch):
@@ -392,10 +399,8 @@ def test_ew_mode_matches_hand_rolled_joint_loop():
     tensors = ref.trunk_tensors() + ref.reg_tensors() + ref.cls_tensors()
     for b in batches:
         out = forward(ref, b.feats)
-        scores = expected_level(out.class_logits) * loss_cfg.score_scale
-        rank_batch = make_rank_batch(scores, b.labels, 5, loss_cfg)
         joint = mse_loss(out.pred_return, b.y) + classification_loss(
-            out.class_logits, b.labels, rank_batch, loss_cfg)
+            out.class_logits, b.labels, loss_cfg)[0]
         grads = gradients(joint, tensors)
         for tensor, grad in zip(tensors, grads):
             tensor.data = tensor.data - 0.05 * grad
