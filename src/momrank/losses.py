@@ -9,10 +9,17 @@ cross-entropy and that ranking loss 50/50; ``classification_loss`` builds it
 from one log-probability node that cross-entropy and the ranking scores share.
 
 Smooth rank -> DCG@k is one autodiff node with a closed-form backward (the
-smooth-rank derivative of Qin, Liu & Li, 2010). It builds the n x n pairwise
-sigmoid block ``_ROW_CHUNK`` rows at a time and its backward recomputes each
-chunk, so a day of n names holds O(n * chunk) floats rather than several
-n x n arrays.
+smooth-rank derivative of Qin, Liu & Li, 2010). It sorts the day's scores
+once and evaluates each pair once, in the upper triangle of the sorted pair
+matrix, where the score difference is non-negative and the logistic needs one
+branch; a pair's mirror is its complement, and the slope matrix is symmetric.
+The triangle is built ``_ROW_CHUNK`` rows at a time and the backward rebuilds
+each chunk, so a day of n names holds O(n * chunk) floats.
+
+The pair-wise hinge is one node too, from one sort of the scores: the loss is
+a sum over the gaps between consecutive sorted scores, weighted by level
+counts on either side, and the gradient is a count of strictly higher or
+lower scores per level. It holds O(n * levels) floats.
 
 The ranking scores are the expected level under the class probabilities times
 ``SCORE_SCALE``, so that confidently separated classes land in the regime
@@ -34,7 +41,12 @@ GAIN_SHIFTED = "shifted"     # 2^(w-1): literal alternative reading
 RANK_NDCG, RANK_PAIRWISE = "ndcg", "pairwise"
 
 _LN2 = math.log(2.0)
-_ROW_CHUNK = 64  # rows of the n x n pairwise sigmoid block built at a time
+_ROW_CHUNK = 64  # rows of the pairwise sigmoid block built at a time
+# Added to exp(x) or cosh(x) on a chunk's diagonal sub-block: 1 for the pairs
+# j > i, +inf for the mirrors and self-pairs the upper-triangle kernel skips,
+# whose sigmoid and slope therefore come out 0.
+_DIAGONAL_DENOMINATOR = np.where(np.tri(_ROW_CHUNK, dtype=bool), np.inf, 1.0)
+_EXP_MAX = 700.0  # exp and cosh overflow past 709.78 and 710.47
 SCORE_SCALE = 10.0  # spread applied to expected-level ranking scores
 
 
@@ -111,57 +123,98 @@ def make_rank_batch(scores: Tensor, levels: np.ndarray, n_levels: int,
                      group_sizes=group_sizes, threshold=threshold, k=k)
 
 
-def _pair_blocks(s: np.ndarray, slope: bool = False):
-    """Yield (lo, block) for each chunk of ``_ROW_CHUNK`` rows i = lo, lo + 1, ...
+def _upper_blocks(t: np.ndarray, slope: bool = False):
+    """Yield (lo, block) over the upper triangle of the ascending scores' pair matrix.
 
-    The block holds P[i, j] = sigmoid(s_j - s_i), or with ``slope`` its
-    derivative W = P(1 - P), and is 0 on the diagonal. With x = s_j - s_i and
-    e = exp(-|x|), P is 1/(1+e) where x >= 0 and e/(1+e) elsewhere (the
-    two-branch stable logistic) and W = e/(1+e)^2. All chunks share one set
-    of buffers, so a block is valid only until the next one is yielded.
+    The block covers rows i = lo .. lo + c - 1 (c <= ``_ROW_CHUNK``) and columns
+    j = lo .. n - 1. Right of the diagonal x = t_j - t_i >= 0, so one branch is
+    stable: the block holds Q = 1/(1 + exp(x)) = 1 - sigmoid(x), or with
+    ``slope`` the logistic's derivative W = 0.5/(1 + cosh(x)). On and below
+    the diagonal the block is 0, because there the denominator gets +inf
+    (``_DIAGONAL_DENOMINATOR``). x comes from one K=2 matrix product
+    [-t_i, 1] @ [1, t_j], which rounds once, like a subtraction, but runs faster
+    than numpy's broadcast subtract. Every chunk is a contiguous view of one
+    reused buffer, valid until the next is yielded.
     """
-    n = s.size
-    e_buf = np.empty((min(_ROW_CHUNK, n), n))
-    d_buf = np.empty_like(e_buf)
-    nonneg_buf = np.empty(e_buf.shape, dtype=bool)
+    n = t.size
+    terms = np.empty((3, n))  # rows [-t, 1, t]: [-t_i, 1] is terms[:2].T, [1, t_j] is terms[1:]
+    np.negative(t, out=terms[0])
+    terms[1] = 1.0
+    terms[2] = t
+    buf = np.empty(min(_ROW_CHUNK, n) * n)
     for lo in range(0, n, _ROW_CHUNK):
-        rows = np.arange(min(_ROW_CHUNK, n - lo))
-        e, d, nonneg = e_buf[:rows.size], d_buf[:rows.size], nonneg_buf[:rows.size]
-        np.subtract(s[None, :], s[lo:lo + rows.size, None], out=e)  # x, until overwritten
-        np.greater_equal(e, 0.0, out=nonneg)
-        np.exp(np.negative(np.abs(e, out=e), out=e), out=e)
-        np.add(e, 1.0, out=d)
+        c, width = min(_ROW_CHUNK, n - lo), n - lo
+        x = buf[:c * width].reshape(c, width)
+        np.matmul(terms[:2, lo:lo + c].T, terms[1:, lo:], out=x)
+        if t[n - 1] - t[lo] > _EXP_MAX:  # exp and cosh would overflow
+            np.clip(x, -_EXP_MAX, _EXP_MAX, out=x)
         if slope:
-            np.multiply(d, d, out=d)
+            np.cosh(x, out=x)
         else:
-            np.maximum(e, nonneg, out=e)  # numerator: 1 where x >= 0 (there e <= 1), else e
-        np.divide(e, d, out=e)
-        e[rows, rows + lo] = 0.0
-        yield lo, e
+            np.exp(x, out=x)
+        np.add(x[:, :c], _DIAGONAL_DENOMINATOR[:c, :c], out=x[:, :c])
+        np.add(x[:, c:], 1.0, out=x[:, c:])
+        np.divide(0.5 if slope else 1.0, x, out=x)
+        yield lo, x
+
+
+def _sorted_ranks(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Smooth ranks of the ascending scores ``t``, in that order, and the last block.
+
+    For position i, rank_i = 1 + sum over j > i of (1 - Q_ij) + sum over j < i of
+    Q_ji = (n - i) - rowsum_i + colsum_i over the upper-triangle blocks: each
+    pair is evaluated once, and its mirror is its complement. When n fits in
+    one chunk, the last block is the whole upper triangle of Q.
+    """
+    n = t.size
+    rank = np.arange(n, 0.0, -1.0)
+    ones = np.ones(n)
+    for lo, q in _upper_blocks(t):
+        rank[lo:lo + len(q)] -= q @ ones[lo:]
+        rank[lo:] += ones[:len(q)] @ q
+    return rank, q
+
+
+def _blocks_vjp(blocks, g: np.ndarray) -> np.ndarray:
+    """Gradient w.r.t. ascending scores of sum_i g_i * rank_i, from their slope blocks.
+
+    ``blocks`` yields (lo, W chunk) as ``_upper_blocks(t, slope=True)`` does.
+    With U the upper triangle of the symmetric slope matrix W, the gradient
+    sum_i g_i W_ij - g_j sum_k W_jk is g U + U g - g * (rowsum U + colsum U).
+    Stacking [g, 1] folds both sums into the two products per chunk.
+    """
+    n = g.size
+    g_one = np.empty((n, 2))
+    g_one[:, 0] = g
+    g_one[:, 1] = 1.0
+    acc = np.zeros((n, 2))   # U g + g U, rowsum U + colsum U
+    for lo, w in blocks:
+        c = len(w)
+        acc[lo:lo + c] += w @ g_one[lo:]
+        acc[lo:] += (g_one[lo:lo + c].T @ w).T
+    return acc[:, 0] - g * acc[:, 1]
 
 
 def _smooth_ranks(s: np.ndarray) -> np.ndarray:
-    """1 + sum over j != i of sigmoid(s_j - s_i), one row chunk at a time.
+    """1 + sum over j != i of sigmoid(s_j - s_i), from one stable sort of ``s``.
 
     The ranks sum to n(n+1)/2: a pair's two sigmoids add to one.
     """
+    order = s.argsort(kind="stable")
     ranks = np.empty(s.size)
-    for lo, p in _pair_blocks(s):
-        ranks[lo:lo + len(p)] = p.sum(axis=1)
-    return ranks + 1.0
+    ranks[order] = _sorted_ranks(s[order])[0]
+    return ranks
 
 
 def _smooth_ranks_vjp(s: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Gradient w.r.t. ``s`` of sum_i g_i * rank_i (Qin, Liu & Li, 2010).
 
-    grad_j = sum_i g_i W_ij - g_j sum_k W_jk. Each row chunk of W is rebuilt
-    from the scores rather than kept from the forward pass.
+    grad_j = sum_i g_i W_ij - g_j sum_k W_jk, W the logistic's slope at
+    s_j - s_i. Each chunk of W is rebuilt from the sorted scores.
     """
-    grad = np.zeros(s.size)
-    for lo, w in _pair_blocks(s, slope=True):
-        g_rows = g[lo:lo + len(w)]
-        grad += g_rows @ w
-        grad[lo:lo + len(w)] -= g_rows * w.sum(axis=1)
+    order = s.argsort(kind="stable")
+    grad = np.empty(s.size)
+    grad[order] = _blocks_vjp(_upper_blocks(s[order], slope=True), g[order])
     return grad
 
 
@@ -169,16 +222,27 @@ def _smooth_dcg_at_k(scores: Tensor, levels: np.ndarray, k: int, gain: str) -> T
     """DCG@k of ``_smooth_ranks(scores)`` as one node with a closed-form backward.
 
     Membership is smooth rank <= k + 0.5; the gradient flows through the
-    discount of the included items only.
+    discount of the included items only. The backward reuses the forward's
+    sort. It rebuilds each slope chunk from the scores, except on a day that
+    fits in one chunk: there it derives W = Q(1 - Q) from the forward's block.
     """
     s = scores.data
-    ranks = _smooth_ranks(s)
+    order = s.argsort(kind="stable")
+    t = s[order]
+    sorted_ranks, q = _sorted_ranks(t)
+    if s.size > _ROW_CHUNK:
+        q = None  # a view of the forward's buffer, which the backward does not need
+    ranks = np.empty(s.size)
+    ranks[order] = sorted_ranks
     weight = gain_values(levels, gain) * (ranks <= k + 0.5)
     discount = np.log(ranks + 1.0) / _LN2
 
     def backward(out):
         g_rank = -out.grad * weight / (discount * discount) / _LN2 / (ranks + 1.0)
-        scores.accumulate_grad(_smooth_ranks_vjp(s, g_rank))
+        blocks = _upper_blocks(t, slope=True) if q is None else [(0, q - q * q)]
+        grad = np.empty(s.size)
+        grad[order] = _blocks_vjp(blocks, g_rank[order])
+        scores.accumulate_grad(grad)
 
     return Tensor(np.sum(weight / discount), (scores,), backward)
 
@@ -263,18 +327,49 @@ def expected_level(logp: Tensor) -> Tensor:
 
 
 def pairwise_loss(scores: Tensor, target: np.ndarray) -> Tensor:
-    """Hinge on discordant pairs: sum over i<j of max(0, -(f_i-f_j)(y_i-y_j)) / n^2."""
+    """Hinge on discordant pairs: sum over i<j of max(0, -(f_i-f_j)(y_i-y_j)) / n^2.
+
+    One node over one stable sort of the scores, in O(n * L^2) time and
+    O(n * L) memory for L distinct target values (the counting idea of
+    Joachims, KDD 2006). With target values y_a > y_b, a pair of an item of
+    L_a and an item of L_b scored higher costs (y_a - y_b)(f_j - f_i), and
+    f_j - f_i is the sum of the gaps between consecutive sorted scores from
+    f_i up to f_j. So the loss is the sum over gaps of gap * crossing / n^2,
+    where crossing, for the gap above sorted position m, is sum over (a, b) of
+    (y_a - y_b) * #{L_a at or below m} * #{L_b above m}: every term is
+    non-negative, so nothing cancels. The gradient counts strict inequalities,
+    as the relu does, which passes nothing at a tie: -(y_a - y_b) times the
+    count of L_b scored strictly higher for an item of L_a, and +(y_a - y_b)
+    times the count of L_a scored strictly lower for an item of L_b.
+    """
     target = np.asarray(target, dtype=np.float64)
     n = target.size
     if n < 2:
         raise ContractError("pairwise loss needs at least 2 items")
     if scores.data.shape != (n,):
         raise ContractError(f"scores shape {scores.data.shape} does not match {n} targets")
-    score_diff = scores.reshape(n, 1) - scores.reshape(1, n)
-    target_diff = target[:, None] - target[None, :]
-    upper = np.triu(np.ones((n, n)), k=1)
-    hinge = (-(score_diff * target_diff)).relu()
-    return (hinge * upper).sum() / float(n * n)
+    values, level = np.unique(target, return_inverse=True)
+    margin = np.maximum(values[:, None] - values[None, :], 0.0)  # y_a - y_b where y_a > y_b
+    f = scores.data
+    order = f.argsort(kind="stable")
+    t = f[order]
+    level = level[order]
+    below = np.zeros((n + 1, values.size))        # below[p, a]: items of L_a among the p lowest
+    below[np.arange(1, n + 1), level] = 1.0
+    np.cumsum(below, axis=0, out=below)
+    above = below[n] - below
+    crossing = ((below[1:n] @ margin) * above[1:n]).sum(axis=1)
+    value = np.diff(t) @ crossing / float(n * n)
+
+    def backward(out):
+        rows = np.arange(n)
+        higher = above[t.searchsorted(t, side="right")] @ margin.T   # [m, a]: sum_b margin * count
+        lower = below[t.searchsorted(t, side="left")] @ margin       # [m, b]: sum_a margin * count
+        grad = np.empty(n)
+        grad[order] = (lower[rows, level] - higher[rows, level]) * (out.grad / float(n * n))
+        scores.accumulate_grad(grad)
+
+    return Tensor(value, (scores,), backward)
 
 
 def classification_loss(logits: Tensor, labels: np.ndarray,

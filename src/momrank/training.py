@@ -282,6 +282,31 @@ def build_batches(panel: StockPanel, labels: np.ndarray, window: int) -> list[_D
     return batches
 
 
+def _no_training_days(panel: StockPanel, cfg: TrainConfig,
+                      mom_cfg: MomentumConfig) -> TrainingError:
+    """The error for a train split with no usable day: what each constraint leaves.
+
+    A day is usable when at least 2 names have a full feature window, a label
+    and a next-day return; each count is of the days that one constraint
+    alone leaves.
+    """
+    passing = {"window": window_ok(panel, cfg.window),
+               "label": class_labels_for(panel, cfg.task, mom_cfg) != UNLABELED,
+               "return": np.isfinite(compute_return(panel).y)}
+    days = {key: int((names.sum(axis=1) >= 2).sum()) for key, names in passing.items()}
+    if cfg.task == TASK_RISE_FALL:
+        label = "the rise/fall label (the sign of the next-day return)"
+    else:
+        label = (f"the momentum label (a line of momentum.gap + momentum.length = "
+                 f"{mom_cfg.gap} + {mom_cfg.length} = {mom_cfg.gap + mom_cfg.length} days "
+                 f"ending momentum.anchor_offset = {mom_cfg.anchor_offset} days ahead)")
+    return TrainingError(
+        f"no usable training days: the train split has {panel.n_dates} dates; "
+        f"train.window = {cfg.window} leaves {days['window']} of them, {label} leaves "
+        f"{days['label']}, the next-day return leaves {days['return']}, and no day has "
+        f"2 names that pass all three")
+
+
 def _batch_losses(params: BackboneParams, batch: _DayBatch, loss_cfg: RankLossConfig,
                   tasks: tuple[str, ...]):
     """Forward one day; the loss per task, plus the rank batch when ranking runs."""
@@ -332,7 +357,7 @@ def fit(train_panel: StockPanel, valid_panel: StockPanel, mom_cfg: MomentumConfi
     valid_batches = build_batches(valid_panel, class_labels_for(valid_panel, cfg.task, mom_cfg),
                                   cfg.window)
     if not train_batches:
-        raise TrainingError("no usable training days (window/label/return constraints)")
+        raise _no_training_days(train_panel, cfg, mom_cfg)
 
     arch = Architecture(window=cfg.window, n_features=train_panel.n_features,
                         hidden=cfg.hidden, n_classes=N_CLASSES[cfg.task])

@@ -3,9 +3,9 @@
 Each is a plain or scalar restatement of a concept that ``momrank`` computes
 in one vectorized or fused path: gradients by central differences, the
 array logistic and a sigmoid node for composed reference graphs, composed
-log-probabilities, exact and smooth ranks and NDCG, per-ticker momentum lines
-and the per-line trend rule. None of them runs
-outside the tests.
+log-probabilities, exact ranks and NDCG, the full-block smooth-rank kernel,
+the composed pairwise hinge, per-ticker momentum lines and the per-line trend
+rule. None of them runs outside the tests.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ import numpy as np
 
 from momrank.autodiff import Tensor
 from momrank.errors import ContractError, GraphError, NumericError
-from momrank.losses import (GAIN_STANDARD, _smooth_ranks, _smooth_ranks_vjp, gain_values,
-                            ideal_dcg_at_k)
+from momrank.losses import _ROW_CHUNK, GAIN_STANDARD, gain_values, ideal_dcg_at_k
 from momrank.momentum import (LEVEL_BOUNCE, LEVEL_NEGATIVE, LEVEL_POSITIVE, LEVEL_SINK,
                               LEVEL_VOLATILE, MomentumConfig)
 
@@ -96,20 +95,69 @@ def sigmoid_node(x: Tensor) -> Tensor:
 
 # ---- ranks and NDCG ----
 
+def _pair_blocks(s: np.ndarray, slope: bool = False):
+    """Yield (lo, block) for each chunk of ``_ROW_CHUNK`` rows i = lo, lo + 1, ...
+
+    The full-block kernel the library used before its sorted half-pair one.
+    The block holds P[i, j] = sigmoid(s_j - s_i), or with ``slope`` its
+    derivative W = P(1 - P), and is 0 on the diagonal. With x = s_j - s_i and
+    e = exp(-|x|), P is 1/(1+e) where x >= 0 and e/(1+e) elsewhere (the
+    two-branch stable logistic) and W = e/(1+e)^2. All chunks share one set
+    of buffers, so a block is valid only until the next one is yielded.
+    """
+    n = s.size
+    e_buf = np.empty((min(_ROW_CHUNK, n), n))
+    d_buf = np.empty_like(e_buf)
+    nonneg_buf = np.empty(e_buf.shape, dtype=bool)
+    for lo in range(0, n, _ROW_CHUNK):
+        rows = np.arange(min(_ROW_CHUNK, n - lo))
+        e, d, nonneg = e_buf[:rows.size], d_buf[:rows.size], nonneg_buf[:rows.size]
+        np.subtract(s[None, :], s[lo:lo + rows.size, None], out=e)  # x, until overwritten
+        np.greater_equal(e, 0.0, out=nonneg)
+        np.exp(np.negative(np.abs(e, out=e), out=e), out=e)
+        np.add(e, 1.0, out=d)
+        if slope:
+            np.multiply(d, d, out=d)
+        else:
+            np.maximum(e, nonneg, out=e)  # numerator: 1 where x >= 0 (there e <= 1), else e
+        np.divide(e, d, out=e)
+        e[rows, rows + lo] = 0.0
+        yield lo, e
+
+
+def smooth_ranks(s: np.ndarray) -> np.ndarray:
+    """1 + sum over j != i of sigmoid(s_j - s_i), over every ordered pair."""
+    ranks = np.empty(s.size)
+    for lo, p in _pair_blocks(s):
+        ranks[lo:lo + len(p)] = p.sum(axis=1)
+    return ranks + 1.0
+
+
+def smooth_ranks_vjp(s: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient w.r.t. ``s`` of sum_i g_i * rank_i: sum_i g_i W_ij - g_j sum_k W_jk."""
+    grad = np.zeros(s.size)
+    for lo, w in _pair_blocks(s, slope=True):
+        g_rows = g[lo:lo + len(w)]
+        grad += g_rows @ w
+        grad[lo:lo + len(w)] -= g_rows * w.sum(axis=1)
+    return grad
+
 
 def approx_rank(scores: Tensor) -> Tensor:
     """Smooth rank of each item as its own node: 1 + sum of sigmoid(s_j - s_i) over j != i.
 
     Always sums to n(n+1)/2 because the indicator and its mirror add to one.
+    Built on the full-block kernel, whose values equal the composed graph's
+    bitwise.
     """
     if scores.data.ndim != 1:
         raise ContractError(f"scores must be a vector, got shape {scores.data.shape}")
     s = scores.data
 
     def backward(out):
-        scores.accumulate_grad(_smooth_ranks_vjp(s, out.grad))
+        scores.accumulate_grad(smooth_ranks_vjp(s, out.grad))
 
-    return Tensor(_smooth_ranks(s), (scores,), backward)
+    return Tensor(smooth_ranks(s), (scores,), backward)
 
 
 def dcg_at_k(ranks: np.ndarray, levels: np.ndarray, k: int, gain: str = GAIN_STANDARD) -> float:
@@ -139,6 +187,25 @@ def exact_ndcg_at_k(scores: np.ndarray, levels: np.ndarray, k: int,
     if ideal <= 0.0:
         return 1.0
     return dcg_at_k(exact_ranks(scores), levels, k, gain) / ideal
+
+
+# ---- pairwise hinge ----
+
+def composed_pairwise_loss(scores: Tensor, target: np.ndarray) -> Tensor:
+    """Hinge on discordant pairs as a graph of elementwise ops over the full n x n block.
+
+    sum over i<j of max(0, -(f_i-f_j)(y_i-y_j)) / n^2; the relu passes no
+    gradient at a tie.
+    """
+    target = np.asarray(target, dtype=np.float64)
+    n = target.size
+    if n < 2:
+        raise ContractError("pairwise loss needs at least 2 items")
+    score_diff = scores.reshape(n, 1) - scores.reshape(1, n)
+    target_diff = target[:, None] - target[None, :]
+    upper = np.triu(np.ones((n, n)), k=1)
+    hinge = (-(score_diff * target_diff)).relu()
+    return (hinge * upper).sum() / float(n * n)
 
 
 # ---- momentum ----

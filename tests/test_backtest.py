@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from momrank.backtest import BacktestLedger, cumulative_return, run_topn
 from momrank.data import StockPanel, compute_return, gen_synthetic, trading_days
@@ -35,6 +37,34 @@ def test_balance_recursion_invariant():
     recomputed = np.cumprod(1.0 + ledger.daily_return)
     np.testing.assert_allclose(ledger.balance, recomputed, rtol=1e-12)
     assert all(len(h) <= 3 for h in ledger.holdings)
+
+
+@st.composite
+def masked_panels(draw):
+    """2-12 dates x 1-10 tickers with a random validity mask, NaN-scored cells, and top_n."""
+    t, n = draw(st.integers(2, 12)), draw(st.integers(1, 10))
+    valid = draw(hnp.arrays(bool, (t, n)))
+    close = draw(hnp.arrays(np.float64, (t, n), elements=st.floats(1.0, 100.0)))
+    close[~valid] = np.nan
+    scores = draw(hnp.arrays(np.float64, (t, n),
+                             elements=st.one_of(st.floats(-3.0, 3.0), st.just(np.nan))))
+    panel = StockPanel(trading_days(t), [f"S{i:03d}" for i in range(n)], close,
+                       np.zeros((t, n, 1)), valid)
+    return panel, scores, draw(st.integers(1, n + 1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(masked_panels())
+def test_ledger_identities_under_random_validity_masks(case):
+    panel, scores, top_n = case
+    ledger = run_topn(panel, scores, top_n=top_n)
+    np.testing.assert_array_equal(ledger.balance, np.cumprod(1.0 + ledger.daily_return))
+    candidate = panel.valid[:-1] & panel.valid[1:] & np.isfinite(scores[:-1])
+    index = {name: i for i, name in enumerate(panel.tickers)}
+    for day, names in enumerate(ledger.holdings):
+        held = [index[name] for name in names]
+        assert len(set(held)) == len(held) == min(top_n, int(candidate[day].sum()))
+        assert all(candidate[day, i] for i in held)
 
 
 def test_full_pool_reproduces_equal_weight_index():

@@ -130,6 +130,28 @@ def test_bad_synthetic_data_or_split_is_a_config_error(tmp_path, capsys, setting
     assert not out.exists()
 
 
+MOMENTUM_LABEL = ("the momentum label (a line of momentum.gap + momentum.length = 4 + 6 = 10 "
+                  "days ending momentum.anchor_offset = 2 days ahead)")
+
+
+@pytest.mark.parametrize("settings,dates,window,by_window,by_label,by_return", [
+    (["data.n_dates=20"], 12, 20, 0, 2, 11),          # split shorter than the window
+    (["split.train_frac=0.01"], 2, 20, 0, 0, 1),      # a 2-date train split
+    (["train.window=200"], 150, 200, 0, 140, 149),    # window longer than the split
+])
+def test_no_training_day_names_each_constraint(tmp_path, capsys, settings, dates, window,
+                                               by_window, by_label, by_return):
+    argv = ["train", "--set", "train.epochs=1", "--out-dir", str(tmp_path / "none")]
+    for kv in settings:
+        argv += ["--set", kv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: no usable training days: the train split has {dates} dates; "
+        f"train.window = {window} leaves {by_window} of them, {MOMENTUM_LABEL} leaves "
+        f"{by_label}, the next-day return leaves {by_return}, and no day has 2 names that "
+        f"pass all three\n")
+
+
 def test_missing_checkpoint_exits_2(tmp_path):
     code, _ = run(["evaluate", "--checkpoint", str(tmp_path / "nope.json")], tmp_path, "e2")
     assert code == 2

@@ -11,10 +11,10 @@ import oracles
 from momrank.autodiff import Tensor
 from momrank.errors import ContractError
 from momrank.losses import (_LN2, _ROW_CHUNK, GAIN_SHIFTED, GAIN_STANDARD, RANK_PAIRWISE,
-                            SCORE_SCALE, RankLossConfig, adaptive_k, approx_ndcg_at_k,
-                            classification_loss, cross_entropy, expected_level, gain_values,
-                            ideal_dcg_at_k, log_softmax, make_rank_batch, mse_loss, ndcg_loss,
-                            pairwise_loss)
+                            SCORE_SCALE, RankLossConfig, _smooth_ranks, _smooth_ranks_vjp,
+                            adaptive_k, approx_ndcg_at_k, classification_loss, cross_entropy,
+                            expected_level, gain_values, ideal_dcg_at_k, log_softmax,
+                            make_rank_batch, mse_loss, ndcg_loss, pairwise_loss)
 from oracles import approx_rank, check_gradient, dcg_at_k, exact_ndcg_at_k, sigmoid_node
 
 
@@ -27,13 +27,15 @@ def sigmoid(x):
 def test_approx_rank_two_equal_scores():
     ranks = approx_rank(Tensor(np.array([3.0, 3.0])))
     np.testing.assert_allclose(ranks.data, [1.5, 1.5])
+    np.testing.assert_allclose(_smooth_ranks(np.array([3.0, 3.0])), [1.5, 1.5])
 
 
 def test_approx_rank_top_item_value():
     ranks = approx_rank(Tensor(np.array([10.0, 0.0, -10.0])))
     expected_top = 1.0 + sigmoid(-10.0) + sigmoid(-20.0)
-    assert ranks.data[0] == pytest.approx(expected_top, abs=1e-12)
-    assert ranks.data[0] == pytest.approx(1.0000454, abs=1e-6)
+    for top in (ranks.data[0], _smooth_ranks(np.array([10.0, 0.0, -10.0]))[0]):
+        assert top == pytest.approx(expected_top, abs=1e-12)
+        assert top == pytest.approx(1.0000454, abs=1e-6)
 
 
 def test_approx_rank_sum_identity_random():
@@ -41,8 +43,8 @@ def test_approx_rank_sum_identity_random():
     for _ in range(100):
         n = int(rng.integers(2, 30))
         scores = rng.normal(size=n) * rng.uniform(0.1, 50)
-        total = approx_rank(Tensor(scores)).data.sum()
-        assert total == pytest.approx(n * (n + 1) / 2, abs=1e-9)
+        for total in (approx_rank(Tensor(scores)).data.sum(), _smooth_ranks(scores).sum()):
+            assert total == pytest.approx(n * (n + 1) / 2, abs=1e-9)
 
 
 def test_approx_rank_converges_to_exact_at_scale_10():
@@ -50,10 +52,10 @@ def test_approx_rank_converges_to_exact_at_scale_10():
     for _ in range(20):
         n = int(rng.integers(3, 12))
         base = rng.permutation(np.arange(1.0, n + 1.0))  # distinct, unit gaps
-        smooth = approx_rank(Tensor(base * 10.0)).data
         exact = np.empty(n)
         exact[np.argsort(-base)] = np.arange(1, n + 1)
-        assert np.abs(smooth - exact).max() < 1e-3
+        for smooth in (approx_rank(Tensor(base * 10.0)).data, _smooth_ranks(base * 10.0)):
+            assert np.abs(smooth - exact).max() < 1e-3
 
 
 # ---- adaptive_k ----
@@ -325,6 +327,46 @@ def test_pairwise_gradient():
         assert check_gradient(fn, point) < 1e-4
 
 
+@st.composite
+def hinge_cases(draw):
+    """2-200 scores with ties; targets on 2 or 5 integer levels, or floats with ties."""
+    n = draw(st.integers(2, 200))
+    scores = draw(hnp.arrays(np.float64, n, elements=st.one_of(
+        st.sampled_from([-3.0, 0.0, 0.5, 2.0]), st.floats(-50.0, 50.0))))
+    kind = draw(st.sampled_from(["2 levels", "5 levels", "float"]))
+    if kind == "float":
+        elements = st.one_of(st.sampled_from([-1.5, 0.25]), st.floats(-10.0, 10.0))
+    else:
+        elements = st.integers(0, int(kind[0]) - 1).map(float)
+    target = draw(hnp.arrays(np.float64, n, elements=elements))
+    return scores, target, draw(st.sampled_from([1.0, -0.5, 2.5]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(hinge_cases())
+def test_pairwise_node_matches_composed_oracle(case):
+    scores, target, upstream = case
+    x, ref_x = Tensor(scores.copy()), Tensor(scores.copy())
+    node, ref = pairwise_loss(x, target), oracles.composed_pairwise_loss(ref_x, target)
+    assert len(node._prev) == 1 and node._prev[0] is x  # one node over the scores
+    assert abs(node.item() - ref.item()) <= 1e-12 * abs(ref.item())
+    (node * upstream).backward()
+    (ref * upstream).backward()
+    assert np.abs(x.grad - ref_x.grad).max() <= 1e-12 * np.abs(ref_x.grad).max()
+
+
+def test_pairwise_loss_backward_peak_memory_at_2000_names():
+    rng = np.random.default_rng(24)
+    scores, levels = rng.uniform(0.0, 40.0, 2000), rng.integers(0, 5, 2000).astype(np.float64)
+    tracemalloc.start()
+    try:
+        pairwise_loss(Tensor(scores), levels).backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20
+
+
 # ---- combined classification loss ----
 
 def test_classification_loss_perfect_predictions():
@@ -470,6 +512,49 @@ def test_approx_rank_matches_composed_values_and_gradient():
     (fused * weights).sum().backward()
     (ref * weights).sum().backward()
     np.testing.assert_allclose(x.grad, ref_x.grad, rtol=0, atol=1e-10)
+
+
+@st.composite
+def score_vectors(draw):
+    """1 to 3 chunks + 1 scores with ties, spread up to 1e3 so that some pairs saturate."""
+    n = draw(st.integers(1, 3 * _ROW_CHUNK + 1))
+    unit = draw(hnp.arrays(np.float64, n, elements=st.floats(-1.0, 1.0)))
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=8)):
+        unit[i] = unit[j]
+    return unit * draw(st.sampled_from([0.01, 1.0, 40.0, 100.0, 1000.0]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(score_vectors())
+def test_smooth_ranks_sum_identity(scores):
+    n = scores.size
+    total = _smooth_ranks(scores).sum()
+    assert abs(total - n * (n + 1) / 2.0) <= 1e-12 * n * (n + 1) / 2.0
+
+
+def vjp_term_scale(s, g):
+    """The largest sum of magnitudes a vjp entry adds up: (|g| W)_j + |g_j| (W 1)_j.
+
+    The entries themselves can cancel to nothing, e.g. for tied scores and equal g.
+    """
+    a = np.abs(g)
+    scale = np.zeros(s.size)
+    for lo, w in oracles._pair_blocks(s, slope=True):
+        rows = slice(lo, lo + len(w))
+        scale += a[rows] @ w
+        scale[rows] += a[rows] * w.sum(axis=1)
+    return scale.max()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(score_vectors(), st.data())
+def test_sorted_kernel_matches_full_block_oracle(scores, data):
+    g = data.draw(hnp.arrays(np.float64, scores.size, elements=st.floats(-3.0, 3.0)))
+    ranks, ref = _smooth_ranks(scores), oracles.smooth_ranks(scores)
+    assert np.all(np.abs(ranks - ref) <= 1e-12 * ref)
+    grad, ref_grad = _smooth_ranks_vjp(scores, g), oracles.smooth_ranks_vjp(scores, g)
+    assert np.abs(grad - ref_grad).max() <= 1e-12 * vjp_term_scale(scores, g)
 
 
 def test_ndcg_loss_backward_peak_memory_at_2000_names():

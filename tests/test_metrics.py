@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from momrank.data import gen_synthetic
 from momrank.errors import ContractError
@@ -45,6 +47,48 @@ def test_rank_ic_monotone_invariance():
     assert daily_rank_ic(np.exp(y), y) == pytest.approx(1.0)
     pred = rng.normal(size=25)
     assert daily_rank_ic(np.exp(pred), y) == pytest.approx(daily_rank_ic(pred, y), abs=1e-12)
+
+
+@st.composite
+def day_pairs(draw):
+    """One day's predictions and returns on 3-60 names; each side spans at least [-1, 1]."""
+    n = draw(st.integers(3, 60))
+    side = hnp.arrays(np.float64, n, elements=st.floats(-5.0, 5.0))
+    pred, y = draw(side), draw(side)
+    pred[:2] = (-1.0, 1.0)
+    y[-2:] = (1.0, -1.0)
+    return pred, y
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(day_pairs(), st.floats(0.01, 100.0), st.floats(-100.0, 100.0), st.booleans())
+def test_ic_invariant_under_positive_affine_maps_and_flips_under_negative(case, scale, shift,
+                                                                          map_pred):
+    pred, y = case
+    base = daily_ic(pred, y)
+    for sign in (1.0, -1.0):
+        if map_pred:
+            mapped = daily_ic(sign * scale * pred + shift, y)
+        else:
+            mapped = daily_ic(pred, sign * scale * y + shift)
+        assert mapped == pytest.approx(sign * base, abs=1e-9)
+
+
+INCREASING_MAPS = [np.exp, lambda v: v ** 3 + v, np.arctan]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 60).flatmap(lambda n: st.tuples(
+           hnp.arrays(np.float64, n, elements=st.integers(-40, 40).map(lambda k: k / 8.0)),
+           hnp.arrays(np.float64, n, elements=st.floats(-5.0, 5.0)))),
+       st.sampled_from(range(len(INCREASING_MAPS))), st.booleans())
+def test_rank_ic_invariant_under_strictly_increasing_maps(case, which, map_pred):
+    # grid values 1/8 apart stay distinct under each map, and ties stay tied
+    grid, other = case
+    f = INCREASING_MAPS[which]
+    pred, y = (grid, other) if map_pred else (other, grid)
+    mapped = daily_rank_ic(f(pred), y) if map_pred else daily_rank_ic(pred, f(y))
+    np.testing.assert_array_equal(mapped, daily_rank_ic(pred, y))  # NaN when a side is constant
 
 
 def test_rank_ic_reversed():
