@@ -20,13 +20,16 @@ import time
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import numpy as np
+
 from .backtest import cumulative_return, run_topn
 from .config import ExperimentConfig, _fmt_value, build_config, load_config, to_flat
-from .data import StockPanel, fraction_split_spec, gen_synthetic, load_csv, normalize_features, split
+from .data import (StockPanel, compute_return, fraction_split_spec, gen_synthetic, load_csv,
+                   normalize_features, split)
 from .data import SplitSpec
 from .errors import ConfigError, ContractError, MomrankError
 from .metrics import evaluate_predictions
-from .model import Architecture, load_checkpoint, predict_panel, save_checkpoint
+from .model import Architecture, load_checkpoint, predict_panel, save_checkpoint, window_ok
 from .momentum import UNLABELED, label_dataset
 from .training import N_CLASSES, class_labels_for, fit
 
@@ -79,8 +82,16 @@ def _split_panels(cfg: ExperimentConfig, panel: StockPanel):
 
 
 def _pick_split(cfg: ExperimentConfig, panel: StockPanel, name: str) -> StockPanel:
+    """The named split; it must have a day with 2 names to score against next-day returns."""
     train_p, valid_p, test_p = _split_panels(cfg, panel)
-    return {"train": train_p, "valid": valid_p, "test": test_p}[name]
+    picked = {"train": train_p, "valid": valid_p, "test": test_p}[name]
+    if picked.n_dates < 2 or not (
+            (window_ok(picked, cfg.train.window) & np.isfinite(compute_return(picked).y))
+            .sum(axis=1) >= 2).any():
+        raise ContractError(f"no scoreable day in the {name} split: it has {picked.n_dates} "
+                            f"dates, and with train.window = {cfg.train.window} no date has "
+                            f"2 names with a full feature window and a next-day return")
+    return picked
 
 
 def _load_params(path):

@@ -25,7 +25,9 @@ class StockPanel:
     """Date x ticker panel of closes, feature channels and a validity mask.
 
     A valid cell's close and features must be finite; the first one that is
-    not raises ``DataError`` naming its date and ticker.
+    not raises ``DataError`` naming its date and ticker. Panels cut or
+    transformed from a checked panel are built with ``derived``, which skips
+    the checks.
     """
 
     dates: list[str]            # ISO-8601, strictly increasing
@@ -42,15 +44,16 @@ class StockPanel:
             raise DataError(f"close/valid shape mismatch: {self.close.shape} vs ({t}, {n})")
         if self.features.shape[:2] != (t, n):
             raise DataError(f"features shape {self.features.shape} does not match ({t}, {n})")
-        if not (np.isfinite(self.close).all() and np.isfinite(self.features).all()):
-            finite = np.isfinite(self.close)
-            for k in range(self.n_features):  # 3x faster than .all(axis=2) over few channels
-                finite &= np.isfinite(self.features[..., k])
-            bad = self.valid & ~finite
-            if bad.any():
-                d, i = np.argwhere(bad)[0]
-                raise DataError(f"non-finite close or feature at date {self.dates[d]} "
-                                f"ticker {self.tickers[i]}")
+        _check_finite(self)
+
+    @classmethod
+    def derived(cls, dates: list[str], tickers: list[str], close: np.ndarray,
+                features: np.ndarray, valid: np.ndarray) -> "StockPanel":
+        """A panel made from a checked panel's values, without checking them again."""
+        panel = cls.__new__(cls)
+        panel.dates, panel.tickers, panel.valid = dates, tickers, valid
+        panel.close, panel.features = close, features
+        return panel
 
     @property
     def n_dates(self) -> int:
@@ -66,9 +69,23 @@ class StockPanel:
 
     def subpanel(self, lo: int, hi: int) -> "StockPanel":
         """Rows [lo, hi) as a new panel (copies; panels stay immutable)."""
-        return StockPanel(self.dates[lo:hi], list(self.tickers),
-                          self.close[lo:hi].copy(), self.features[lo:hi].copy(),
-                          self.valid[lo:hi].copy())
+        return StockPanel.derived(self.dates[lo:hi], list(self.tickers),
+                                  self.close[lo:hi].copy(), self.features[lo:hi].copy(),
+                                  self.valid[lo:hi].copy())
+
+
+def _check_finite(panel: StockPanel) -> None:
+    """Raise ``DataError`` at the first valid cell whose close or a feature is not finite."""
+    if np.isfinite(panel.close).all() and np.isfinite(panel.features).all():
+        return
+    finite = np.isfinite(panel.close)
+    for k in range(panel.n_features):  # 3x faster than .all(axis=2) over few channels
+        finite &= np.isfinite(panel.features[..., k])
+    bad = panel.valid & ~finite
+    if bad.any():
+        d, i = np.argwhere(bad)[0]
+        raise DataError(f"non-finite close or feature at date {panel.dates[d]} "
+                        f"ticker {panel.tickers[i]}")
 
 
 @dataclass
@@ -254,8 +271,8 @@ def normalize_features(panel: StockPanel) -> StockPanel:
         sd = np.sqrt(np.add.reduce(dev * dev, axis=1, where=valid) / count)
     degenerate = (sd < 1e-12)[:, None, :]
     z = np.where(degenerate, 0.0, dev / np.where(degenerate, 1.0, sd[:, None, :]))
-    return StockPanel(list(panel.dates), list(panel.tickers),
-                      panel.close.copy(), np.where(valid, z, panel.features), panel.valid.copy())
+    return StockPanel.derived(list(panel.dates), list(panel.tickers), panel.close.copy(),
+                              np.where(valid, z, panel.features), panel.valid.copy())
 
 
 def trading_days(n: int, start: str = "2018-01-02") -> list[str]:

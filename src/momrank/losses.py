@@ -7,6 +7,10 @@ the top level down until a floor is met (so a level is never split), and the
 final loss is ``exp(-NDCG@k)``. The classification objective averages
 cross-entropy and that ranking loss 50/50; ``classification_loss`` builds it
 from one log-probability node that cross-entropy and the ranking scores share.
+What depends on a day's labels alone (level group sizes, the k floor and k,
+integer gains, the ideal DCG@k, each row's cross-entropy label index) is
+derived once per day by ``split_labels``, and the objective reads it on every
+step.
 
 Smooth rank -> DCG@k is one autodiff node with a closed-form backward (the
 smooth-rank derivative of Qin, Liu & Li, 2010). It sorts the day's scores
@@ -77,6 +81,27 @@ class RankBatch:
     group_sizes: list[int]    # counts per level, highest level first
     threshold: int
     k: int
+    ideal: float | None = None  # ideal DCG@k under the scoring gain; None derives it on use
+
+
+@dataclass(frozen=True)
+class DayLabels:
+    """The label-only constants of one day's classification objective."""
+
+    gains: np.ndarray         # (n,) int64 levels: NDCG gains, hinge targets, CE classes
+    group_sizes: list[int]    # counts per level, highest level first
+    threshold: int            # the k floor
+    k: int
+    ideal: float              # ideal DCG@k under cfg.gain; 0.0 when every level is equal
+    label_index: np.ndarray   # (n,) flat index of each row's class in its (n, n_levels) logits
+
+
+def adaptive_ks(group_sizes: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """``adaptive_k`` of each row of a [days, levels] group-size array."""
+    cum = np.cumsum(group_sizes, axis=1)
+    floors = np.maximum(1, thresholds)
+    k = cum[np.arange(len(cum)), (cum >= floors[:, None]).argmax(axis=1)]
+    return np.where(k >= floors, k, cum[:, -1])
 
 
 def adaptive_k(group_sizes, threshold: int) -> int:
@@ -85,42 +110,78 @@ def adaptive_k(group_sizes, threshold: int) -> int:
     Returns the full pool size when every group is needed; never splits a
     group. ``threshold`` is clamped up to 1.
     """
-    sizes = [int(s) for s in group_sizes]
-    if any(s < 0 for s in sizes):
+    sizes = np.array([int(s) for s in group_sizes], dtype=np.int64)
+    if (sizes < 0).any():
         raise ContractError("group sizes must be non-negative")
-    n = sum(sizes)
-    if n == 0:
+    if sizes.sum() == 0:
         raise ContractError("empty batch: no items in any group")
-    threshold = max(1, int(threshold))
-    k = 0
-    for size in sizes:
-        k += size
-        if k >= threshold:
-            return k
-    return n
+    return int(adaptive_ks(sizes[None, :], np.array([int(threshold)]))[0])
 
 
-def level_groups(levels: np.ndarray, n_levels: int,
-                 threshold_frac: float) -> tuple[list[int], int]:
-    """One day's label-group sizes (highest level first) and its k floor."""
+def level_counts(levels: np.ndarray, sizes, n_levels: int,
+                 threshold_frac: float) -> tuple[np.ndarray, np.ndarray]:
+    """Label-group sizes and k floors of days stacked in one array of levels.
+
+    Day d is the next ``sizes[d]`` entries of ``levels``, each in [0, n_levels).
+    Returns the [days, n_levels] group sizes, highest level first, and each
+    day's floor max(1, ceil(threshold_frac * size)).
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    day = np.repeat(np.arange(sizes.size), sizes)
+    counts = np.bincount(day * n_levels + np.asarray(levels, dtype=np.int64),
+                         minlength=sizes.size * n_levels).reshape(sizes.size, n_levels)
+    floors = np.maximum(1, np.ceil(threshold_frac * sizes)).astype(np.int64)
+    return counts[:, ::-1], floors
+
+
+def split_labels(levels: np.ndarray, sizes, n_levels: int,
+                 cfg: RankLossConfig) -> list[DayLabels]:
+    """The label constants of days stacked in one array of levels in [0, n_levels).
+
+    Day d is the next ``sizes[d]`` (at least 1) entries of ``levels``. Group
+    sizes, floors and k come from one pass over all days.
+    """
+    gains = np.asarray(levels).astype(np.int64)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if gains.ndim != 1 or gains.size != sizes.sum() or (sizes < 1).any():
+        raise ContractError(f"labels must be a vector of non-empty days, got shape "
+                            f"{gains.shape} for day sizes {sizes.tolist()}")
+    if gains.size and (gains.min() < 0 or gains.max() >= n_levels):
+        raise ContractError(f"labels must lie in [0, {n_levels - 1}]")
+    groups, floors = level_counts(gains, sizes, n_levels, cfg.threshold_frac)
+    if cfg.fixed_k is not None:
+        ks = np.minimum(cfg.fixed_k, sizes)
+    else:
+        ks = adaptive_ks(groups, floors)
+    one_level = (groups > 0).sum(axis=1) == 1
+    out = []
+    for day, size, k, floor, flat, group in zip(np.split(gains, np.cumsum(sizes)[:-1]), sizes,
+                                                ks.tolist(), floors.tolist(), one_level,
+                                                groups.tolist()):
+        ideal = 0.0 if flat else ideal_dcg_at_k(day, k, cfg.gain)
+        out.append(DayLabels(gains=day, group_sizes=group, threshold=floor, k=k, ideal=ideal,
+                             label_index=np.arange(size) * n_levels + day))
+    return out
+
+
+def day_labels(levels: np.ndarray, n_levels: int, cfg: RankLossConfig) -> DayLabels:
+    """One day's label constants: ``split_labels`` of a single day."""
     levels = np.asarray(levels)
-    sizes = [int((levels == lvl).sum()) for lvl in range(n_levels - 1, -1, -1)]
-    return sizes, max(1, math.ceil(threshold_frac * levels.size))
+    return split_labels(levels, [levels.size], n_levels, cfg)[0]
+
+
+def rank_batch(scores: Tensor, labels: DayLabels) -> RankBatch:
+    """One day's ranking scores over its label constants."""
+    if scores.data.shape != labels.gains.shape:
+        raise ContractError(f"scores shape {scores.data.shape} does not match "
+                            f"{labels.gains.size} labels")
+    return RankBatch(scores=scores, gains=labels.gains, group_sizes=labels.group_sizes,
+                     threshold=labels.threshold, k=labels.k, ideal=labels.ideal)
 
 
 def make_rank_batch(scores: Tensor, levels: np.ndarray, n_levels: int,
                     cfg: RankLossConfig) -> RankBatch:
-    levels = np.asarray(levels)
-    n = levels.size
-    if scores.data.shape != (n,):
-        raise ContractError(f"scores shape {scores.data.shape} does not match {n} labels")
-    group_sizes, threshold = level_groups(levels, n_levels, cfg.threshold_frac)
-    if cfg.fixed_k is not None:
-        k = min(cfg.fixed_k, n)
-    else:
-        k = adaptive_k(group_sizes, threshold)
-    return RankBatch(scores=scores, gains=levels.astype(np.int64),
-                     group_sizes=group_sizes, threshold=threshold, k=k)
+    return rank_batch(scores, day_labels(levels, n_levels, cfg))
 
 
 def _upper_blocks(t: np.ndarray, slope: bool = False):
@@ -273,9 +334,9 @@ def approx_ndcg_at_k(batch: RankBatch, gain: str = GAIN_STANDARD) -> Tensor:
     levels = batch.gains
     if levels.size == 0:
         raise ContractError("empty batch")
-    if levels.max() == levels.min():
-        return Tensor(1.0)
-    ideal = ideal_dcg_at_k(levels, batch.k, gain)
+    ideal = batch.ideal
+    if ideal is None:
+        ideal = 0.0 if levels.max() == levels.min() else ideal_dcg_at_k(levels, batch.k, gain)
     if ideal <= 0.0:
         return Tensor(1.0)
     return _smooth_dcg_at_k(batch.scores, levels, batch.k, gain) / ideal
@@ -307,16 +368,13 @@ def log_softmax(logits: Tensor) -> Tensor:
     return Tensor(logp, (logits,), backward)
 
 
-def cross_entropy(logp: Tensor, labels: np.ndarray) -> Tensor:
+def cross_entropy(logp: Tensor, labels: DayLabels) -> Tensor:
     """Mean negative log-probability of each row's label."""
-    labels = np.asarray(labels, dtype=np.int64)
-    n, n_classes = logp.data.shape
-    if labels.shape != (n,):
-        raise ContractError(f"labels shape {labels.shape} does not match {n} rows")
-    if labels.min() < 0 or labels.max() >= n_classes:
-        raise ContractError(f"labels must lie in [0, {n_classes - 1}]")
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), labels] = 1.0
+    if logp.data.shape[0] != labels.gains.size:
+        raise ContractError(f"labels shape {labels.gains.shape} does not match "
+                            f"{logp.data.shape[0]} rows")
+    onehot = np.zeros(logp.data.shape)
+    onehot.flat[labels.label_index] = 1.0
     return -(logp * onehot).sum(axis=1).mean()
 
 
@@ -372,17 +430,17 @@ def pairwise_loss(scores: Tensor, target: np.ndarray) -> Tensor:
     return Tensor(value, (scores,), backward)
 
 
-def classification_loss(logits: Tensor, labels: np.ndarray,
+def classification_loss(logits: Tensor, labels: DayLabels,
                         cfg: RankLossConfig) -> tuple[Tensor, RankBatch]:
     """The classification objective and its rank batch.
 
     One log-probability node feeds both terms: cross-entropy on the labels,
     and the ranking term on ``SCORE_SCALE`` times the expected level. The
-    loss is the mean of the two terms.
+    loss is the mean of the two terms. ``labels`` come from ``day_labels``
+    with this ``cfg`` and the logits' width as ``n_levels``.
     """
     logp = log_softmax(logits)
-    scores = expected_level(logp) * SCORE_SCALE
-    batch = make_rank_batch(scores, labels, logits.data.shape[1], cfg)
+    batch = rank_batch(expected_level(logp) * SCORE_SCALE, labels)
     if cfg.ranking == RANK_PAIRWISE:
         rank_term = pairwise_loss(batch.scores, batch.gains.astype(np.float64))
     else:

@@ -5,6 +5,16 @@ cross-section, and are averaged over days with a defined value. Days with
 fewer than two stocks or zero variance on either side are undefined and drop
 out of the mean. Standard deviations across days are reported x1e3, matching
 the usual table convention for these metrics.
+
+The kernels take a whole split at once: the days' cross-sections stacked in
+one array, day d being the next ``sizes[d]`` entries. Every per-day sum is a
+segment sum that numpy rounds as it rounds that day's ``ndarray.sum``, and
+within-day sorts run on a [days, max names] array padded with NaN, which a
+stable sort places after every value. So a day's result does not depend on
+the other days, and ``daily_ic``, ``daily_rank_ic``, ``average_ranks`` and
+``precision_at_n`` are the kernels' one-day case. For the same reason the
+kernels can take a split ``_GROUP_ROWS`` names of whole days at a time, which
+keeps their temporaries to a few hundred KiB on any split.
 """
 
 from __future__ import annotations
@@ -16,8 +26,121 @@ import numpy as np
 
 from .data import StockPanel, compute_return
 from .errors import ContractError
-from .losses import RankLossConfig, adaptive_k, level_groups
+from .losses import RankLossConfig, adaptive_ks, level_counts
 from .momentum import UNLABELED
+
+_GROUP_ROWS = 4096  # names of whole days per kernel pass; a larger day runs alone
+
+
+def _day_groups(sizes: np.ndarray, *arrays):
+    """Yield runs of whole days of at most ``_GROUP_ROWS`` names: each run's
+    slices of ``arrays`` and its day sizes. Yields once, empty, for no days."""
+    ends = np.cumsum(sizes)
+    first = lo = 0
+    while True:
+        stop = int(np.searchsorted(ends, lo + _GROUP_ROWS, side="right"))
+        stop = min(sizes.size, max(first + 1, stop))
+        hi = int(ends[stop - 1]) if stop else 0
+        yield (*(a[lo:hi] for a in arrays), sizes[first:stop])
+        if stop >= sizes.size:
+            return
+        first, lo = stop, hi
+
+
+def _day_sums(v: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Sum of each day's entries, rounded as ``v[day].sum()`` rounds it.
+
+    ``ndarray.sum`` adds the pairwise sum of the entries to a zero, and
+    ``add.reduceat`` adds the pairwise sum of a segment's tail to its head,
+    so each segment gets a leading zero.
+    """
+    padded = np.insert(v, starts, 0.0)
+    return np.add.reduceat(padded, starts + np.arange(starts.size))
+
+
+def _pearson(a: np.ndarray, b: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Per-day Pearson correlation with population moments; NaN where undefined."""
+    starts = np.cumsum(sizes) - sizes
+    n = sizes.astype(np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dev_a = a - np.repeat(_day_sums(a, starts) / n, sizes)
+        dev_b = b - np.repeat(_day_sums(b, starts) / n, sizes)
+        sd_a = np.sqrt(_day_sums(dev_a * dev_a, starts) / n)
+        sd_b = np.sqrt(_day_sums(dev_b * dev_b, starts) / n)
+        ic = _day_sums(dev_a * dev_b, starts) / n / (sd_a * sd_b)
+    return np.where((sizes < 2) | (sd_a < 1e-15) | (sd_b < 1e-15), np.nan, ic)
+
+
+def _day_grid(v: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``v`` as a [days, max names] array padded with NaN, and the mask of its entries."""
+    width = int(sizes.max(initial=0))
+    filled = np.arange(width) < sizes[:, None]
+    grid = np.full((sizes.size, width), np.nan)
+    grid[filled] = v
+    return grid, filled
+
+
+def _sorted_within_days(v: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Indices into ``v`` that sort each day ascending, ties in index order."""
+    grid, filled = _day_grid(v, sizes)
+    order = grid.argsort(axis=1, kind="stable")
+    return (order + (np.cumsum(sizes) - sizes)[:, None])[filled]
+
+
+def day_ranks(v: np.ndarray, sizes) -> np.ndarray:
+    """1-based ranks within each day, ties averaged."""
+    v = np.asarray(v, dtype=np.float64)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    order = _sorted_within_days(v, sizes)
+    sv = v[order]
+    first = np.ones(v.size, dtype=bool)      # first entry of each tie run
+    first[1:] = sv[1:] != sv[:-1]
+    starts = np.cumsum(sizes) - sizes
+    first[starts[sizes > 0]] = True
+    run_lo = np.flatnonzero(first)
+    run_hi = np.empty_like(run_lo)               # inclusive
+    run_hi[:-1] = run_lo[1:] - 1
+    run_hi[-1:] = v.size - 1
+    day_lo = np.repeat(starts, sizes)[run_lo]
+    ranks = np.empty(v.size)
+    ranks[order] = np.repeat(((run_lo - day_lo) + (run_hi - day_lo)) / 2.0 + 1.0,
+                             run_hi - run_lo + 1)
+    return ranks
+
+
+def day_ics(pred: np.ndarray, y: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray]:
+    """IC and RankIC of each day of a split; NaN where undefined."""
+    pred = np.asarray(pred, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if pred.shape != y.shape or pred.ndim != 1 or sizes.sum() != pred.size:
+        raise ContractError(f"shape mismatch {pred.shape} vs {y.shape} "
+                            f"for days of {sizes.sum()} names")
+    parts = [(_pearson(p, q, n), _pearson(day_ranks(p, n), day_ranks(q, n), n))
+             for p, q, n in _day_groups(sizes, pred, y)]
+    return np.concatenate([ic for ic, _ in parts]), np.concatenate([ric for _, ric in parts])
+
+
+def day_precisions(pred: np.ndarray, y: np.ndarray, sizes, n_tops) -> dict[int, np.ndarray]:
+    """Precision@N of each day of a split for each N; NaN on days with fewer than N names.
+
+    Percent of the N top-scored names with positive realized return, ties in
+    score broken by position within the day.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if any(n_top < 1 for n_top in n_tops):
+        raise ContractError(f"precision depths must be >= 1, got {list(n_tops)}")
+    parts = []
+    for p, q, n in _day_groups(sizes, np.asarray(pred, dtype=np.float64),
+                               np.asarray(y, dtype=np.float64)):
+        grid, _ = _day_grid(q[_sorted_within_days(-p, n)], n)
+        hits = np.cumsum(grid > 0, axis=1)   # positive returns among each day's top names
+        part = {}
+        for n_top in n_tops:
+            counts = hits[:, n_top - 1] if n_top <= hits.shape[1] else np.zeros(n.size)
+            part[n_top] = np.where(n >= n_top, 100.0 * counts / n_top, np.nan)
+        parts.append(part)
+    return {n_top: np.concatenate([part[n_top] for part in parts]) for n_top in n_tops}
 
 
 def daily_ic(pred: np.ndarray, y: np.ndarray) -> float:
@@ -26,35 +149,17 @@ def daily_ic(pred: np.ndarray, y: np.ndarray) -> float:
     y = np.asarray(y, dtype=np.float64)
     if pred.shape != y.shape:
         raise ContractError(f"shape mismatch {pred.shape} vs {y.shape}")
-    if pred.size < 2:
-        return float("nan")
-    sp, sy = pred.std(), y.std()
-    if sp < 1e-15 or sy < 1e-15:
-        return float("nan")
-    cov = ((pred - pred.mean()) * (y - y.mean())).mean()
-    return float(cov / (sp * sy))
+    return float(_pearson(pred.ravel(), y.ravel(), np.array([pred.size]))[0])
 
 
 def average_ranks(v: np.ndarray) -> np.ndarray:
     """1-based ranks, ties averaged."""
-    v = np.asarray(v, dtype=np.float64)
-    order = np.argsort(v, kind="stable")
-    sv = v[order]
-    cuts = np.flatnonzero(sv[1:] != sv[:-1]) + 1   # first index of each tie run but the first
-    start = np.concatenate(([0], cuts))
-    end = np.concatenate((cuts, [v.size])) - 1      # inclusive
-    ranks = np.empty(v.size, dtype=np.float64)
-    ranks[order] = np.repeat((start + end) / 2.0 + 1.0, end - start + 1)
-    return ranks
+    return day_ranks(v, [np.size(v)])
 
 
 def daily_rank_ic(pred: np.ndarray, y: np.ndarray) -> float:
     """Pearson correlation of average-ranked vectors; NaN if undefined."""
-    pred = np.asarray(pred, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if pred.size < 2:
-        return float("nan")
-    return daily_ic(average_ranks(pred), average_ranks(y))
+    return float(day_ics(pred, y, [np.size(pred)])[1][0])
 
 
 def precision_at_n(pred: np.ndarray, y: np.ndarray, n_top: int) -> float:
@@ -65,8 +170,7 @@ def precision_at_n(pred: np.ndarray, y: np.ndarray, n_top: int) -> float:
         raise ContractError(f"shape mismatch {pred.shape} vs {y.shape}")
     if n_top < 1 or n_top > pred.size:
         raise ContractError(f"N={n_top} out of range for {pred.size} stocks")
-    top = np.argsort(-pred, kind="stable")[:n_top]
-    return 100.0 * float((y[top] > 0).sum()) / n_top
+    return float(day_precisions(pred, y, [pred.size], [n_top])[n_top][0])
 
 
 def record_k(k_values) -> dict[int, int]:
@@ -127,29 +231,27 @@ def evaluate_predictions(scores: np.ndarray, panel: StockPanel,
                          loss_cfg: RankLossConfig | None = None) -> EvalReport:
     """Score a prediction matrix against a panel's realized next-day returns.
 
-    Precision@N on a day is only defined when the day has at least N scored
-    stocks. When class labels are given, the day-by-day adaptive truncation
-    depth is recorded into the report's k histogram.
+    A day counts when at least 2 valid names have a score and a next-day
+    return. Precision@N on a day is only defined when the day has at least N
+    such names. When class labels are given, the day-by-day adaptive
+    truncation depth over those names' labels is recorded into the report's
+    k histogram.
     """
     y = compute_return(panel).y
-    ics, rics = [], []
-    precisions: dict[int, list[float]] = {n: [] for n in precision_ns}
-    k_values: list[int] = []
+    ok = np.isfinite(y) & np.isfinite(scores) & panel.valid
+    days = np.flatnonzero(ok.sum(axis=1) >= 2)
+    ok = ok[days]
+    sizes = ok.sum(axis=1)
+    pred, ret = scores[days][ok], y[days][ok]
+    ics, rics = day_ics(pred, ret, sizes)
+    precisions = day_precisions(pred, ret, sizes, precision_ns)
+    k_values = []
     cfg = loss_cfg or RankLossConfig()
-    for t in range(panel.n_dates):
-        ok = np.isfinite(y[t]) & np.isfinite(scores[t]) & panel.valid[t]
-        if ok.sum() < 2:
-            continue
-        pred_t, y_t = scores[t, ok], y[t, ok]
-        ics.append(daily_ic(pred_t, y_t))
-        rics.append(daily_rank_ic(pred_t, y_t))
-        for n_top in precision_ns:
-            if n_top <= pred_t.size:
-                precisions[n_top].append(precision_at_n(pred_t, y_t, n_top))
-        if class_labels is not None and cfg.fixed_k is None:
-            lab = class_labels[t, ok]
-            lab = lab[lab != UNLABELED]
-            if lab.size:
-                k_values.append(adaptive_k(*level_groups(lab, int(lab.max()) + 1,
-                                                         cfg.threshold_frac)))
+    if class_labels is not None and cfg.fixed_k is None:
+        labeled = ok & (class_labels[days] != UNLABELED)
+        lab = class_labels[days][labeled]
+        if lab.size:
+            groups, floors = level_counts(lab, labeled.sum(axis=1), int(lab.max()) + 1,
+                                          cfg.threshold_frac)
+            k_values = adaptive_ks(groups, floors)[labeled.any(axis=1)].tolist()
     return aggregate(ics, rics, precisions, k_values)

@@ -28,6 +28,16 @@ Modes (one row of ``MODES`` each; the pipeline is log-grad, EMA and balancing):
 Decay adapts on the mean converge rate over the active tasks. With the
 pipeline off the trunk step is the plain sum of the raw task gradients (plain
 joint training); with one task it is that task's EMA'd gradient.
+
+``build_batches`` writes a split's feature windows once into one contiguous
+[rows, window, features] array, each day's batch holding a row slice of it,
+and derives each day's label constants once (``losses.split_labels``); every
+step and every evaluation reads them. Epoch-end evaluation runs the training
+forward and losses under ``no_grad``, one day per forward, and takes every
+day's IC and RankIC from one split-wide ``metrics.day_ics`` call. A forward
+over several days would not reproduce the per-day values bitwise: BLAS rounds
+the regression head's matrix-vector product differently in the last rows of
+a call.
 """
 
 from __future__ import annotations
@@ -35,13 +45,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .autodiff import Tensor, gradients, no_grad
 from .data import StockPanel, compute_return
 from .errors import ContractError, TrainingError
-from .losses import RankLossConfig, classification_loss, mse_loss
-from .metrics import daily_ic, daily_rank_ic
-from .model import (Architecture, BackboneParams, day_window, forward, init_params, window_ok)
+from .losses import DayLabels, RankLossConfig, classification_loss, mse_loss, split_labels
+from .metrics import day_ics
+from .model import Architecture, BackboneParams, forward, init_params, window_ok
 from .momentum import UNLABELED, MomentumConfig, label_dataset, rise_fall_label
 
 MODE_FULL, MODE_EW, MODE_STL = "full", "ew", "stl"
@@ -247,10 +258,10 @@ def _flatten(arrays) -> np.ndarray:
 @dataclass
 class _DayBatch:
     t: int
-    rows: np.ndarray
-    feats: np.ndarray
+    rows: np.ndarray      # ticker columns of the day's names
+    feats: np.ndarray     # [names, window, features], a row slice of the split's windows
     y: np.ndarray
-    labels: np.ndarray
+    labels: DayLabels
 
 
 def class_labels_for(panel: StockPanel, task: str, mom_cfg: MomentumConfig) -> np.ndarray:
@@ -259,26 +270,35 @@ def class_labels_for(panel: StockPanel, task: str, mom_cfg: MomentumConfig) -> n
     return label_dataset(panel, mom_cfg)
 
 
-def build_batches(panel: StockPanel, labels: np.ndarray, window: int) -> list[_DayBatch]:
+def build_batches(panel: StockPanel, labels: np.ndarray, window: int, n_classes: int,
+                  loss_cfg: RankLossConfig) -> list[_DayBatch]:
     """One batch per trading day with >= 2 stocks carrying window, y and label.
 
     The regression target is the day's return z-scored across the batch,
     putting the MSE on unit scale like the class loss. Per-day IC against the
-    raw return is unchanged (affine invariance).
+    raw return is unchanged (affine invariance). The split's feature windows
+    are written once into one contiguous [rows, window, features] array, and
+    each day's label constants are derived once.
     """
     y = compute_return(panel).y
-    ok = window_ok(panel, window)
+    usable = window_ok(panel, window) & np.isfinite(y) & (labels != UNLABELED)
+    usable[usable.sum(axis=1) < 2] = False
+    day_of, ticker_of = np.nonzero(usable)   # the usable cells, day by day
+    days, starts, sizes = np.unique(day_of, return_index=True, return_counts=True)
+    windows = np.empty((0, window, panel.n_features))
+    if day_of.size:  # ticker-major, a cell's window is one contiguous block to copy
+        by_ticker = np.ascontiguousarray(panel.features.transpose(1, 0, 2))
+        windows = sliding_window_view(by_ticker, window, axis=1).transpose(0, 1, 3, 2)[
+            ticker_of, day_of - (window - 1)]
+    labels_by_day = split_labels(labels[day_of, ticker_of], sizes, n_classes, loss_cfg)
     batches: list[_DayBatch] = []
-    for t in range(window - 1, panel.n_dates):
-        rows = np.flatnonzero(ok[t] & np.isfinite(y[t]) & (labels[t] != UNLABELED))
-        if rows.size < 2:
-            continue
+    for t, lo, size, day in zip(days.tolist(), starts.tolist(), sizes.tolist(), labels_by_day):
+        rows = ticker_of[lo: lo + size]
         target = y[t, rows]
         sd = target.std()
         target = (target - target.mean()) / sd if sd > 1e-12 else np.zeros_like(target)
-        batches.append(_DayBatch(t=t, rows=rows,
-                                 feats=day_window(panel, t, window, rows),
-                                 y=target, labels=labels[t, rows]))
+        batches.append(_DayBatch(t=t, rows=rows, feats=windows[lo: lo + size], y=target,
+                                 labels=day))
     return batches
 
 
@@ -322,25 +342,30 @@ def _split_metrics(params: BackboneParams, batches: list[_DayBatch],
                    loss_cfg: RankLossConfig, tasks: tuple[str, ...]):
     """Mean per-day loss per task plus IC/RankIC of the regression head on a split.
 
-    Runs the training forward and losses under ``no_grad``: values only, no graph.
+    Runs the training forward and losses under ``no_grad``, one day at a time:
+    values only, no graph. IC and RankIC of every day come from one split-wide
+    call.
     """
     if not batches:
         return dict.fromkeys(tasks, float("nan")), float("nan"), float("nan")
     loss_sums = dict.fromkeys(tasks, 0.0)
-    ics, rics = [], []
+    preds = []
     with no_grad():
         for batch in batches:
             out, losses, _ = _batch_losses(params, batch, loss_cfg, tasks)
             for task in tasks:
                 loss_sums[task] += losses[task].item()
-            ics.append(daily_ic(out.pred_return.data, batch.y))
-            rics.append(daily_rank_ic(out.pred_return.data, batch.y))
+            preds.append(out.pred_return.data)
+    ics, rics = day_ics(np.concatenate(preds), np.concatenate([b.y for b in batches]),
+                        [b.rows.size for b in batches])
     n = len(batches)
-    finite_ics = [v for v in ics if np.isfinite(v)]
-    finite_rics = [v for v in rics if np.isfinite(v)]
-    ic = float(np.mean(finite_ics)) if finite_ics else float("nan")
-    ric = float(np.mean(finite_rics)) if finite_rics else float("nan")
-    return {task: total / n for task, total in loss_sums.items()}, ic, ric
+    return ({task: total / n for task, total in loss_sums.items()},
+            _finite_mean(ics), _finite_mean(rics))
+
+
+def _finite_mean(values: np.ndarray) -> float:
+    finite = values[np.isfinite(values)]
+    return float(finite.mean()) if finite.size else float("nan")
 
 
 def fit(train_panel: StockPanel, valid_panel: StockPanel, mom_cfg: MomentumConfig,
@@ -352,15 +377,16 @@ def fit(train_panel: StockPanel, valid_panel: StockPanel, mom_cfg: MomentumConfi
     """
     mode = MODES[cfg.mode]
     tasks = mode.tasks
-    train_batches = build_batches(train_panel, class_labels_for(train_panel, cfg.task, mom_cfg),
-                                  cfg.window)
-    valid_batches = build_batches(valid_panel, class_labels_for(valid_panel, cfg.task, mom_cfg),
-                                  cfg.window)
+    n_classes = N_CLASSES[cfg.task]
+    train_batches, valid_batches = (
+        build_batches(panel, class_labels_for(panel, cfg.task, mom_cfg), cfg.window, n_classes,
+                      loss_cfg)
+        for panel in (train_panel, valid_panel))
     if not train_batches:
         raise _no_training_days(train_panel, cfg, mom_cfg)
 
     arch = Architecture(window=cfg.window, n_features=train_panel.n_features,
-                        hidden=cfg.hidden, n_classes=N_CLASSES[cfg.task])
+                        hidden=cfg.hidden, n_classes=n_classes)
     params = init_params(arch, seed)
     theta = params.trunk_tensors()
     head_tensors = {REG: params.reg_tensors(), CLS: params.cls_tensors()}

@@ -5,18 +5,25 @@ in one vectorized or fused path: gradients by central differences, the
 array logistic and a sigmoid node for composed reference graphs, composed
 log-probabilities, exact ranks and NDCG, the full-block smooth-rank kernel,
 the composed pairwise hinge, per-ticker momentum lines and the per-line trend
-rule. None of them runs outside the tests.
+rule, the per-day metric, k and evaluation loops that the split-wide kernels
+replaced, and a per-day forward over windows gathered ticker by ticker. None
+of them runs outside the tests.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from momrank.autodiff import Tensor
+from momrank.autodiff import Tensor, no_grad
+from momrank.data import compute_return
 from momrank.errors import ContractError, GraphError, NumericError
 from momrank.losses import _ROW_CHUNK, GAIN_STANDARD, gain_values, ideal_dcg_at_k
+from momrank.metrics import aggregate
+from momrank.model import forward, window_ok
 from momrank.momentum import (LEVEL_BOUNCE, LEVEL_NEGATIVE, LEVEL_POSITIVE, LEVEL_SINK,
-                              LEVEL_VOLATILE, MomentumConfig)
+                              LEVEL_VOLATILE, UNLABELED, MomentumConfig)
 
 
 # ---- gradients ----
@@ -242,3 +249,121 @@ def classify_line(values: np.ndarray, dead_zone: float = 0.0) -> int:
     if nonzero[0] == 1 and nonzero[-1] == -1:
         return LEVEL_SINK
     return LEVEL_VOLATILE
+
+
+# ---- per-day metrics, k and evaluation ----
+
+def daily_ic(pred: np.ndarray, y: np.ndarray) -> float:
+    """Pearson correlation of one day's cross-section; NaN if undefined."""
+    pred = np.asarray(pred, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if pred.size < 2:
+        return float("nan")
+    sp, sy = pred.std(), y.std()
+    if sp < 1e-15 or sy < 1e-15:
+        return float("nan")
+    cov = ((pred - pred.mean()) * (y - y.mean())).mean()
+    return float(cov / (sp * sy))
+
+
+def average_ranks(v: np.ndarray) -> np.ndarray:
+    """1-based ranks, ties averaged: the tie runs of one stable sort."""
+    v = np.asarray(v, dtype=np.float64)
+    order = np.argsort(v, kind="stable")
+    sv = v[order]
+    cuts = np.flatnonzero(sv[1:] != sv[:-1]) + 1   # first index of each tie run but the first
+    start = np.concatenate(([0], cuts))
+    end = np.concatenate((cuts, [v.size])) - 1      # inclusive
+    ranks = np.empty(v.size, dtype=np.float64)
+    ranks[order] = np.repeat((start + end) / 2.0 + 1.0, end - start + 1)
+    return ranks
+
+
+def daily_rank_ic(pred: np.ndarray, y: np.ndarray) -> float:
+    """Pearson correlation of average-ranked vectors; NaN if undefined."""
+    if np.asarray(pred).size < 2:
+        return float("nan")
+    return daily_ic(average_ranks(pred), average_ranks(y))
+
+
+def precision_at_n(pred: np.ndarray, y: np.ndarray, n_top: int) -> float:
+    """Percent of the N top-scored names with positive realized return."""
+    top = np.argsort(-np.asarray(pred, dtype=np.float64), kind="stable")[:n_top]
+    return 100.0 * float((np.asarray(y)[top] > 0).sum()) / n_top
+
+
+def level_groups(levels: np.ndarray, n_levels: int,
+                 threshold_frac: float) -> tuple[list[int], int]:
+    """One day's label-group sizes (highest level first) and its k floor, level by level."""
+    levels = np.asarray(levels)
+    sizes = [int((levels == lvl).sum()) for lvl in range(n_levels - 1, -1, -1)]
+    return sizes, max(1, math.ceil(threshold_frac * levels.size))
+
+
+def adaptive_k(group_sizes, threshold: int) -> int:
+    """Accumulate whole level groups from the top until the floor is met."""
+    threshold = max(1, int(threshold))
+    k = 0
+    for size in group_sizes:
+        k += int(size)
+        if k >= threshold:
+            return k
+    return k
+
+
+def evaluate_by_day(scores, panel, precision_ns, class_labels=None, threshold_frac=0.2):
+    """``metrics.evaluate_predictions`` as one pass per date (the adaptive-k case)."""
+    y = compute_return(panel).y
+    ics, rics, k_values = [], [], []
+    precisions: dict[int, list[float]] = {n: [] for n in precision_ns}
+    for t in range(panel.n_dates):
+        ok = np.isfinite(y[t]) & np.isfinite(scores[t]) & panel.valid[t]
+        if ok.sum() < 2:
+            continue
+        pred_t, y_t = scores[t, ok], y[t, ok]
+        ics.append(daily_ic(pred_t, y_t))
+        rics.append(daily_rank_ic(pred_t, y_t))
+        for n_top in precision_ns:
+            if n_top <= pred_t.size:
+                precisions[n_top].append(precision_at_n(pred_t, y_t, n_top))
+        if class_labels is not None:
+            lab = class_labels[t, ok]
+            lab = lab[lab != UNLABELED]
+            if lab.size:
+                k_values.append(adaptive_k(*level_groups(lab, int(lab.max()) + 1,
+                                                         threshold_frac)))
+    return aggregate(ics, rics, precisions, k_values)
+
+
+def split_metrics_by_day(params, batches, loss_cfg, tasks, batch_losses):
+    """``training._split_metrics`` as one pass per day with the per-day IC loops."""
+    if not batches:
+        return dict.fromkeys(tasks, float("nan")), float("nan"), float("nan")
+    loss_sums = dict.fromkeys(tasks, 0.0)
+    ics, rics = [], []
+    with no_grad():
+        for batch in batches:
+            out, losses, _ = batch_losses(params, batch, loss_cfg, tasks)
+            for task in tasks:
+                loss_sums[task] += losses[task].item()
+            ics.append(daily_ic(out.pred_return.data, batch.y))
+            rics.append(daily_rank_ic(out.pred_return.data, batch.y))
+    finite_ics = [v for v in ics if np.isfinite(v)]
+    finite_rics = [v for v in rics if np.isfinite(v)]
+    ic = float(np.mean(finite_ics)) if finite_ics else float("nan")
+    ric = float(np.mean(finite_rics)) if finite_rics else float("nan")
+    return {task: total / len(batches) for task, total in loss_sums.items()}, ic, ric
+
+
+def predict_by_day(params, panel) -> np.ndarray:
+    """Regression-head scores from one forward per date over windows gathered per ticker."""
+    window = params.arch.window
+    ok = window_ok(panel, window)
+    scores = np.full((panel.n_dates, panel.n_tickers), np.nan)
+    with no_grad():
+        for t in range(panel.n_dates):
+            rows = [i for i in range(panel.n_tickers) if ok[t, i]]
+            if rows:
+                feats = np.stack([panel.features[t - window + 1: t + 1, i] for i in rows])
+                scores[t, rows] = forward(params, feats).pred_return.data
+    return scores

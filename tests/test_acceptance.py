@@ -19,8 +19,8 @@ from momrank.cli import main
 from momrank.data import (StockPanel, compute_return, fraction_split_spec, gen_synthetic,
                           normalize_features, split, trading_days)
 from momrank.losses import (RankLossConfig, _smooth_ranks, adaptive_k, approx_ndcg_at_k,
-                            classification_loss, cross_entropy, log_softmax, make_rank_batch,
-                            mse_loss, ndcg_loss, pairwise_loss)
+                            classification_loss, cross_entropy, day_labels, log_softmax,
+                            make_rank_batch, mse_loss, ndcg_loss, pairwise_loss)
 from momrank.metrics import daily_ic, daily_rank_ic, evaluate_predictions, precision_at_n
 from momrank.model import Architecture, forward, init_params, predict_panel
 from momrank.momentum import (LEVEL_BOUNCE, LEVEL_NEGATIVE, LEVEL_POSITIVE, LEVEL_SINK,
@@ -45,7 +45,7 @@ def test_criterion_1_gradient_correctness():
         point = np.random.default_rng(200 + seed).normal(size=8)
         assert check_gradient(lambda x: mse_loss(x, y), point) < tol
 
-    labels = np.random.default_rng(101).integers(0, 5, size=6)
+    labels = day_labels(np.random.default_rng(101).integers(0, 5, size=6), 5, RankLossConfig())
     for seed in range(25):
         point = np.random.default_rng(300 + seed).normal(size=30)
         assert check_gradient(lambda x: cross_entropy(log_softmax(x.reshape(6, 5)), labels),
@@ -183,7 +183,7 @@ def test_criterion_6_plain_joint_training_equivalence():
     result = fit(train_p, valid_p, mom_cfg, loss_cfg, cfg, seed=23)
 
     labels = class_labels_for(train_p, "momentum", mom_cfg)
-    batches = build_batches(train_p, labels, window=1)
+    batches = build_batches(train_p, labels, 1, 5, loss_cfg)
     assert len(batches) == 1 and batches[0].rows.size == 5
     arch = Architecture(window=1, n_features=train_p.n_features, hidden=(6, 6),
                         trunk="mlp", n_classes=5)

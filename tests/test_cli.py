@@ -184,6 +184,40 @@ def test_checkpoint_not_matching_the_run_exits_2_naming_both_values(tmp_path, ca
         assert not any(out.iterdir())
 
 
+NO_SCOREABLE_DAY = ("error: no scoreable day in the test split: it has 8 dates, and with "
+                    "train.window = 20 no date has 2 names with a full feature window and a "
+                    "next-day return\n")
+
+
+@pytest.fixture(scope="module")
+def default_checkpoint(tmp_path_factory):
+    """A 1-epoch checkpoint of the default config on a 100-date panel."""
+    out = tmp_path_factory.mktemp("default_train")
+    assert main(["train", "--set", "data.n_dates=100", "--set", "train.epochs=1",
+                 "--out-dir", str(out)]) == 0
+    return out / "checkpoint.json"
+
+
+def run_on_short_panel(command, checkpoint, out):
+    # 40 dates split 24/8/8: the 8-date test split is shorter than train.window = 20
+    return main([command, "--set", "data.n_dates=40", "--checkpoint", str(checkpoint),
+                 "--out-dir", str(out)])
+
+
+def test_evaluate_on_a_split_with_no_scoreable_day_exits_2(tmp_path, capsys, default_checkpoint):
+    out = tmp_path / "ev"
+    assert run_on_short_panel("evaluate", default_checkpoint, out) == 2
+    assert capsys.readouterr().err == NO_SCOREABLE_DAY
+    assert not any(out.iterdir())
+
+
+def test_backtest_on_a_split_with_no_scoreable_day_exits_2(tmp_path, capsys, default_checkpoint):
+    out = tmp_path / "bt"
+    assert run_on_short_panel("backtest", default_checkpoint, out) == 2
+    assert capsys.readouterr().err == NO_SCOREABLE_DAY
+    assert not any(out.iterdir())
+
+
 def test_csv_source_roundtrip(tmp_path):
     # label on synthetic, dump a tiny csv panel, then label from csv
     csv_path = tmp_path / "panel.csv"

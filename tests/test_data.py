@@ -7,6 +7,7 @@ import pytest
 
 from momrank.data import (_CHUNK, SplitSpec, StockPanel, compute_return, fraction_split_spec,
                           gen_synthetic, load_csv, normalize_features, split, trading_days)
+from momrank import data
 from momrank.errors import ContractError, DataError
 
 
@@ -67,6 +68,25 @@ def test_panel_accepts_non_finite_invalid_cell_and_names_the_first_valid_one():
     features[7, 5, 0] = close[9, 0] = np.nan  # first in date order: 7, then 9
     with pytest.raises(DataError, match=f"date {p.dates[7]} ticker S005"):
         StockPanel(p.dates, p.tickers, close, features, valid)
+
+
+def test_panels_derived_from_a_checked_panel_are_not_scanned_again(monkeypatch):
+    p = gen_synthetic(40, 6, 0.6, seed=2)
+    valid = np.random.default_rng(3).random(p.valid.shape) >= 0.1
+    masked = StockPanel(p.dates, p.tickers, np.where(valid, p.close, np.nan),
+                        np.where(valid[..., None], p.features, np.nan), valid)
+    scans = []
+
+    def counting_check(panel):
+        scans.append(panel)
+        return check_finite(panel)
+
+    check_finite = data._check_finite
+    monkeypatch.setattr(data, "_check_finite", counting_check)
+    parts = split(normalize_features(masked), fraction_split_spec(masked, 0.6, 0.2))
+    assert scans == [] and [part.n_dates for part in parts] == [24, 8, 8]
+    StockPanel(masked.dates, masked.tickers, masked.close, masked.features, masked.valid)
+    assert len(scans) == 1  # new input is still scanned
 
 
 def test_return_roundtrip_recovers_prices():

@@ -13,8 +13,8 @@ from momrank.errors import ContractError
 from momrank.losses import (_LN2, _ROW_CHUNK, GAIN_SHIFTED, GAIN_STANDARD, RANK_PAIRWISE,
                             SCORE_SCALE, RankLossConfig, _smooth_ranks, _smooth_ranks_vjp,
                             adaptive_k, approx_ndcg_at_k, classification_loss, cross_entropy,
-                            expected_level, gain_values, ideal_dcg_at_k, log_softmax,
-                            make_rank_batch, mse_loss, ndcg_loss, pairwise_loss)
+                            day_labels, expected_level, gain_values, ideal_dcg_at_k,
+                            log_softmax, make_rank_batch, mse_loss, ndcg_loss, pairwise_loss)
 from oracles import approx_rank, check_gradient, dcg_at_k, exact_ndcg_at_k, sigmoid_node
 
 
@@ -242,18 +242,20 @@ def test_mse_gradient_formula():
 
 def test_cross_entropy_uniform_logits():
     logits = Tensor(np.zeros((3, 5)))
-    val = cross_entropy(log_softmax(logits), np.array([0, 2, 4])).item()
+    labels = day_labels([0, 2, 4], 5, RankLossConfig())
+    val = cross_entropy(log_softmax(logits), labels).item()
     assert val == pytest.approx(math.log(5.0), abs=1e-12)
 
 
 def test_cross_entropy_one_hot_near_zero():
     labels = np.array([1, 3])
     logits = Tensor(np.eye(5)[labels] * 50.0)
-    assert cross_entropy(log_softmax(logits), labels).item() < 1e-9
+    ce = cross_entropy(log_softmax(logits), day_labels(labels, 5, RankLossConfig()))
+    assert ce.item() < 1e-9
 
 
 def test_cross_entropy_gradient():
-    labels = np.array([0, 2, 4, 1])
+    labels = day_labels([0, 2, 4, 1], 5, RankLossConfig())
 
     def fn(x):
         return cross_entropy(log_softmax(x.reshape(4, 5)), labels)
@@ -372,7 +374,8 @@ def test_pairwise_loss_backward_peak_memory_at_2000_names():
 def test_classification_loss_perfect_predictions():
     labels = np.array([4, 3, 2, 1, 0])
     logits = Tensor(np.eye(5)[labels] * 60.0)
-    loss, batch = classification_loss(logits, labels, RankLossConfig())
+    loss, batch = classification_loss(logits, day_labels(labels, 5, RankLossConfig()),
+                                      RankLossConfig())
     np.testing.assert_allclose(batch.scores.data, labels * SCORE_SCALE, atol=1e-12)
     assert loss.item() == pytest.approx(0.5 * math.exp(-1.0), abs=2e-4)
     assert loss.item() == pytest.approx(0.18394, abs=2e-4)
@@ -381,7 +384,8 @@ def test_classification_loss_perfect_predictions():
 def test_classification_loss_uniform_logits_ce_term():
     labels = np.array([4, 3, 2, 1, 0])
     logits = Tensor(np.zeros((5, 5)))
-    loss, batch = classification_loss(logits, labels, RankLossConfig())
+    loss, batch = classification_loss(logits, day_labels(labels, 5, RankLossConfig()),
+                                      RankLossConfig())
     rank_part = ndcg_loss(batch).item()
     assert loss.item() == pytest.approx(0.5 * math.log(5.0) + 0.5 * rank_part, abs=1e-12)
     assert 0.5 * math.log(5.0) == pytest.approx(0.80472, abs=1e-5)
@@ -393,7 +397,8 @@ def test_classification_loss_gradient():
         cfg = RankLossConfig(ranking=ranking)
 
         def fn(x):
-            return classification_loss(x.reshape(6, width), labels, cfg)[0]
+            return classification_loss(x.reshape(6, width), day_labels(labels, width, cfg),
+                                       cfg)[0]
 
         for seed in range(5):
             point = np.random.default_rng(seed + 90).normal(size=6 * width)
@@ -403,8 +408,9 @@ def test_classification_loss_gradient():
 def test_classification_loss_pairwise_variant():
     labels = np.array([0, 4, 2, 1])
     logits = Tensor(np.random.default_rng(8).normal(size=(4, 5)))
-    loss, batch = classification_loss(logits, labels, RankLossConfig(ranking=RANK_PAIRWISE))
-    ce = cross_entropy(log_softmax(logits), labels).item()
+    cfg = RankLossConfig(ranking=RANK_PAIRWISE)
+    loss, batch = classification_loss(logits, day_labels(labels, 5, cfg), cfg)
+    ce = cross_entropy(log_softmax(logits), day_labels(labels, 5, cfg)).item()
     pw = pairwise_loss(batch.scores, labels.astype(float)).item()
     assert loss.item() == pytest.approx(0.5 * ce + 0.5 * pw, abs=1e-12)
 
@@ -413,7 +419,7 @@ def test_classification_loss_scores_and_k_match_composed_terms():
     labels = np.array([4, 3, 3, 0, 2, 1, 0])
     logits = Tensor(np.random.default_rng(10).normal(size=(7, 5)) * 3.0)
     cfg = RankLossConfig(threshold_frac=0.3)
-    loss, batch = classification_loss(logits, labels, cfg)
+    loss, batch = classification_loss(logits, day_labels(labels, 5, cfg), cfg)
     logp = oracles.log_softmax(Tensor(logits.data))
     scores = (logp.exp() * np.arange(5.0)).sum(axis=1) * SCORE_SCALE
     want = make_rank_batch(scores, labels, 5, cfg)
@@ -430,8 +436,9 @@ def test_classification_loss_improves_when_swapping_misordered_pair():
     cfg = RankLossConfig()
     good = np.eye(5)[labels] * 4.0
     swapped = good[[1, 0, 2, 3, 4]]  # mis-order the top pair, gain-wise
-    loss_good, batch_good = classification_loss(Tensor(good), labels, cfg)
-    loss_swapped, batch_swapped = classification_loss(Tensor(swapped), labels, cfg)
+    loss_good, batch_good = classification_loss(Tensor(good), day_labels(labels, 5, cfg), cfg)
+    loss_swapped, batch_swapped = classification_loss(Tensor(swapped), day_labels(labels, 5, cfg),
+                                                      cfg)
     assert ndcg_loss(batch_good).item() < ndcg_loss(batch_swapped).item()
     assert loss_good.item() < loss_swapped.item()
 
@@ -440,7 +447,8 @@ def test_classification_loss_computes_log_probabilities_once():
     labels = np.array([0, 4, 2, 2, 1, 3])
     logits = Tensor(np.random.default_rng(11).normal(size=(6, 5)))
     for ranking in ("ndcg", "pairwise"):
-        loss, _ = classification_loss(logits, labels, RankLossConfig(ranking=ranking))
+        cfg = RankLossConfig(ranking=ranking)
+        loss, _ = classification_loss(logits, day_labels(labels, 5, cfg), cfg)
         seen, stack, readers = set(), [loss], 0
         while stack:
             node = stack.pop()

@@ -1,12 +1,19 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from momrank.data import gen_synthetic
+import oracles
+from momrank import metrics
+from momrank.data import StockPanel, gen_synthetic
 from momrank.errors import ContractError
-from momrank.metrics import (EvalReport, aggregate, average_ranks, daily_ic, daily_rank_ic,
+from momrank.losses import adaptive_ks, level_counts
+from momrank.metrics import (EvalReport, _day_sums, aggregate, average_ranks, daily_ic,
+                             daily_rank_ic, day_ics, day_precisions, day_ranks,
                              evaluate_predictions, precision_at_n, record_k)
+from momrank.momentum import UNLABELED
 
 
 def test_ic_perfect():
@@ -220,3 +227,126 @@ def test_average_ranks_match_loop_reference_on_ties():
         cases.append(rng.integers(0, int(rng.integers(1, 10)), n).astype(np.float64))
     for v in cases:
         assert np.array_equal(average_ranks(v), loop_average_ranks(v)), v
+
+
+# ---- split-wide kernels against the per-day loops they replaced ----
+
+DAY_KINDS = ("continuous", "ties", "constant")
+
+
+def day_values(rng, kind, size):
+    if kind == "continuous":
+        return rng.normal(size=size) * 10.0 ** rng.uniform(-3, 3)
+    if kind == "ties":
+        return rng.integers(-3, 4, size) / 4.0
+    return np.full(size, rng.normal())
+
+
+@st.composite
+def stacked_days(draw, max_days=8):
+    """Days of 1-200 names stacked in one array: continuous, tied and constant values.
+
+    The sizes and each side's kind per day are drawn; the values come from a
+    drawn seed. Single-name days appear at every draw of size 1.
+    """
+    sizes = draw(st.lists(st.one_of(st.just(1), st.integers(1, 200)), min_size=1,
+                          max_size=max_days))
+    kinds = draw(st.lists(st.tuples(st.sampled_from(DAY_KINDS), st.sampled_from(DAY_KINDS)),
+                          min_size=len(sizes), max_size=len(sizes)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pred = np.concatenate([day_values(rng, a, n) for n, (a, _) in zip(sizes, kinds)])
+    y = np.concatenate([day_values(rng, b, n) for n, (_, b) in zip(sizes, kinds)])
+    return pred, y, np.array(sizes)
+
+
+def day_slices(sizes):
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def assert_same_or_close(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, equal_nan=True)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(stacked_days())
+def test_split_ic_and_rank_ic_match_the_per_day_loops(case):
+    pred, y, sizes = case
+    days = day_slices(sizes)
+    for group_rows in (metrics._GROUP_ROWS, 150):  # one pass, and runs of whole days
+        with mock.patch.object(metrics, "_GROUP_ROWS", group_rows):
+            ics, rics = day_ics(pred, y, sizes)
+        assert_same_or_close(ics, [oracles.daily_ic(pred[d], y[d]) for d in days])
+        assert_same_or_close(rics, [oracles.daily_rank_ic(pred[d], y[d]) for d in days])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(stacked_days())
+def test_day_sums_round_as_each_days_own_sum(case):
+    pred, _, sizes = case
+    starts = np.cumsum(sizes) - sizes
+    np.testing.assert_array_equal(_day_sums(pred, starts),
+                                  [pred[d].sum() for d in day_slices(sizes)])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(stacked_days())
+def test_split_ranks_match_the_per_day_tie_runs(case):
+    pred, _, sizes = case
+    want = np.concatenate([oracles.average_ranks(pred[d]) for d in day_slices(sizes)])
+    np.testing.assert_array_equal(day_ranks(pred, sizes), want)
+
+
+PRECISION_NS = (1, 2, 5, 10, 50, 200)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(stacked_days())
+def test_split_precision_matches_the_per_day_loop(case):
+    pred, y, sizes = case
+    y = y - np.median(y)  # about half the returns positive
+    for group_rows in (metrics._GROUP_ROWS, 150):
+        with mock.patch.object(metrics, "_GROUP_ROWS", group_rows):
+            got = day_precisions(pred, y, sizes, PRECISION_NS)
+        for n_top in PRECISION_NS:
+            want = [oracles.precision_at_n(pred[d], y[d], n_top) if n_top <= size else np.nan
+                    for d, size in zip(day_slices(sizes), sizes)]
+            np.testing.assert_array_equal(got[n_top], want)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(stacked_days(), st.sampled_from([2, 5]), st.sampled_from([0.05, 0.2, 0.5, 1.0]))
+def test_split_k_matches_the_per_day_level_loop(case, n_levels, frac):
+    _, _, sizes = case
+    levels = np.random.default_rng(int(sizes.sum())).integers(0, n_levels, sizes.sum())
+    groups, floors = level_counts(levels, sizes, n_levels, frac)
+    want = [oracles.adaptive_k(*oracles.level_groups(levels[d], n_levels, frac))
+            for d in day_slices(sizes)]
+    np.testing.assert_array_equal(adaptive_ks(groups, floors), want)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.0, 0.9), st.integers(5, 40))
+def test_evaluate_predictions_matches_the_per_day_loop(seed, drop, n_tickers):
+    rng = np.random.default_rng(seed)
+    panel = gen_synthetic(30, n_tickers, 0.5, seed=seed % 1000)
+    valid = rng.random(panel.valid.shape) >= drop
+    panel = StockPanel(panel.dates, panel.tickers, np.where(valid, panel.close, np.nan),
+                       np.where(valid[..., None], panel.features, np.nan), valid)
+    scores = np.where(rng.random(valid.shape) < 0.9, rng.integers(-4, 5, valid.shape) / 2.0,
+                      np.nan)
+    labels = np.where(rng.random(valid.shape) < 0.7, rng.integers(0, 5, valid.shape),
+                      UNLABELED)
+    try:
+        want = oracles.evaluate_by_day(scores, panel, (1, 3, 10), labels)
+    except ContractError:
+        with pytest.raises(ContractError, match="no defined days"):
+            evaluate_predictions(scores, panel, (1, 3, 10), labels)
+        return
+    got = evaluate_predictions(scores, panel, (1, 3, 10), labels)
+    for key in ("ic", "rank_ic", "ic_std", "rank_ic_std"):
+        assert_same_or_close(getattr(got, key), getattr(want, key))
+    assert (got.precision_at, got.k_histogram, got.n_days) == (want.precision_at,
+                                                               want.k_histogram, want.n_days)

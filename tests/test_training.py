@@ -5,15 +5,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from momrank.autodiff import Tensor, gradients
-from momrank.data import gen_synthetic, StockPanel, trading_days
+from momrank.data import (StockPanel, fraction_split_spec, gen_synthetic, normalize_features,
+                          split, trading_days)
 from momrank.errors import ContractError, TrainingError
 from momrank.metrics import daily_ic, daily_rank_ic
-from momrank.losses import RankLossConfig, classification_loss, mse_loss
+from momrank.losses import RankLossConfig, classification_loss, day_labels, mse_loss
 from momrank.model import Architecture, forward, init_params
 from momrank.momentum import MomentumConfig
 from momrank import model, training
+import oracles
 from oracles import sigmoid_np
 from momrank.training import (CLS, MODE_EW, MODE_STL, REG, TrainConfig, _GroupOptimizer,
                               _batch_losses, _split_metrics, adapted_beta, adapted_decay,
@@ -241,10 +244,16 @@ def small_mom_cfg():
     return MomentumConfig(gap=1, length=1)
 
 
+def train_days(panel, window=2, loss_cfg=RankLossConfig()):
+    """The usable days of a momentum-labelled panel."""
+    labels = class_labels_for(panel, "momentum", small_mom_cfg())
+    return build_batches(panel, labels, window, 5, loss_cfg)
+
+
 def test_build_batches_filters_days():
     panel = gen_synthetic(20, 6, 0.5, seed=0)
     labels = class_labels_for(panel, "momentum", small_mom_cfg())
-    batches = build_batches(panel, labels, window=3)
+    batches = build_batches(panel, labels, 3, 5, RankLossConfig())
     # labels need anchor t+2 <= 19 and span >= 2; window needs t >= 2; y needs t <= 18
     ts = [b.t for b in batches]
     assert min(ts) >= 2 and max(ts) <= 17
@@ -286,7 +295,8 @@ def test_training_graph_leaves_nothing_for_the_cycle_collector(ranking):
     try:
         out = forward(params, feats)
         reg = mse_loss(out.pred_return, y)
-        cls, batch = classification_loss(out.class_logits, labels, loss_cfg)
+        cls, batch = classification_loss(out.class_logits, day_labels(labels, 5, loss_cfg),
+                                         loss_cfg)
         reg.backward()
         cls.backward()
         del out, batch, reg, cls
@@ -338,7 +348,8 @@ def test_split_metrics_without_graph_equals_recorded_graph(ranking, tasks, task)
     cfg = TrainConfig(lr=1e-2, epochs=2, window=2, hidden=(6, 6), task=task)
     params = fit(train, valid, small_mom_cfg(), loss_cfg, cfg, seed=7).params
     for panel in (train, valid):
-        batches = build_batches(panel, class_labels_for(panel, task, small_mom_cfg()), 2)
+        batches = build_batches(panel, class_labels_for(panel, task, small_mom_cfg()), 2,
+                                training.N_CLASSES[task], loss_cfg)
         assert batches
         want = split_metrics_recording(params, batches, loss_cfg, tasks)
         assert all(np.isfinite(v) for v in [*want[0].values(), want[1], want[2]])
@@ -358,7 +369,7 @@ def test_epoch_eval_and_predict_build_no_graph(monkeypatch):
     monkeypatch.setattr(training, "_batch_losses", spy_losses)
     cfg = TrainConfig(lr=1e-2, epochs=1, window=2, hidden=(6, 6))
     params = fit(train, valid, small_mom_cfg(), RankLossConfig(), cfg, seed=7).params
-    steps = 3 * len(build_batches(train, class_labels_for(train, "momentum", small_mom_cfg()), 2))
+    steps = 3 * len(train_days(train))
     assert len(seen) > 2 * steps  # one epoch of steps, then evaluation on both splits
     assert all(t._prev for t in seen[:steps])
     assert not any(t._prev or t._backward for t in seen[steps:])
@@ -391,7 +402,7 @@ def test_ew_mode_matches_hand_rolled_joint_loop():
 
     # independent reference: plain joint training, same data and init
     labels = class_labels_for(train, "momentum", mom_cfg)
-    batches = build_batches(train, labels, window=1)
+    batches = build_batches(train, labels, 1, 5, loss_cfg)
     assert len(batches) >= 2
     arch = Architecture(window=1, n_features=train.n_features, hidden=(6, 6),
                         trunk="mlp", n_classes=5)
@@ -439,7 +450,7 @@ def test_fit_builds_one_optimizer_and_steps_it_once_per_day(monkeypatch, mode):
     train, valid = tiny_panels()
     cfg = TrainConfig(mode=mode, lr=1e-3, epochs=2, window=2, hidden=(6, 6))
     params = fit(train, valid, small_mom_cfg(), RankLossConfig(), cfg, seed=5).params
-    days = len(build_batches(train, class_labels_for(train, "momentum", small_mom_cfg()), 2))
+    days = len(train_days(train))
     assert len(made) == 1 and len(steps) == 2 * days
     n_cls = params.cls_head["w"].data.size + params.cls_head["b"].data.size
     want = params.flat.size - (n_cls if mode == "stl" else 0)  # stl: the prefix before cls_head
@@ -502,6 +513,56 @@ def test_fit_no_usable_days_raises():
     cfg = TrainConfig(lr=1e-3, epochs=1, window=30, hidden=(4, 4))  # window longer than panel
     with pytest.raises(TrainingError):
         fit(short, short, small_mom_cfg(), RankLossConfig(), cfg, seed=0)
+
+
+# ---- fit on panels with random missing cells ----
+
+@st.composite
+def masked_panels(draw):
+    """A 30-date panel of 5-9 names with random missing cells.
+
+    Besides the drawn share of missing cells, up to 4 drawn dates keep a
+    single name (fewer than 2 names) and up to 4 drawn names miss one date,
+    which breaks every window over it.
+    """
+    seed = draw(st.integers(0, 2**16))
+    panel = gen_synthetic(30, draw(st.integers(5, 9)), 0.7, seed=seed)
+    valid = np.random.default_rng(seed).random(panel.valid.shape) >= draw(st.floats(0.0, 0.4))
+    for t in draw(st.lists(st.integers(0, 29), max_size=4)):
+        valid[t, 1:] = False
+    for i in draw(st.lists(st.integers(0, panel.n_tickers - 1), max_size=4)):
+        valid[draw(st.integers(0, 29)), i] = False
+    return StockPanel(panel.dates, panel.tickers, np.where(valid, panel.close, np.nan),
+                      np.where(valid[..., None], panel.features, np.nan), valid)
+
+
+def assert_close_or_both_nan(got, want):
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, equal_nan=True)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(masked_panels(), st.sampled_from(["full", "stl"]), st.sampled_from(["ndcg", "pairwise"]))
+def test_fit_on_masked_panels_matches_the_per_day_oracles(panel, mode, ranking):
+    panel = normalize_features(panel)
+    train, valid, test = split(panel, fraction_split_spec(panel, 0.6, 0.2))
+    assume(train_days(train))
+    loss_cfg = RankLossConfig(ranking=ranking)
+    cfg = TrainConfig(mode=mode, lr=1e-2, epochs=1, window=2, hidden=(6, 6))
+    result = fit(train, valid, small_mom_cfg(), loss_cfg, cfg, seed=3)
+    tasks = training.MODES[mode].tasks
+    for split_name, part in (("train", train), ("valid", valid)):
+        want_losses, want_ic, want_ric = oracles.split_metrics_by_day(
+            result.params, train_days(part, loss_cfg=loss_cfg), loss_cfg, tasks, _batch_losses)
+        rows = {r.task: r for r in result.epoch_log if r.split == split_name}
+        for task in tasks:
+            assert_close_or_both_nan(rows[task].loss, want_losses[task])
+            assert_close_or_both_nan(rows[task].ic, want_ic)
+            assert_close_or_both_nan(rows[task].rank_ic, want_ric)
+    for part in (train, valid, test):
+        scores = model.predict_panel(result.params, part)
+        np.testing.assert_array_equal(scores, oracles.predict_by_day(result.params, part))
+        np.testing.assert_array_equal(np.isnan(scores), ~model.window_ok(part, 2))
 
 
 # ---- fit: every mode pinned against recorded values ----
