@@ -252,12 +252,6 @@ class Tensor:
 
         return Tensor(np.tanh(self.data), (self,), backward)
 
-    def relu(self):
-        def backward(out):
-            self.accumulate_grad(out.grad * (self.data > 0))
-
-        return Tensor(np.where(self.data > 0, self.data, 0.0), (self,), backward)
-
     # ---- reductions and shape ops ----
 
     def sum(self, axis: int | None = None):

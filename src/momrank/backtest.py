@@ -34,7 +34,7 @@ def run_topn(panel: StockPanel, scores: np.ndarray, top_n: int,
         raise ContractError("top_n must be >= 1")
     if scores.shape != panel.close.shape:
         raise ContractError(f"scores shape {scores.shape} does not match panel {panel.close.shape}")
-    y = compute_return(panel).y
+    y = compute_return(panel)
     cost = 2.0 * cost_bps / 1e4
     dates: list[str] = []
     returns: list[float] = []

@@ -86,20 +86,12 @@ def _pick_split(cfg: ExperimentConfig, panel: StockPanel, name: str) -> StockPan
     train_p, valid_p, test_p = _split_panels(cfg, panel)
     picked = {"train": train_p, "valid": valid_p, "test": test_p}[name]
     if picked.n_dates < 2 or not (
-            (window_ok(picked, cfg.train.window) & np.isfinite(compute_return(picked).y))
+            (window_ok(picked, cfg.train.window) & np.isfinite(compute_return(picked)))
             .sum(axis=1) >= 2).any():
         raise ContractError(f"no scoreable day in the {name} split: it has {picked.n_dates} "
                             f"dates, and with train.window = {cfg.train.window} no date has "
                             f"2 names with a full feature window and a next-day return")
     return picked
-
-
-def _load_params(path):
-    if not path:
-        raise ContractError("a --checkpoint path is required")
-    if not os.path.exists(path):
-        raise ContractError(f"checkpoint not found: {path}")
-    return load_checkpoint(path)
 
 
 def _check_arch(arch: Architecture, cfg: ExperimentConfig, panel: StockPanel, path) -> None:
@@ -114,14 +106,25 @@ def _check_arch(arch: Architecture, cfg: ExperimentConfig, panel: StockPanel, pa
                                 f"{source} ({want})")
 
 
+def _scored_split(cfg: ExperimentConfig, checkpoint, split_name: str):
+    """The named split and the checkpoint's regression-head scores on it."""
+    if not checkpoint:
+        raise ContractError("a --checkpoint path is required")
+    if not os.path.exists(checkpoint):
+        raise ContractError(f"checkpoint not found: {checkpoint}")
+    params, _ = load_checkpoint(checkpoint)
+    panel = _prepare_panel(cfg)
+    _check_arch(params.arch, cfg, panel, checkpoint)
+    picked = _pick_split(cfg, panel, split_name)
+    return picked, predict_panel(params, picked)
+
+
 def cmd_label(cfg: ExperimentConfig, out_dir: str) -> None:
     panel = _prepare_panel(cfg)
     labels = label_dataset(panel, cfg.momentum)
-    rows = []
-    for t in range(panel.n_dates):
-        for i in range(panel.n_tickers):
-            if labels[t, i] != UNLABELED:
-                rows.append((panel.dates[t], panel.tickers[i], int(labels[t, i])))
+    days, names = np.nonzero(labels != UNLABELED)
+    rows = [(panel.dates[t], panel.tickers[i], level)
+            for t, i, level in zip(days.tolist(), names.tolist(), labels[days, names].tolist())]
     _write_csv(os.path.join(out_dir, "labels.csv"), to_flat(cfg),
                ["date", "ticker", "level"], rows)
 
@@ -144,11 +147,7 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str) -> None:
 
 
 def cmd_evaluate(cfg: ExperimentConfig, out_dir: str, checkpoint: str, split_name: str) -> None:
-    params, _ = _load_params(checkpoint)
-    panel = _prepare_panel(cfg)
-    _check_arch(params.arch, cfg, panel, checkpoint)
-    eval_panel = _pick_split(cfg, panel, split_name)
-    scores = predict_panel(params, eval_panel)
+    eval_panel, scores = _scored_split(cfg, checkpoint, split_name)
     labels = class_labels_for(eval_panel, cfg.train.task, cfg.momentum)
     report = evaluate_predictions(scores, eval_panel, precision_ns=cfg.eval.precision_ns,
                                   class_labels=labels, loss_cfg=cfg.loss)
@@ -159,11 +158,7 @@ def cmd_evaluate(cfg: ExperimentConfig, out_dir: str, checkpoint: str, split_nam
 
 
 def cmd_backtest(cfg: ExperimentConfig, out_dir: str, checkpoint: str, split_name: str) -> None:
-    params, _ = _load_params(checkpoint)
-    panel = _prepare_panel(cfg)
-    _check_arch(params.arch, cfg, panel, checkpoint)
-    bt_panel = _pick_split(cfg, panel, split_name)
-    scores = predict_panel(params, bt_panel)
+    bt_panel, scores = _scored_split(cfg, checkpoint, split_name)
     ledger = run_topn(bt_panel, scores, cfg.eval.top_n, cfg.eval.cost_bps)
     provenance = dict(to_flat(cfg))
     provenance["cumulative_return_pct"] = repr(cumulative_return(ledger))

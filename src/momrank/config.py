@@ -10,6 +10,7 @@ is read off those fields, so a knob is declared once.
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, field, fields
+from datetime import date
 
 from .data import check_synthetic
 from .errors import ConfigError, ContractError
@@ -69,6 +70,9 @@ class EvalConfig:
             raise ContractError("backtest.top_n must be >= 1")
         if any(n < 1 for n in self.precision_ns):
             raise ContractError("eval.precision_ns entries must be >= 1")
+        if len(set(self.precision_ns)) < len(self.precision_ns):
+            raise ContractError(f"eval.precision_ns repeats a depth: "
+                                f"{','.join(map(str, self.precision_ns))}")
         if self.cost_bps < 0:
             raise ContractError("backtest.cost_bps must be >= 0")
 
@@ -107,9 +111,13 @@ def _parse_range(text: str) -> tuple[str, str] | None:
     if text.strip().lower() in ("", "none"):
         return None
     lo, _, hi = text.partition(":")
-    if not hi:
+    try:
+        ends = tuple(date.fromisoformat(end.strip()).isoformat() for end in (lo, hi))
+    except ValueError:
+        ends = None
+    if ends != (lo.strip(), hi.strip()):  # data.split compares the dates as strings
         raise ValueError(f"range must look like YYYY-MM-DD:YYYY-MM-DD, got {text!r}")
-    return (lo.strip(), hi.strip())
+    return ends
 
 
 # field annotation -> parser of its value text

@@ -88,13 +88,6 @@ def _check_finite(panel: StockPanel) -> None:
                         f"ticker {panel.tickers[i]}")
 
 
-@dataclass
-class ReturnLabel:
-    """One-day return ratio per cell; NaN marks undefined (incl. the last date)."""
-
-    y: np.ndarray  # [T, N] float64
-
-
 @dataclass(frozen=True)
 class SplitSpec:
     """Chronological train/valid/test date ranges, inclusive ISO endpoints."""
@@ -104,8 +97,9 @@ class SplitSpec:
     test: tuple[str, str]
 
 
-def compute_return(panel: StockPanel) -> ReturnLabel:
-    """Next-day relative close change per cell; final date masked undefined."""
+def compute_return(panel: StockPanel) -> np.ndarray:
+    """[T, N] next-day relative close change per cell; NaN where undefined
+    (an invalid cell on either day, and the final date)."""
     if panel.n_dates < 2:
         raise ContractError("need at least 2 dates to compute returns")
     bad = panel.valid & ~(panel.close > 0)
@@ -117,7 +111,7 @@ def compute_return(panel: StockPanel) -> ReturnLabel:
     cur, nxt = panel.close[:-1], panel.close[1:]
     with np.errstate(invalid="ignore"):
         y[:-1] = np.where(both, (nxt - cur) / cur, np.nan)
-    return ReturnLabel(y)
+    return y
 
 
 def load_csv(path) -> StockPanel:

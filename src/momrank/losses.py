@@ -97,25 +97,16 @@ class DayLabels:
 
 
 def adaptive_ks(group_sizes: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """``adaptive_k`` of each row of a [days, levels] group-size array."""
+    """Truncation depth k per row of [days, levels] group sizes, highest level first.
+
+    k accumulates whole level groups from the top until the day's floor
+    (clamped up to 1) is met, so a group is never split; it is the whole
+    pool when every group is needed.
+    """
     cum = np.cumsum(group_sizes, axis=1)
     floors = np.maximum(1, thresholds)
     k = cum[np.arange(len(cum)), (cum >= floors[:, None]).argmax(axis=1)]
     return np.where(k >= floors, k, cum[:, -1])
-
-
-def adaptive_k(group_sizes, threshold: int) -> int:
-    """Accumulate whole level groups from the top until the floor is met.
-
-    Returns the full pool size when every group is needed; never splits a
-    group. ``threshold`` is clamped up to 1.
-    """
-    sizes = np.array([int(s) for s in group_sizes], dtype=np.int64)
-    if (sizes < 0).any():
-        raise ContractError("group sizes must be non-negative")
-    if sizes.sum() == 0:
-        raise ContractError("empty batch: no items in any group")
-    return int(adaptive_ks(sizes[None, :], np.array([int(threshold)]))[0])
 
 
 def level_counts(levels: np.ndarray, sizes, n_levels: int,

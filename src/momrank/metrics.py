@@ -11,10 +11,9 @@ one array, day d being the next ``sizes[d]`` entries. Every per-day sum is a
 segment sum that numpy rounds as it rounds that day's ``ndarray.sum``, and
 within-day sorts run on a [days, max names] array padded with NaN, which a
 stable sort places after every value. So a day's result does not depend on
-the other days, and ``daily_ic``, ``daily_rank_ic``, ``average_ranks`` and
-``precision_at_n`` are the kernels' one-day case. For the same reason the
-kernels can take a split ``_GROUP_ROWS`` names of whole days at a time, which
-keeps their temporaries to a few hundred KiB on any split.
+the other days, and one day is the case ``sizes=[n]``. For the same reason
+the kernels can take a split ``_GROUP_ROWS`` names of whole days at a time,
+which keeps their temporaries to a few hundred KiB on any split.
 """
 
 from __future__ import annotations
@@ -143,34 +142,9 @@ def day_precisions(pred: np.ndarray, y: np.ndarray, sizes, n_tops) -> dict[int, 
     return {n_top: np.concatenate([part[n_top] for part in parts]) for n_top in n_tops}
 
 
-def daily_ic(pred: np.ndarray, y: np.ndarray) -> float:
-    """Pearson correlation of one day's cross-section; NaN if undefined."""
-    pred = np.asarray(pred, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if pred.shape != y.shape:
-        raise ContractError(f"shape mismatch {pred.shape} vs {y.shape}")
-    return float(_pearson(pred.ravel(), y.ravel(), np.array([pred.size]))[0])
-
-
-def average_ranks(v: np.ndarray) -> np.ndarray:
-    """1-based ranks, ties averaged."""
-    return day_ranks(v, [np.size(v)])
-
-
 def daily_rank_ic(pred: np.ndarray, y: np.ndarray) -> float:
     """Pearson correlation of average-ranked vectors; NaN if undefined."""
     return float(day_ics(pred, y, [np.size(pred)])[1][0])
-
-
-def precision_at_n(pred: np.ndarray, y: np.ndarray, n_top: int) -> float:
-    """Percent of the N top-scored names with positive realized return."""
-    pred = np.asarray(pred, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if pred.shape != y.shape:
-        raise ContractError(f"shape mismatch {pred.shape} vs {y.shape}")
-    if n_top < 1 or n_top > pred.size:
-        raise ContractError(f"N={n_top} out of range for {pred.size} stocks")
-    return float(day_precisions(pred, y, [pred.size], [n_top])[n_top][0])
 
 
 def record_k(k_values) -> dict[int, int]:
@@ -237,7 +211,7 @@ def evaluate_predictions(scores: np.ndarray, panel: StockPanel,
     truncation depth over those names' labels is recorded into the report's
     k histogram.
     """
-    y = compute_return(panel).y
+    y = compute_return(panel)
     ok = np.isfinite(y) & np.isfinite(scores) & panel.valid
     days = np.flatnonzero(ok.sum(axis=1) >= 2)
     ok = ok[days]

@@ -72,12 +72,6 @@ class BackboneParams:
                 out[f"{group}.{name}"] = tensor
         return out
 
-    def copy_data(self) -> np.ndarray:
-        return self.flat.copy()
-
-    def load_data(self, snapshot: np.ndarray) -> None:
-        self.flat[...] = snapshot
-
 
 @dataclass
 class BatchOutput:

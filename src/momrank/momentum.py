@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ReturnLabel, StockPanel
+from .data import StockPanel
 from .errors import ContractError
 
 LEVEL_SINK, LEVEL_NEGATIVE, LEVEL_VOLATILE, LEVEL_POSITIVE, LEVEL_BOUNCE = 0, 1, 2, 3, 4
@@ -89,12 +89,11 @@ def label_dataset(panel: StockPanel, cfg: MomentumConfig) -> np.ndarray:
     return labels
 
 
-def rise_fall_label(labels: ReturnLabel) -> np.ndarray:
-    """Binary up/flat-down target from return labels; -1 where undefined.
+def rise_fall_label(y: np.ndarray) -> np.ndarray:
+    """Binary up/flat-down target from a [T, N] return array; -1 where it is NaN.
 
     Zero return counts as "fall" so class 1 means strictly profitable.
     """
-    y = labels.y
     out = np.full(y.shape, UNLABELED, dtype=np.int64)
     defined = np.isfinite(y)
     out[defined] = (y[defined] > 0).astype(np.int64)

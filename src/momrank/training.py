@@ -51,15 +51,15 @@ from .autodiff import Tensor, gradients, no_grad
 from .data import StockPanel, compute_return
 from .errors import ContractError, TrainingError
 from .losses import DayLabels, RankLossConfig, classification_loss, mse_loss, split_labels
-from .metrics import day_ics
+from .metrics import day_ics, record_k
 from .model import Architecture, BackboneParams, forward, init_params, window_ok
-from .momentum import UNLABELED, MomentumConfig, label_dataset, rise_fall_label
+from .momentum import N_LEVELS, UNLABELED, MomentumConfig, label_dataset, rise_fall_label
 
 MODE_FULL, MODE_EW, MODE_STL = "full", "ew", "stl"
 MODE_FIXED_BETA, MODE_FIXED_DECAY = "fixed_beta", "fixed_decay"
 TASK_MOMENTUM, TASK_RISE_FALL = "momentum", "rise_fall"
 REG, CLS = "regression", "classification"   # the two heads' tasks
-N_CLASSES = {TASK_MOMENTUM: 5, TASK_RISE_FALL: 2}  # classification head width per task
+N_CLASSES = {TASK_MOMENTUM: N_LEVELS, TASK_RISE_FALL: 2}  # classification head width per task
 LOG_EPS = 1e-8
 
 
@@ -280,7 +280,7 @@ def build_batches(panel: StockPanel, labels: np.ndarray, window: int, n_classes:
     are written once into one contiguous [rows, window, features] array, and
     each day's label constants are derived once.
     """
-    y = compute_return(panel).y
+    y = compute_return(panel)
     usable = window_ok(panel, window) & np.isfinite(y) & (labels != UNLABELED)
     usable[usable.sum(axis=1) < 2] = False
     day_of, ticker_of = np.nonzero(usable)   # the usable cells, day by day
@@ -312,7 +312,7 @@ def _no_training_days(panel: StockPanel, cfg: TrainConfig,
     """
     passing = {"window": window_ok(panel, cfg.window),
                "label": class_labels_for(panel, cfg.task, mom_cfg) != UNLABELED,
-               "return": np.isfinite(compute_return(panel).y)}
+               "return": np.isfinite(compute_return(panel))}
     days = {key: int((names.sum(axis=1) >= 2).sum()) for key, names in passing.items()}
     if cfg.task == TASK_RISE_FALL:
         label = "the rise/fall label (the sign of the next-day return)"
@@ -329,13 +329,12 @@ def _no_training_days(panel: StockPanel, cfg: TrainConfig,
 
 def _batch_losses(params: BackboneParams, batch: _DayBatch, loss_cfg: RankLossConfig,
                   tasks: tuple[str, ...]):
-    """Forward one day; the loss per task, plus the rank batch when ranking runs."""
+    """Forward one day; the output and the loss per task."""
     out = forward(params, batch.feats)
     losses = {REG: mse_loss(out.pred_return, batch.y)}
-    if CLS not in tasks:
-        return out, losses, None
-    losses[CLS], rank_batch = classification_loss(out.class_logits, batch.labels, loss_cfg)
-    return out, losses, rank_batch
+    if CLS in tasks:
+        losses[CLS], _ = classification_loss(out.class_logits, batch.labels, loss_cfg)
+    return out, losses
 
 
 def _split_metrics(params: BackboneParams, batches: list[_DayBatch],
@@ -352,7 +351,7 @@ def _split_metrics(params: BackboneParams, batches: list[_DayBatch],
     preds = []
     with no_grad():
         for batch in batches:
-            out, losses, _ = _batch_losses(params, batch, loss_cfg, tasks)
+            out, losses = _batch_losses(params, batch, loss_cfg, tasks)
             for task in tasks:
                 loss_sums[task] += losses[task].item()
             preds.append(out.pred_return.data)
@@ -397,11 +396,12 @@ def fit(train_panel: StockPanel, valid_panel: StockPanel, mom_cfg: MomentumConfi
     ema: dict[str, np.ndarray | None] = dict.fromkeys(tasks)
     hist = {(split, task): [] for split in ("train", "valid") for task in tasks}
     converge = dict.fromkeys(tasks, 1.0)
-    k_counts: dict[int, int] = {}
+    # a day's k depends only on its labels, so every epoch counts the same histogram
+    k_counts = record_k(b.labels.k for b in train_batches) if CLS in tasks else {}
     log: list[EpochRecord] = []
     best_ic = -np.inf
     best_epoch = 0
-    best_snapshot = params.copy_data()
+    best_snapshot = params.flat.copy()
     stale = 0
     epochs_run = 0
 
@@ -413,11 +413,9 @@ def fit(train_panel: StockPanel, valid_panel: StockPanel, mom_cfg: MomentumConfi
         decay_e = adapted_decay(cfg.decay, mean_converge) if mode.adapt_decay else cfg.decay
 
         for batch in train_batches:
-            _, losses, rank_batch = _batch_losses(params, batch, loss_cfg, tasks)
+            _, losses = _batch_losses(params, batch, loss_cfg, tasks)
             if not all(np.isfinite(loss.data).all() for loss in losses.values()):
                 raise TrainingError(f"training diverged at epoch {epoch}, day index {batch.t}")
-            if epoch == 1 and rank_batch is not None:
-                k_counts[rank_batch.k] = k_counts.get(rank_batch.k, 0) + 1
 
             # every gradient is taken before any in-place update: backward reads param data
             trunk_grads, head_grads = [], []
@@ -457,16 +455,16 @@ def fit(train_panel: StockPanel, valid_panel: StockPanel, mom_cfg: MomentumConfi
         if np.isfinite(score) and score > best_ic + 1e-12:
             best_ic = score
             best_epoch = epoch
-            best_snapshot = params.copy_data()
+            best_snapshot = params.flat.copy()
             stale = 0
         else:
             if best_epoch == 0:  # keep something sensible even without a valid IC
                 best_epoch = epoch
-                best_snapshot = params.copy_data()
+                best_snapshot = params.flat.copy()
             stale += 1
         if stale >= cfg.patience:
             break
 
-    params.load_data(best_snapshot)
+    params.flat[...] = best_snapshot
     return FitResult(params=params, best_epoch=best_epoch, epochs_run=epochs_run,
-                     epoch_log=log, k_counts=dict(sorted(k_counts.items())))
+                     epoch_log=log, k_counts=k_counts)

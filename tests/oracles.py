@@ -2,12 +2,12 @@
 
 Each is a plain or scalar restatement of a concept that ``momrank`` computes
 in one vectorized or fused path: gradients by central differences, the
-array logistic and a sigmoid node for composed reference graphs, composed
-log-probabilities, exact ranks and NDCG, the full-block smooth-rank kernel,
-the composed pairwise hinge, per-ticker momentum lines and the per-line trend
-rule, the per-day metric, k and evaluation loops that the split-wide kernels
-replaced, and a per-day forward over windows gathered ticker by ticker. None
-of them runs outside the tests.
+array logistic, sigmoid and relu nodes for composed reference graphs,
+composed log-probabilities, exact ranks and NDCG, the full-block smooth-rank
+kernel, the composed pairwise hinge, per-ticker momentum lines and the
+per-line trend rule, the per-day metric, k and evaluation loops that the
+split-wide kernels replaced, and a per-day forward over windows gathered
+ticker by ticker. None of them runs outside the tests.
 """
 
 from __future__ import annotations
@@ -98,6 +98,14 @@ def sigmoid_node(x: Tensor) -> Tensor:
         x.accumulate_grad(out.grad * out.data * (1.0 - out.data))
 
     return Tensor(sigmoid_np(x.data), (x,), backward)
+
+
+def relu_node(x: Tensor) -> Tensor:
+    """max(x, 0) as one node; no gradient passes at 0."""
+    def backward(out):
+        x.accumulate_grad(out.grad * (x.data > 0))
+
+    return Tensor(np.where(x.data > 0, x.data, 0.0), (x,), backward)
 
 
 # ---- ranks and NDCG ----
@@ -211,7 +219,7 @@ def composed_pairwise_loss(scores: Tensor, target: np.ndarray) -> Tensor:
     score_diff = scores.reshape(n, 1) - scores.reshape(1, n)
     target_diff = target[:, None] - target[None, :]
     upper = np.triu(np.ones((n, n)), k=1)
-    hinge = (-(score_diff * target_diff)).relu()
+    hinge = relu_node(-(score_diff * target_diff))
     return (hinge * upper).sum() / float(n * n)
 
 
@@ -313,7 +321,7 @@ def adaptive_k(group_sizes, threshold: int) -> int:
 
 def evaluate_by_day(scores, panel, precision_ns, class_labels=None, threshold_frac=0.2):
     """``metrics.evaluate_predictions`` as one pass per date (the adaptive-k case)."""
-    y = compute_return(panel).y
+    y = compute_return(panel)
     ics, rics, k_values = [], [], []
     precisions: dict[int, list[float]] = {n: [] for n in precision_ns}
     for t in range(panel.n_dates):
@@ -343,7 +351,7 @@ def split_metrics_by_day(params, batches, loss_cfg, tasks, batch_losses):
     ics, rics = [], []
     with no_grad():
         for batch in batches:
-            out, losses, _ = batch_losses(params, batch, loss_cfg, tasks)
+            out, losses = batch_losses(params, batch, loss_cfg, tasks)
             for task in tasks:
                 loss_sums[task] += losses[task].item()
             ics.append(daily_ic(out.pred_return.data, batch.y))

@@ -18,10 +18,10 @@ from momrank.backtest import cumulative_return, run_topn
 from momrank.cli import main
 from momrank.data import (StockPanel, compute_return, fraction_split_spec, gen_synthetic,
                           normalize_features, split, trading_days)
-from momrank.losses import (RankLossConfig, _smooth_ranks, adaptive_k, approx_ndcg_at_k,
+from momrank.losses import (RankLossConfig, _smooth_ranks, adaptive_ks, approx_ndcg_at_k,
                             classification_loss, cross_entropy, day_labels, log_softmax,
                             make_rank_batch, mse_loss, ndcg_loss, pairwise_loss)
-from momrank.metrics import daily_ic, daily_rank_ic, evaluate_predictions, precision_at_n
+from momrank.metrics import day_ics, day_precisions, evaluate_predictions
 from momrank.model import Architecture, forward, init_params, predict_panel
 from momrank.momentum import (LEVEL_BOUNCE, LEVEL_NEGATIVE, LEVEL_POSITIVE, LEVEL_SINK,
                               LEVEL_VOLATILE, MomentumConfig, _classify_lines)
@@ -75,13 +75,15 @@ def test_criterion_1_gradient_correctness():
 # ------------------------------------------------------------------ 2
 def test_criterion_2_adaptive_k_oracle():
     rng = np.random.default_rng(7)
-    checked = 0
-    while checked < 1000:
+    days = []
+    while len(days) < 1000:
         sizes = rng.integers(0, 101, size=5).tolist()
         if sum(sizes) == 0:
             continue
-        threshold = int(rng.integers(1, 201))
-        k = adaptive_k(sizes, threshold)
+        days.append((sizes, int(rng.integers(1, 201))))
+    ks = adaptive_ks(np.array([sizes for sizes, _ in days]),
+                     np.array([threshold for _, threshold in days]))
+    for (sizes, threshold), k in zip(days, ks.tolist()):
         # brute-force prefix scan over the level-sorted list
         running, oracle = 0, sum(sizes)
         for s in sizes:
@@ -91,7 +93,6 @@ def test_criterion_2_adaptive_k_oracle():
                 break
         assert k == oracle
         assert k in np.cumsum(sizes).tolist()  # whole-group boundary: no split
-        checked += 1
     ok(2, "adaptive k equals the brute-force prefix oracle on 1000 random "
           "group-size vectors and never splits a level group")
 
@@ -280,12 +281,13 @@ def test_criterion_8_overfitting_mitigation():
 def test_criterion_9_metric_identities():
     rng = np.random.default_rng(31)
     y = rng.normal(size=20)
-    assert daily_ic(y.copy(), y) == pytest.approx(1.0, abs=1e-12)
-    assert daily_rank_ic(np.exp(y), y) == pytest.approx(1.0, abs=1e-12)
+    assert day_ics(y.copy(), y, [20])[0][0] == pytest.approx(1.0, abs=1e-12)
+    assert day_ics(np.exp(y), y, [20])[1][0] == pytest.approx(1.0, abs=1e-12)
     pred = rng.normal(size=20)
     frac = 100.0 * (y > 0).mean()
-    assert precision_at_n(pred, y, 20) == pytest.approx(frac, abs=1e-12)
-    assert daily_ic(np.array([1.0, 3.0, 2.0]), np.array([1.0, 2.0, 3.0])) == pytest.approx(0.5)
+    assert day_precisions(pred, y, [20], [20])[20][0] == pytest.approx(frac, abs=1e-12)
+    ic = day_ics(np.array([1.0, 3.0, 2.0]), np.array([1.0, 2.0, 3.0]), [3])[0][0]
+    assert ic == pytest.approx(0.5)
     ok(9, "IC(pred=y)=1, RankIC under exp transform=1, precision@n equals the positive "
           "fraction, and the 3-point IC oracle gives 0.5")
 
@@ -299,7 +301,7 @@ def test_criterion_10_backtest_identities():
     assert cumulative_return(run_topn(flat, scores, top_n=3)) == 0.0
 
     market = gen_synthetic(40, 8, 0.0, seed=41)
-    y = compute_return(market).y
+    y = compute_return(market)
     ledger = run_topn(market, np.random.default_rng(42).normal(size=y.shape), top_n=8)
     index_daily = np.nanmean(y[:-1], axis=1)
     assert np.abs(ledger.daily_return - index_daily).max() < 1e-12
@@ -307,7 +309,7 @@ def test_criterion_10_backtest_identities():
     wins = 0
     for seed in range(20):
         p = gen_synthetic(60, 20, 0.0, seed=seed)
-        ret = compute_return(p).y
+        ret = compute_return(p)
         foresight = np.where(np.isfinite(ret), ret, np.nan)
         rand = np.random.default_rng(900 + seed).normal(size=ret.shape)
         wins += (cumulative_return(run_topn(p, foresight, top_n=4))

@@ -69,7 +69,7 @@ def test_ledger_identities_under_random_validity_masks(case):
 
 def test_full_pool_reproduces_equal_weight_index():
     p = gen_synthetic(25, 6, 0.0, seed=2)
-    y = compute_return(p).y
+    y = compute_return(p)
     scores = np.random.default_rng(2).normal(size=p.close.shape)
     ledger = run_topn(p, scores, top_n=6)
     index_daily = np.nanmean(y[:-1], axis=1)
@@ -104,7 +104,7 @@ def test_perfect_foresight_beats_random():
     wins = 0
     for seed in range(20):
         p = gen_synthetic(60, 20, 0.0, seed=seed)
-        y = compute_return(p).y
+        y = compute_return(p)
         foresight = np.where(np.isfinite(y), y, np.nan)
         random_scores = np.random.default_rng(1000 + seed).normal(size=y.shape)
         a = cumulative_return(run_topn(p, foresight, top_n=4))

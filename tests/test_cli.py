@@ -130,6 +130,20 @@ def test_bad_synthetic_data_or_split_is_a_config_error(tmp_path, capsys, setting
     assert not out.exists()
 
 
+@pytest.mark.parametrize("end", ["2018-3-1", "garbage", "2018-02-30"])
+def test_split_endpoint_not_written_yyyy_mm_dd_is_a_config_error(tmp_path, capsys, end):
+    # compared as strings, 2018-3-1 would select dates through 2018-03-26
+    out = tmp_path / "dates"
+    argv = ["train", "--set", "data.n_dates=60", "--set", "split.train=2018-01-02:2018-01-31",
+            "--set", "split.valid=2018-02-01:2018-02-20",
+            "--set", f"split.test=2018-02-21:{end}", "--out-dir", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"config error: bad value for split.test: range must look like "
+        f"YYYY-MM-DD:YYYY-MM-DD, got '2018-02-21:{end}'\n")
+    assert not out.exists()
+
+
 MOMENTUM_LABEL = ("the momentum label (a line of momentum.gap + momentum.length = 4 + 6 = 10 "
                   "days ending momentum.anchor_offset = 2 days ahead)")
 

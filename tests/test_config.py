@@ -114,6 +114,11 @@ def test_contract_violation_becomes_config_error():
         build_config({"data.source": "csv"})  # csv_path missing
 
 
+def test_repeated_precision_depth_rejected():
+    with pytest.raises(ConfigError, match="eval.precision_ns repeats a depth: 5,5"):
+        build_config({"eval.precision_ns": "5,5"})
+
+
 def test_load_config_file_and_overrides(tmp_path):
     f = tmp_path / "exp.cfg"
     f.write_text("seed = 5\ntrain.epochs = 10\n", encoding="utf-8")

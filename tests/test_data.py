@@ -22,18 +22,18 @@ def panel_from_close(close, n_features=2):
 
 def test_return_up_10pct():
     p = panel_from_close([[100.0], [110.0]])
-    assert compute_return(p).y[0, 0] == pytest.approx(0.10)
+    assert compute_return(p)[0, 0] == pytest.approx(0.10)
 
 
 def test_return_constant_prices():
     p = panel_from_close(np.full((5, 3), 42.0))
-    y = compute_return(p).y
+    y = compute_return(p)
     assert np.all(y[:-1] == 0.0) and np.all(np.isnan(y[-1]))
 
 
 def test_return_down_10pct():
     p = panel_from_close([[100.0], [90.0]])
-    assert compute_return(p).y[0, 0] == pytest.approx(-0.10)
+    assert compute_return(p)[0, 0] == pytest.approx(-0.10)
 
 
 def test_return_nonpositive_close_names_cell():
@@ -91,7 +91,7 @@ def test_panels_derived_from_a_checked_panel_are_not_scanned_again(monkeypatch):
 
 def test_return_roundtrip_recovers_prices():
     p = gen_synthetic(30, 6, 0.5, seed=9)
-    y = compute_return(p).y
+    y = compute_return(p)
     rebuilt = p.close[:-1] * (1.0 + y[:-1])
     np.testing.assert_allclose(rebuilt, p.close[1:], rtol=1e-12)
 
@@ -99,7 +99,7 @@ def test_return_roundtrip_recovers_prices():
 def test_return_masks_invalid_neighbors():
     p = panel_from_close(np.full((3, 2), 10.0))
     p.valid[1, 0] = False
-    y = compute_return(p).y
+    y = compute_return(p)
     assert np.isnan(y[0, 0]) and np.isnan(y[1, 0]) and y[0, 1] == 0.0
 
 
@@ -453,21 +453,21 @@ def test_synthetic_deterministic():
 
 def test_synthetic_zero_signal_uncorrelated():
     p = gen_synthetic(250, 50, 0.0, seed=5)
-    y = compute_return(p).y
+    y = compute_return(p)
     cors = [np.corrcoef(p.features[t, :, 0], y[t])[0, 1] for t in range(249)]
     assert abs(float(np.mean(cors))) < 0.05
 
 
 def test_synthetic_full_signal_correlated():
     p = gen_synthetic(60, 20, 1.0, seed=6)
-    y = compute_return(p).y
+    y = compute_return(p)
     for t in range(0, 59, 7):
         assert np.corrcoef(p.features[t, :, 0], y[t])[0, 1] > 0.99
 
 
 def test_synthetic_signal_shift_changes_late_dates():
     p = gen_synthetic(40, 10, 1.0, seed=2, shift_after=20, shifted_signal_strength=0.0)
-    y = compute_return(p).y
+    y = compute_return(p)
     early = np.corrcoef(p.features[5, :, 0], y[5])[0, 1]
     late = np.corrcoef(p.features[30, :, 0], y[30])[0, 1]
     assert early > 0.99 and abs(late) < 0.9

@@ -1,0 +1,68 @@
+"""Every public name in ``src/momrank`` has a caller in the library or its benchmark.
+
+The library is what the CLI, ``fit`` and ``perfbench`` call. A function,
+class, method or constant that only tests use belongs in ``tests/oracles.py``
+or in the test that needs it. A name counts as used when code in ``src/`` or
+``perfbench/`` outside the name's own definition loads it, reads it as an
+attribute, imports it, or spells it in a string constant, because
+``perfbench/tracer.py`` binds the functions it wraps by name. Names are
+matched without their module or class, so an unused method passes while
+another attribute of the same name is in use.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+LIBRARY = sorted((ROOT / "src" / "momrank").glob("*.py"))
+CALLERS = LIBRARY + sorted((ROOT / "perfbench").glob("*.py"))
+
+
+def references(tree: ast.AST) -> Counter:
+    """How often each name is used under ``tree``."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            found.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                found.update(parts)
+    return found
+
+
+def public_definitions(tree: ast.Module):
+    """(qualified name, bare name, defining node) of each public top-level
+    function, class, method and constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if not node.name.startswith("_"):
+                yield node.name, node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield f"{node.name}.{item.name}", item.name, item
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not name.id.startswith("_"):
+                        yield name.id, name.id, node
+
+
+def test_every_public_name_has_a_library_or_benchmark_caller():
+    used = Counter()
+    for path in CALLERS:
+        used += references(ast.parse(path.read_text(encoding="utf-8")))
+    unused = []
+    for path in LIBRARY:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for qualified, bare, node in public_definitions(tree):
+            if used[bare] - references(node)[bare] <= 0:
+                unused.append(f"{path.name}: {qualified}")
+    assert not unused, "no caller in src/ or perfbench/: " + ", ".join(unused)

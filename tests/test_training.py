@@ -11,7 +11,7 @@ from momrank.autodiff import Tensor, gradients
 from momrank.data import (StockPanel, fraction_split_spec, gen_synthetic, normalize_features,
                           split, trading_days)
 from momrank.errors import ContractError, TrainingError
-from momrank.metrics import daily_ic, daily_rank_ic
+from momrank.metrics import day_ics
 from momrank.losses import RankLossConfig, classification_loss, day_labels, mse_loss
 from momrank.model import Architecture, forward, init_params
 from momrank.momentum import MomentumConfig
@@ -325,12 +325,13 @@ def split_metrics_recording(params, batches, loss_cfg, tasks):
     loss_sums = dict.fromkeys(tasks, 0.0)
     ics, rics = [], []
     for batch in batches:
-        out, losses, _ = _batch_losses(params, batch, loss_cfg, tasks)
+        out, losses = _batch_losses(params, batch, loss_cfg, tasks)
         assert all(losses[task]._prev for task in tasks)
         for task in tasks:
             loss_sums[task] += losses[task].item()
-        ics.append(daily_ic(out.pred_return.data, batch.y))
-        rics.append(daily_rank_ic(out.pred_return.data, batch.y))
+        ic, ric = day_ics(out.pred_return.data, batch.y, [batch.y.size])
+        ics.append(ic[0])
+        rics.append(ric[0])
     finite_ics = [v for v in ics if np.isfinite(v)]
     finite_rics = [v for v in rics if np.isfinite(v)]
     ic = float(np.mean(finite_ics)) if finite_ics else float("nan")
@@ -361,10 +362,10 @@ def test_epoch_eval_and_predict_build_no_graph(monkeypatch):
     seen = []
 
     def spy_losses(*args):
-        out, losses, rank_batch = _batch_losses(*args)
+        out, losses = _batch_losses(*args)
         seen.append(out.pred_return)
         seen.extend(losses.values())
-        return out, losses, rank_batch
+        return out, losses
 
     monkeypatch.setattr(training, "_batch_losses", spy_losses)
     cfg = TrainConfig(lr=1e-2, epochs=1, window=2, hidden=(6, 6))
