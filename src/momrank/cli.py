@@ -9,7 +9,6 @@ error, 2 runtime error. Nothing is written until the config has validated.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -29,7 +28,8 @@ from .data import (StockPanel, compute_return, fraction_split_spec, gen_syntheti
 from .data import SplitSpec
 from .errors import ConfigError, ContractError, MomrankError
 from .metrics import evaluate_predictions
-from .model import Architecture, load_checkpoint, predict_panel, save_checkpoint, window_ok
+from .model import (Architecture, load_checkpoint, predict_panel, save_checkpoint, window_ok,
+                    write_json)
 from .momentum import UNLABELED, label_dataset
 from .training import N_CLASSES, class_labels_for, fit
 
@@ -52,12 +52,6 @@ def _write_csv(path, provenance: dict[str, str], header: list[str], rows) -> Non
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt_value(v) for v in row) + "\n")
-
-
-def _write_json(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
 
 
 def _prepare_panel(cfg: ExperimentConfig) -> StockPanel:
@@ -151,8 +145,8 @@ def cmd_evaluate(cfg: ExperimentConfig, out_dir: str, checkpoint: str, split_nam
     labels = class_labels_for(eval_panel, cfg.train.task, cfg.momentum)
     report = evaluate_predictions(scores, eval_panel, precision_ns=cfg.eval.precision_ns,
                                   class_labels=labels, loss_cfg=cfg.loss)
-    _write_json(os.path.join(out_dir, "report.json"),
-                {"config": to_flat(cfg), "split": split_name, "report": report.to_dict()})
+    write_json(os.path.join(out_dir, "report.json"),
+               {"config": to_flat(cfg), "split": split_name, "report": report.to_dict()})
     _write_csv(os.path.join(out_dir, "k_hist.csv"), to_flat(cfg), ["k", "count"],
                sorted(report.k_histogram.items()))
 
@@ -176,6 +170,10 @@ def cmd_reproduce(cfg: ExperimentConfig, out_dir: str) -> None:
     header = ["variant", "ic", "rank_ic", "ic_std_e3", "rank_ic_std_e3"]
     precision_cols = [f"precision_at_{n}" for n in cfg.eval.precision_ns]
     header += precision_cols + ["cum_return_pct", "best_epoch", "epochs_run"]
+    # no cell overrides a data.*, split.* or momentum.* key, so every cell shares one
+    # panel, one split and one set of test labels per task
+    train_p, valid_p, test_p = _split_panels(cfg, _prepare_panel(cfg))
+    test_labels = {task: class_labels_for(test_p, task, cfg.momentum) for task in N_CLASSES}
     rows = []
     for i, (name, delta) in enumerate(REPRODUCE_CELLS, 1):
         started = time.perf_counter()
@@ -187,16 +185,14 @@ def cmd_reproduce(cfg: ExperimentConfig, out_dir: str) -> None:
         cell_cfg = build_config(flat)
         cell_dir = os.path.join(out_dir, name)
         os.makedirs(cell_dir, exist_ok=True)
-        panel = _prepare_panel(cell_cfg)
-        train_p, valid_p, test_p = _split_panels(cell_cfg, panel)
         result = fit(train_p, valid_p, cell_cfg.momentum, cell_cfg.loss, cell_cfg.train,
                      cell_cfg.seed)
         save_checkpoint(os.path.join(cell_dir, "checkpoint.json"), result.params,
                         extra={"config": to_flat(cell_cfg), "best_epoch": result.best_epoch})
         scores = predict_panel(result.params, test_p)
-        labels = class_labels_for(test_p, cell_cfg.train.task, cell_cfg.momentum)
         report = evaluate_predictions(scores, test_p, precision_ns=cell_cfg.eval.precision_ns,
-                                      class_labels=labels, loss_cfg=cell_cfg.loss)
+                                      class_labels=test_labels[cell_cfg.train.task],
+                                      loss_cfg=cell_cfg.loss)
         ledger = run_topn(test_p, scores, cell_cfg.eval.top_n, cell_cfg.eval.cost_bps)
         row = [name, report.ic, report.rank_ic, report.ic_std, report.rank_ic_std]
         row += [report.precision_at.get(n, float("nan")) for n in cell_cfg.eval.precision_ns]

@@ -10,9 +10,8 @@ is read off those fields, so a knob is declared once.
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, field, fields
-from datetime import date
 
-from .data import check_synthetic
+from .data import check_synthetic, iso_date
 from .errors import ConfigError, ContractError
 from .losses import RankLossConfig
 from .momentum import MomentumConfig
@@ -112,12 +111,9 @@ def _parse_range(text: str) -> tuple[str, str] | None:
         return None
     lo, _, hi = text.partition(":")
     try:
-        ends = tuple(date.fromisoformat(end.strip()).isoformat() for end in (lo, hi))
+        return iso_date(lo.strip()), iso_date(hi.strip())
     except ValueError:
-        ends = None
-    if ends != (lo.strip(), hi.strip()):  # data.split compares the dates as strings
-        raise ValueError(f"range must look like YYYY-MM-DD:YYYY-MM-DD, got {text!r}")
-    return ends
+        raise ValueError(f"range must look like YYYY-MM-DD:YYYY-MM-DD, got {text!r}") from None
 
 
 # field annotation -> parser of its value text

@@ -24,10 +24,10 @@ _CHUNK = 16384  # CSV records converted per numpy pass
 class StockPanel:
     """Date x ticker panel of closes, feature channels and a validity mask.
 
-    A valid cell's close and features must be finite; the first one that is
-    not raises ``DataError`` naming its date and ticker. Panels cut or
-    transformed from a checked panel are built with ``derived``, which skips
-    the checks.
+    A valid cell's close and features must be finite, and its close must be
+    > 0; the first cell that breaks a rule raises ``DataError`` naming its
+    date and ticker, the finiteness rule first. Panels cut or transformed
+    from a checked panel are built with ``derived``, which skips the checks.
     """
 
     dates: list[str]            # ISO-8601, strictly increasing
@@ -44,7 +44,7 @@ class StockPanel:
             raise DataError(f"close/valid shape mismatch: {self.close.shape} vs ({t}, {n})")
         if self.features.shape[:2] != (t, n):
             raise DataError(f"features shape {self.features.shape} does not match ({t}, {n})")
-        _check_finite(self)
+        _check_cells(self)
 
     @classmethod
     def derived(cls, dates: list[str], tickers: list[str], close: np.ndarray,
@@ -74,18 +74,20 @@ class StockPanel:
                                   self.valid[lo:hi].copy())
 
 
-def _check_finite(panel: StockPanel) -> None:
-    """Raise ``DataError`` at the first valid cell whose close or a feature is not finite."""
-    if np.isfinite(panel.close).all() and np.isfinite(panel.features).all():
-        return
+def _check_cells(panel: StockPanel) -> None:
+    """Raise ``DataError`` at the first valid cell whose close or a feature is not
+    finite, else at the first valid cell whose close is not > 0."""
     finite = np.isfinite(panel.close)
-    for k in range(panel.n_features):  # 3x faster than .all(axis=2) over few channels
-        finite &= np.isfinite(panel.features[..., k])
-    bad = panel.valid & ~finite
-    if bad.any():
-        d, i = np.argwhere(bad)[0]
-        raise DataError(f"non-finite close or feature at date {panel.dates[d]} "
-                        f"ticker {panel.tickers[i]}")
+    if not (finite.all() and np.isfinite(panel.features).all()):
+        for k in range(panel.n_features):  # 3x faster than .all(axis=2) over few channels
+            finite &= np.isfinite(panel.features[..., k])
+    for ok, what in ((finite, "non-finite close or feature"),
+                     (panel.close > 0, "non-positive close")):
+        if not ok.all():
+            bad = panel.valid & ~ok
+            if bad.any():
+                d, i = np.argwhere(bad)[0]
+                raise DataError(f"{what} at date {panel.dates[d]} ticker {panel.tickers[i]}")
 
 
 @dataclass(frozen=True)
@@ -99,13 +101,10 @@ class SplitSpec:
 
 def compute_return(panel: StockPanel) -> np.ndarray:
     """[T, N] next-day relative close change per cell; NaN where undefined
-    (an invalid cell on either day, and the final date)."""
+    (an invalid cell on either day, and the final date). Valid closes are
+    > 0: the panel checked them when it was built."""
     if panel.n_dates < 2:
         raise ContractError("need at least 2 dates to compute returns")
-    bad = panel.valid & ~(panel.close > 0)
-    if bad.any():
-        t, i = np.argwhere(bad)[0]
-        raise DataError(f"non-positive close at date {panel.dates[t]} ticker {panel.tickers[i]}")
     y = np.full_like(panel.close, np.nan)
     both = panel.valid[:-1] & panel.valid[1:]
     cur, nxt = panel.close[:-1], panel.close[1:]
@@ -122,9 +121,11 @@ def load_csv(path) -> StockPanel:
     surrounding spaces. Rows are converted ``_CHUNK`` at a time: the numbers
     in one numpy cast, dates and tickers to integer ids through two dicts.
     Missing (date, ticker) combinations are masked invalid. A wrong field
-    count, an unparseable number or ISO date, a duplicate key or a non-finite
-    value raises ``DataError`` naming the file and the line (the CSV record
-    number, header = 1) of the first offending row.
+    count, an unparseable number or date, a date not written YYYY-MM-DD, a
+    duplicate key or a non-finite value raises ``DataError`` naming the file
+    and the line (the CSV record number, header = 1) of the first offending
+    row; a close that is not > 0 fails the panel's check, which names its
+    date and ticker.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -207,7 +208,7 @@ def _parse_chunk(rows: list[list[str]], first_line: int, width: int,
     t = _ids(cells[:, 1], ticker_ids)
     for k, date in enumerate(itertools.islice(date_ids, known, None), start=known):
         try:
-            _dt.date.fromisoformat(date)
+            iso_date(date)
         except ValueError as exc:
             errors.append((lines[np.argmax(d == k)], 1, f"unparseable row ({exc})"))
     try:
@@ -269,6 +270,14 @@ def normalize_features(panel: StockPanel) -> StockPanel:
                               np.where(valid, z, panel.features), panel.valid.copy())
 
 
+def iso_date(text: str) -> str:
+    """``text`` if it is a date written YYYY-MM-DD; panels and splits compare dates
+    as strings, so ``20180103`` would sort after ``2018-01-04``."""
+    if _dt.date.fromisoformat(text).isoformat() != text:
+        raise ValueError(f"date {text!r} is not written YYYY-MM-DD")
+    return text
+
+
 def trading_days(n: int, start: str = "2018-01-02") -> list[str]:
     """n consecutive weekdays from ``start`` as ISO dates."""
     day = _dt.date.fromisoformat(start)
@@ -280,7 +289,8 @@ def trading_days(n: int, start: str = "2018-01-02") -> list[str]:
     return out
 
 
-def _standardize(v: np.ndarray) -> np.ndarray:
+def standardize(v: np.ndarray) -> np.ndarray:
+    """``v`` z-scored (population std); all zeros when its std is below 1e-12."""
     sd = v.std()
     if sd < 1e-12:
         return np.zeros_like(v)
@@ -322,7 +332,7 @@ def gen_synthetic(n_dates: int, n_tickers: int, signal_strength: float, seed: in
         s = signal_strength
         if shift_after is not None and t >= shift_after:
             s = shifted_signal_strength if shifted_signal_strength is not None else 0.0
-        features[t, :, 0] = s * _standardize(rets[t]) + (1.0 - s) * features[t, :, 0]
+        features[t, :, 0] = s * standardize(rets[t]) + (1.0 - s) * features[t, :, 0]
     valid = np.ones((n_dates, n_tickers), dtype=bool)
     tickers = [f"S{i:03d}" for i in range(n_tickers)]
     return StockPanel(trading_days(n_dates), tickers, close, features, valid)

@@ -247,31 +247,8 @@ def _blocks_vjp(blocks, g: np.ndarray) -> np.ndarray:
     return acc[:, 0] - g * acc[:, 1]
 
 
-def _smooth_ranks(s: np.ndarray) -> np.ndarray:
-    """1 + sum over j != i of sigmoid(s_j - s_i), from one stable sort of ``s``.
-
-    The ranks sum to n(n+1)/2: a pair's two sigmoids add to one.
-    """
-    order = s.argsort(kind="stable")
-    ranks = np.empty(s.size)
-    ranks[order] = _sorted_ranks(s[order])[0]
-    return ranks
-
-
-def _smooth_ranks_vjp(s: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Gradient w.r.t. ``s`` of sum_i g_i * rank_i (Qin, Liu & Li, 2010).
-
-    grad_j = sum_i g_i W_ij - g_j sum_k W_jk, W the logistic's slope at
-    s_j - s_i. Each chunk of W is rebuilt from the sorted scores.
-    """
-    order = s.argsort(kind="stable")
-    grad = np.empty(s.size)
-    grad[order] = _blocks_vjp(_upper_blocks(s[order], slope=True), g[order])
-    return grad
-
-
 def _smooth_dcg_at_k(scores: Tensor, levels: np.ndarray, k: int, gain: str) -> Tensor:
-    """DCG@k of ``_smooth_ranks(scores)`` as one node with a closed-form backward.
+    """DCG@k of the smooth ranks of ``scores`` as one node with a closed-form backward.
 
     Membership is smooth rank <= k + 0.5; the gradient flows through the
     discount of the included items only. The backward reuses the forward's

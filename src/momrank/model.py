@@ -157,15 +157,19 @@ def predict_panel(params: BackboneParams, panel: StockPanel) -> np.ndarray:
 
 def save_checkpoint(path, params: BackboneParams, extra: dict | None = None) -> None:
     """Write parameters as JSON named arrays with shapes (portable, diffable)."""
-    blob = {
+    write_json(path, {
         "format": "momrank-checkpoint-v1",
         "arch": asdict(params.arch),
         "params": {name: {"shape": list(t.data.shape), "data": t.data.reshape(-1).tolist()}
                    for name, t in params.all_named().items()},
         "extra": extra or {},
-    }
+    })
+
+
+def write_json(path, payload: dict) -> None:
+    """Write an artifact as indented JSON with sorted keys and a final newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(blob, fh, indent=1, sort_keys=True)
+        json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 

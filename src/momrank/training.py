@@ -48,7 +48,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .autodiff import Tensor, gradients, no_grad
-from .data import StockPanel, compute_return
+from .data import StockPanel, compute_return, standardize
 from .errors import ContractError, TrainingError
 from .losses import DayLabels, RankLossConfig, classification_loss, mse_loss, split_labels
 from .metrics import day_ics, record_k
@@ -294,11 +294,8 @@ def build_batches(panel: StockPanel, labels: np.ndarray, window: int, n_classes:
     batches: list[_DayBatch] = []
     for t, lo, size, day in zip(days.tolist(), starts.tolist(), sizes.tolist(), labels_by_day):
         rows = ticker_of[lo: lo + size]
-        target = y[t, rows]
-        sd = target.std()
-        target = (target - target.mean()) / sd if sd > 1e-12 else np.zeros_like(target)
-        batches.append(_DayBatch(t=t, rows=rows, feats=windows[lo: lo + size], y=target,
-                                 labels=day))
+        batches.append(_DayBatch(t=t, rows=rows, feats=windows[lo: lo + size],
+                                 y=standardize(y[t, rows]), labels=day))
     return batches
 
 

@@ -4,7 +4,8 @@ Each is a plain or scalar restatement of a concept that ``momrank`` computes
 in one vectorized or fused path: gradients by central differences, the
 array logistic, sigmoid and relu nodes for composed reference graphs,
 composed log-probabilities, exact ranks and NDCG, the full-block smooth-rank
-kernel, the composed pairwise hinge, per-ticker momentum lines and the
+kernel (and adapters that run the library's sorted one in input order), the
+composed pairwise hinge, per-ticker momentum lines and the
 per-line trend rule, the per-day metric, k and evaluation loops that the
 split-wide kernels replaced, and a per-day forward over windows gathered
 ticker by ticker. None of them runs outside the tests.
@@ -19,7 +20,8 @@ import numpy as np
 from momrank.autodiff import Tensor, no_grad
 from momrank.data import compute_return
 from momrank.errors import ContractError, GraphError, NumericError
-from momrank.losses import _ROW_CHUNK, GAIN_STANDARD, gain_values, ideal_dcg_at_k
+from momrank.losses import (_ROW_CHUNK, GAIN_STANDARD, _blocks_vjp, _sorted_ranks,
+                            _upper_blocks, gain_values, ideal_dcg_at_k)
 from momrank.metrics import aggregate
 from momrank.model import forward, window_ok
 from momrank.momentum import (LEVEL_BOUNCE, LEVEL_NEGATIVE, LEVEL_POSITIVE, LEVEL_SINK,
@@ -155,6 +157,24 @@ def smooth_ranks_vjp(s: np.ndarray, g: np.ndarray) -> np.ndarray:
         g_rows = g[lo:lo + len(w)]
         grad += g_rows @ w
         grad[lo:lo + len(w)] -= g_rows * w.sum(axis=1)
+    return grad
+
+
+def sorted_kernel_ranks(s: np.ndarray) -> np.ndarray:
+    """The library's smooth ranks (``losses._sorted_ranks`` over one stable sort of
+    ``s``) in the order of ``s``; they sum to n(n+1)/2."""
+    order = s.argsort(kind="stable")
+    ranks = np.empty(s.size)
+    ranks[order] = _sorted_ranks(s[order])[0]
+    return ranks
+
+
+def sorted_kernel_ranks_vjp(s: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The library's smooth-rank gradient (``losses._blocks_vjp`` over the slope
+    blocks of the sorted ``s``) in the order of ``s``."""
+    order = s.argsort(kind="stable")
+    grad = np.empty(s.size)
+    grad[order] = _blocks_vjp(_upper_blocks(s[order], slope=True), g[order])
     return grad
 
 

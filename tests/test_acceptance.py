@@ -3,7 +3,8 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines. Expensive sanity runs (planted-signal learning, overfitting
 mitigation) sit at the end. Apart from the finite-difference gradient
-checker in ``oracles.py`` the module is self-contained.
+checker in ``oracles.py`` and its adapter that runs the library's smooth-rank
+kernel in input order, the module is self-contained.
 """
 
 import itertools
@@ -18,9 +19,9 @@ from momrank.backtest import cumulative_return, run_topn
 from momrank.cli import main
 from momrank.data import (StockPanel, compute_return, fraction_split_spec, gen_synthetic,
                           normalize_features, split, trading_days)
-from momrank.losses import (RankLossConfig, _smooth_ranks, adaptive_ks, approx_ndcg_at_k,
-                            classification_loss, cross_entropy, day_labels, log_softmax,
-                            make_rank_batch, mse_loss, ndcg_loss, pairwise_loss)
+from momrank.losses import (RankLossConfig, adaptive_ks, approx_ndcg_at_k, classification_loss,
+                            cross_entropy, day_labels, log_softmax, make_rank_batch, mse_loss,
+                            ndcg_loss, pairwise_loss)
 from momrank.metrics import day_ics, day_precisions, evaluate_predictions
 from momrank.model import Architecture, forward, init_params, predict_panel
 from momrank.momentum import (LEVEL_BOUNCE, LEVEL_NEGATIVE, LEVEL_POSITIVE, LEVEL_SINK,
@@ -29,6 +30,7 @@ from momrank.training import (TrainConfig, adapted_beta, adapted_decay, balanced
                               build_batches, class_labels_for, fit)
 from momrank.autodiff import gradients
 from oracles import check_gradient
+from oracles import sorted_kernel_ranks as _smooth_ranks
 
 
 def ok(n, text):

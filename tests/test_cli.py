@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import momrank
-from momrank.cli import main
+from momrank.cli import REPRODUCE_CELLS, main
+from momrank.config import SCHEMA
+from momrank.data import gen_synthetic
 
 FAST = ["data.n_dates=40", "data.n_tickers=8", "data.n_features=3",
         "data.signal_strength=0.9", "train.epochs=2", "train.window=2",
@@ -248,6 +250,31 @@ def test_csv_source_roundtrip(tmp_path):
                  "--out-dir", str(out)])
     assert code == 0
     assert (out / "labels.csv").exists()
+
+
+def test_a_zero_close_in_a_csv_fails_label_and_train_alike(tmp_path, capsys):
+    panel = gen_synthetic(40, 6, 0.6, seed=3, n_features=1)
+    panel.close[17, 4] = 0.0
+    csv_path = tmp_path / "panel.csv"
+    csv_path.write_text("date,ticker,close,f0\n" + "".join(
+        f"{d},{tick},{float(panel.close[t, i])!r},{float(panel.features[t, i, 0])!r}\n"
+        for t, d in enumerate(panel.dates) for i, tick in enumerate(panel.tickers)),
+        encoding="utf-8")
+    for command, artifact in (("label", "labels.csv"), ("train", "checkpoint.json")):
+        out = tmp_path / command
+        code = main([command, "--set", "data.source=csv", "--set", f"data.csv_path={csv_path}",
+                     "--out-dir", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: non-positive close at date {panel.dates[17]} ticker S004\n")
+        assert not (out / artifact).exists()
+
+
+def test_reproduce_cells_override_only_train_and_loss_keys():
+    # cmd_reproduce prepares, splits and labels the panel once for every cell
+    keys = {key for _, delta in REPRODUCE_CELLS for key in delta} | {"loss.fixed_k"}
+    assert keys <= set(SCHEMA)
+    assert {key.split(".")[0] for key in keys} <= {"train", "loss"}
 
 
 def test_reproduce_emits_comparison_table(tmp_path):

@@ -1,5 +1,4 @@
 import csv
-import datetime as _dt
 import tracemalloc
 
 import numpy as np
@@ -37,10 +36,19 @@ def test_return_down_10pct():
 
 
 def test_return_nonpositive_close_names_cell():
-    p = panel_from_close([[100.0, 100.0], [110.0, -1.0]])
-    with pytest.raises(DataError) as exc:
-        compute_return(p)
-    assert "S001" in str(exc.value)
+    for bad in (-1.0, 0.0):  # the panel rejects it when built, before any return
+        with pytest.raises(DataError) as exc:
+            panel_from_close([[100.0, 100.0], [110.0, bad]])
+        assert str(exc.value) == "non-positive close at date 2018-01-03 ticker S001"
+
+
+def test_panel_checks_finiteness_before_positive_closes():
+    close = np.array([[100.0, -1.0], [np.inf, 100.0]])
+    with pytest.raises(DataError, match="^non-finite close or feature at date 2018-01-03 "):
+        panel_from_close(close)
+    masked = StockPanel(trading_days(2), ["S000", "S001"], close, np.zeros((2, 2, 1)),
+                        np.array([[True, False], [False, True]]))  # invalid cells may be <= 0
+    assert masked.valid.sum() == 2
 
 
 @pytest.mark.parametrize("channel,where,date,ticker", [
@@ -79,10 +87,10 @@ def test_panels_derived_from_a_checked_panel_are_not_scanned_again(monkeypatch):
 
     def counting_check(panel):
         scans.append(panel)
-        return check_finite(panel)
+        return check_cells(panel)
 
-    check_finite = data._check_finite
-    monkeypatch.setattr(data, "_check_finite", counting_check)
+    check_cells = data._check_cells
+    monkeypatch.setattr(data, "_check_cells", counting_check)
     parts = split(normalize_features(masked), fraction_split_spec(masked, 0.6, 0.2))
     assert scans == [] and [part.n_dates for part in parts] == [24, 8, 8]
     StockPanel(masked.dates, masked.tickers, masked.close, masked.features, masked.valid)
@@ -142,6 +150,17 @@ def test_load_csv_duplicate_key_reports_line(tmp_path):
     assert ":3:" in str(exc.value)
 
 
+def test_load_csv_date_not_written_yyyy_mm_dd_reports_line(tmp_path):
+    # 20180103 parses as an ISO basic date, but would sort after 2018-01-04
+    f = write_csv(tmp_path, "date,ticker,close,f0\n"
+                            "2018-01-02,A,10,0.1\n"
+                            "20180103,A,11,0.2\n"
+                            "2018-01-04,A,12,0.3\n")
+    with pytest.raises(DataError) as exc:
+        load_csv(f)
+    assert str(exc.value) == f"{f}:3: unparseable row (date '20180103' is not written YYYY-MM-DD)"
+
+
 def test_load_csv_unparseable_reports_line(tmp_path):
     f = write_csv(tmp_path, "date,ticker,close,f0\n"
                             "2020-01-01,A,ten,0.1\n")
@@ -183,7 +202,7 @@ def load_csv_rowwise(path) -> StockPanel:
                 raise DataError(f"{path}:{lineno}: expected {3 + n_feat} fields, got {len(row)}")
             date, ticker = row[0].strip(), row[1].strip()
             try:
-                _dt.date.fromisoformat(date)
+                data.iso_date(date)
                 close = float(row[2])
                 feats = [float(v) for v in row[3:]]
             except ValueError as exc:
@@ -293,6 +312,7 @@ DEFECTS = {
     "field_count": lambda rows, i: rows.__setitem__(i, rows[i][:-1]),
     "number": lambda rows, i: rows.__setitem__(i, rows[i][:3] + ["1.2.3"] + rows[i][4:]),
     "date": lambda rows, i: rows.__setitem__(i, ["2018-02-30"] + rows[i][1:]),
+    "basic_date": lambda rows, i: rows.__setitem__(i, ["20180305"] + rows[i][1:]),
     "duplicate": lambda rows, i: rows.insert(i, list(rows[i - 300])),
     "non_finite": lambda rows, i: rows.__setitem__(i, rows[i][:2] + ["inf"] + rows[i][3:]),
 }

@@ -1,8 +1,9 @@
-"""Every public name in ``src/momrank`` has a caller in the library or its benchmark.
+"""Every name in ``src/momrank`` has a caller in the library or its benchmark.
 
 The library is what the CLI, ``fit`` and ``perfbench`` call. A function,
 class, method or constant that only tests use belongs in ``tests/oracles.py``
-or in the test that needs it. A name counts as used when code in ``src/`` or
+or in the test that needs it. This holds for public names and for private
+module-level functions, classes and constants alike. A name counts as used when code in ``src/`` or
 ``perfbench/`` outside the name's own definition loads it, reads it as an
 attribute, imports it, or spells it in a string constant, because
 ``perfbench/tracer.py`` binds the functions it wraps by name. Names are
@@ -55,14 +56,40 @@ def public_definitions(tree: ast.Module):
                         yield name.id, name.id, node
 
 
-def test_every_public_name_has_a_library_or_benchmark_caller():
+def private_definitions(tree: ast.Module):
+    """(name, name, defining node) of each private top-level function, class and
+    constant; dunder names such as ``__all__`` are protocol, not private."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.endswith("__"):
+                yield name, name, node
+
+
+def names_without_caller(definitions) -> list[str]:
     used = Counter()
     for path in CALLERS:
         used += references(ast.parse(path.read_text(encoding="utf-8")))
     unused = []
     for path in LIBRARY:
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        for qualified, bare, node in public_definitions(tree):
+        for qualified, bare, node in definitions(tree):
             if used[bare] - references(node)[bare] <= 0:
                 unused.append(f"{path.name}: {qualified}")
+    return unused
+
+
+def test_every_public_name_has_a_library_or_benchmark_caller():
+    unused = names_without_caller(public_definitions)
+    assert not unused, "no caller in src/ or perfbench/: " + ", ".join(unused)
+
+
+def test_every_private_module_level_name_has_a_library_or_benchmark_caller():
+    unused = names_without_caller(private_definitions)
     assert not unused, "no caller in src/ or perfbench/: " + ", ".join(unused)

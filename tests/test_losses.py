@@ -11,11 +11,13 @@ import oracles
 from momrank.autodiff import Tensor
 from momrank.errors import ContractError
 from momrank.losses import (_LN2, _ROW_CHUNK, GAIN_SHIFTED, GAIN_STANDARD, RANK_PAIRWISE,
-                            SCORE_SCALE, RankLossConfig, _smooth_ranks, _smooth_ranks_vjp,
-                            adaptive_ks, approx_ndcg_at_k, classification_loss, cross_entropy,
-                            day_labels, expected_level, gain_values, ideal_dcg_at_k,
-                            log_softmax, make_rank_batch, mse_loss, ndcg_loss, pairwise_loss)
+                            SCORE_SCALE, RankLossConfig, adaptive_ks, approx_ndcg_at_k,
+                            classification_loss, cross_entropy, day_labels, expected_level,
+                            gain_values, ideal_dcg_at_k, log_softmax, make_rank_batch, mse_loss,
+                            ndcg_loss, pairwise_loss)
 from oracles import approx_rank, check_gradient, dcg_at_k, exact_ndcg_at_k, sigmoid_node
+from oracles import sorted_kernel_ranks as _smooth_ranks
+from oracles import sorted_kernel_ranks_vjp as _smooth_ranks_vjp
 
 
 def sigmoid(x):
