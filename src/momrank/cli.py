@@ -62,9 +62,7 @@ def _prepare_panel(cfg: ExperimentConfig) -> StockPanel:
                               seed=cfg.seed, n_features=cfg.data.n_features,
                               shift_after=cfg.data.shift_after,
                               shifted_signal_strength=cfg.data.shifted_signal_strength)
-    if cfg.data.normalize:
-        panel = normalize_features(panel)
-    return panel
+    return normalize_features(panel)
 
 
 def _split_panels(cfg: ExperimentConfig, panel: StockPanel):
@@ -171,9 +169,8 @@ def cmd_reproduce(cfg: ExperimentConfig, out_dir: str) -> None:
     precision_cols = [f"precision_at_{n}" for n in cfg.eval.precision_ns]
     header += precision_cols + ["cum_return_pct", "best_epoch", "epochs_run"]
     # no cell overrides a data.*, split.* or momentum.* key, so every cell shares one
-    # panel, one split and one set of test labels per task
+    # panel and one split
     train_p, valid_p, test_p = _split_panels(cfg, _prepare_panel(cfg))
-    test_labels = {task: class_labels_for(test_p, task, cfg.momentum) for task in N_CLASSES}
     rows = []
     for i, (name, delta) in enumerate(REPRODUCE_CELLS, 1):
         started = time.perf_counter()
@@ -190,9 +187,7 @@ def cmd_reproduce(cfg: ExperimentConfig, out_dir: str) -> None:
         save_checkpoint(os.path.join(cell_dir, "checkpoint.json"), result.params,
                         extra={"config": to_flat(cell_cfg), "best_epoch": result.best_epoch})
         scores = predict_panel(result.params, test_p)
-        report = evaluate_predictions(scores, test_p, precision_ns=cell_cfg.eval.precision_ns,
-                                      class_labels=test_labels[cell_cfg.train.task],
-                                      loss_cfg=cell_cfg.loss)
+        report = evaluate_predictions(scores, test_p, precision_ns=cell_cfg.eval.precision_ns)
         ledger = run_topn(test_p, scores, cell_cfg.eval.top_n, cell_cfg.eval.cost_bps)
         row = [name, report.ic, report.rank_ic, report.ic_std, report.rank_ic_std]
         row += [report.precision_at.get(n, float("nan")) for n in cell_cfg.eval.precision_ns]

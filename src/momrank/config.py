@@ -28,7 +28,6 @@ class DataConfig:
     signal_strength: float = 0.6
     shift_after: int | None = None
     shifted_signal_strength: float | None = None
-    normalize: bool = True
 
     def __post_init__(self):
         if self.source not in ("synthetic", "csv"):
@@ -87,15 +86,6 @@ class ExperimentConfig:
     eval: EvalConfig = field(default_factory=EvalConfig)
 
 
-def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 def _parse_opt(parser):
     def inner(text: str):
         return None if text.strip().lower() in ("", "none", "auto") else parser(text)
@@ -121,7 +111,6 @@ _PARSERS = {
     "int": int,
     "float": float,
     "str": str,
-    "bool": _parse_bool,
     "int | None": _parse_opt(int),
     "float | None": _parse_opt(float),
     "str | None": _parse_opt(str),
@@ -216,8 +205,6 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> Experim
 def _fmt_value(value) -> str:
     if value is None:
         return "none"
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):  # incl. numpy floats; repr of builtin float roundtrips
         return repr(float(value))
     if isinstance(value, tuple):

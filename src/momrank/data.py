@@ -8,6 +8,7 @@ backtests. All randomness goes through numpy's Philox generator (a documented
 
 from __future__ import annotations
 
+import bisect
 import csv
 import datetime as _dt
 import itertools
@@ -18,6 +19,8 @@ import numpy as np
 from .errors import ContractError, DataError
 
 _CHUNK = 16384  # CSV records converted per numpy pass
+SYNTHETIC_START = "2018-01-02"  # first date of a synthetic panel
+SYNTHETIC_DRIFT, SYNTHETIC_VOL = 5e-4, 0.02  # mean and std of a synthetic daily return
 
 
 @dataclass
@@ -173,9 +176,6 @@ def load_csv(path) -> StockPanel:
     if not lines.size:
         raise DataError(f"{path}: no data rows")
     values = np.concatenate([part[3] for part in parts])
-    finite = np.isfinite(values).all(axis=1)
-    if not finite.all():
-        raise DataError(f"{path}:{lines[~finite].min()}: non-finite close or feature value")
     close = np.full(len(dates) * n, np.nan)
     features = np.full((len(dates) * n, width - 3), np.nan)
     valid = np.zeros(len(dates) * n, dtype=bool)
@@ -214,15 +214,18 @@ def _parse_chunk(rows: list[list[str]], first_line: int, width: int,
     try:
         values = cells[:, 2:].astype(np.float64)  # float() on each cell, in C
     except ValueError:  # only a bad chunk pays for naming its row
-        values = None
-        for row, line in zip(rows, lines):
+        for i, row in enumerate(rows):
             try:
                 [float(v) for v in row[2:]]
             except ValueError as exc:
-                errors.append((line, 2, f"unparseable row ({exc})"))
+                errors.append((lines[i], 2, f"unparseable row ({exc})"))
                 break
         else:
             raise
+        values = cells[:i, 2:].astype(np.float64)  # the rows before the unparseable one
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        errors.append((lines[np.argmin(finite)], 3, "non-finite close or feature value"))
     line, _, message = min(errors, default=(None, 0, ""))
     return lines, d, t, values, None if line is None else (line, message)
 
@@ -278,9 +281,9 @@ def iso_date(text: str) -> str:
     return text
 
 
-def trading_days(n: int, start: str = "2018-01-02") -> list[str]:
-    """n consecutive weekdays from ``start`` as ISO dates."""
-    day = _dt.date.fromisoformat(start)
+def trading_days(n: int) -> list[str]:
+    """n consecutive weekdays from ``SYNTHETIC_START`` as ISO dates."""
+    day = _dt.date.fromisoformat(SYNTHETIC_START)
     out: list[str] = []
     while len(out) < n:
         if day.weekday() < 5:
@@ -310,8 +313,7 @@ def check_synthetic(n_dates: int, n_tickers: int, n_features: int, signal_streng
 
 
 def gen_synthetic(n_dates: int, n_tickers: int, signal_strength: float, seed: int,
-                  n_features: int = 4, drift: float = 5e-4, vol: float = 0.02,
-                  shift_after: int | None = None,
+                  n_features: int = 4, shift_after: int | None = None,
                   shifted_signal_strength: float | None = None) -> StockPanel:
     """Seeded geometric random-walk market with a planted cross-sectional signal.
 
@@ -323,7 +325,7 @@ def gen_synthetic(n_dates: int, n_tickers: int, signal_strength: float, seed: in
     """
     check_synthetic(n_dates, n_tickers, n_features, signal_strength, shifted_signal_strength)
     rng = np.random.Generator(np.random.Philox(seed))
-    rets = rng.normal(drift, vol, size=(n_dates - 1, n_tickers))
+    rets = rng.normal(SYNTHETIC_DRIFT, SYNTHETIC_VOL, size=(n_dates - 1, n_tickers))
     close = np.empty((n_dates, n_tickers))
     close[0] = rng.uniform(50.0, 150.0, size=n_tickers)
     close[1:] = close[0] * np.cumprod(1.0 + rets, axis=0)
@@ -354,12 +356,11 @@ def split(panel: StockPanel, spec: SplitSpec) -> tuple[StockPanel, StockPanel, S
             raise ContractError(f"split ranges overlap or are out of order at {next_lo}")
     out = []
     for lo, hi in ranges:
-        idx = [i for i, d in enumerate(panel.dates) if lo <= d <= hi]
-        if not idx:
+        # panel dates strictly increase, so the dates in [lo, hi] are one run
+        first, stop = bisect.bisect_left(panel.dates, lo), bisect.bisect_right(panel.dates, hi)
+        if first == stop:
             raise ContractError(f"split range {lo}..{hi} selects no dates")
-        if idx != list(range(idx[0], idx[-1] + 1)):
-            raise ContractError(f"split range {lo}..{hi} is not contiguous in the panel")
-        out.append(panel.subpanel(idx[0], idx[-1] + 1))
+        out.append(panel.subpanel(first, stop))
     return out[0], out[1], out[2]
 
 

@@ -25,11 +25,11 @@ TRUNK_MLP = "mlp"  # the one trunk; kept as a checkpoint arch field
 
 @dataclass(frozen=True)
 class Architecture:
-    window: int = 20
-    n_features: int = 4
-    hidden: tuple[int, int] = (64, 64)
+    window: int
+    n_features: int
+    hidden: tuple[int, int]
+    n_classes: int
     trunk: str = TRUNK_MLP
-    n_classes: int = 5
 
     def __post_init__(self):
         sizes = (self.window, self.n_features, *self.hidden, self.n_classes)

@@ -61,6 +61,7 @@ TASK_MOMENTUM, TASK_RISE_FALL = "momentum", "rise_fall"
 REG, CLS = "regression", "classification"   # the two heads' tasks
 N_CLASSES = {TASK_MOMENTUM: N_LEVELS, TASK_RISE_FALL: 2}  # classification head width per task
 LOG_EPS = 1e-8
+NORM_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -151,14 +152,14 @@ def ema_update(prev: np.ndarray | None, grad: np.ndarray, beta: float) -> np.nda
     return beta * prev + (1.0 - beta) * grad
 
 
-def balanced_parts(g_reg: np.ndarray, g_cls: np.ndarray,
-                   eps: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
-    """Each task gradient rescaled to the larger of the two L2 norms."""
+def balanced_parts(g_reg: np.ndarray, g_cls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each task gradient rescaled to the larger of the two L2 norms; a gradient
+    whose norm is at most ``NORM_EPS`` becomes zeros."""
     n_reg = float(np.linalg.norm(g_reg))
     n_cls = float(np.linalg.norm(g_cls))
     scale = max(n_reg, n_cls)
-    part_reg = g_reg * (scale / n_reg) if n_reg > eps else np.zeros_like(g_reg)
-    part_cls = g_cls * (scale / n_cls) if n_cls > eps else np.zeros_like(g_cls)
+    part_reg = g_reg * (scale / n_reg) if n_reg > NORM_EPS else np.zeros_like(g_reg)
+    part_cls = g_cls * (scale / n_cls) if n_cls > NORM_EPS else np.zeros_like(g_cls)
     return part_reg, part_cls
 
 
@@ -217,6 +218,9 @@ def adapted_decay(decay: float, mean_converge: float) -> float:
 
 # ---- optimizer over the flat parameter buffer ----
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class _GroupOptimizer:
     """First-order step on a flat parameter vector with decoupled decay.
 
@@ -224,11 +228,9 @@ class _GroupOptimizer:
     parameter groups equals stepping each group on its own.
     """
 
-    def __init__(self, kind: str, dim: int, lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, kind: str, dim: int, lr: float):
         self.kind = kind
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = np.zeros(dim)
         self.v = np.zeros(dim)
         self.t = 0
@@ -239,13 +241,13 @@ class _GroupOptimizer:
             flat[...] = flat - self.lr * grad - self.lr * decay * flat
             return flat
         self.t += 1
-        self.m *= self.beta1
-        self.m += (1.0 - self.beta1) * grad
-        self.v *= self.beta2
-        self.v += (1.0 - self.beta2) * grad * grad
-        m_hat = self.m / (1.0 - self.beta1 ** self.t)
-        v_hat = self.v / (1.0 - self.beta2 ** self.t)
-        flat[...] = flat - self.lr * m_hat / (np.sqrt(v_hat) + self.eps) - self.lr * decay * flat
+        self.m *= ADAM_BETA1
+        self.m += (1.0 - ADAM_BETA1) * grad
+        self.v *= ADAM_BETA2
+        self.v += (1.0 - ADAM_BETA2) * grad * grad
+        m_hat = self.m / (1.0 - ADAM_BETA1 ** self.t)
+        v_hat = self.v / (1.0 - ADAM_BETA2 ** self.t)
+        flat[...] = flat - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS) - self.lr * decay * flat
         return flat
 
 

@@ -39,7 +39,7 @@ def test_parse_kv_text_malformed_line():
 
 def test_build_config_typed_values():
     cfg = build_config({"seed": "3", "train.hidden": "8,4", "loss.fixed_k": "7",
-                        "momentum.dead_zone": "none", "data.normalize": "false",
+                        "momentum.dead_zone": "none",
                         "split.train": "2020-01-01:2020-06-30",
                         "split.valid": "2020-07-01:2020-08-31",
                         "split.test": "2020-09-01:2020-12-31"})
@@ -47,7 +47,6 @@ def test_build_config_typed_values():
     assert cfg.train.hidden == (8, 4)
     assert cfg.loss.fixed_k == 7
     assert cfg.momentum.dead_zone is None
-    assert cfg.data.normalize is False
     assert cfg.split.train == ("2020-01-01", "2020-06-30")
 
 
@@ -59,7 +58,7 @@ def test_unknown_key_rejected():
 
 @pytest.mark.parametrize("key", ["train.trunk", "train.standardize_y", "loss.ce_weight",
                                  "loss.rank_weight", "loss.score_scale",
-                                 "momentum.dead_zone_scale"])
+                                 "momentum.dead_zone_scale", "data.normalize"])
 def test_removed_keys_rejected(key):
     with pytest.raises(ConfigError, match="unknown config key"):
         build_config({key: "1"})
@@ -73,7 +72,7 @@ def test_ranking_none_rejected():
 def test_flat_keys_are_the_declared_knobs():
     assert sorted(to_flat(ExperimentConfig())) == [
         "backtest.cost_bps", "backtest.top_n",
-        "data.csv_path", "data.n_dates", "data.n_features", "data.n_tickers", "data.normalize",
+        "data.csv_path", "data.n_dates", "data.n_features", "data.n_tickers",
         "data.shift_after", "data.shifted_signal_strength", "data.signal_strength",
         "data.source",
         "eval.precision_ns",

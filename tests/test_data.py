@@ -184,7 +184,7 @@ def test_load_csv_non_finite_value_reports_line(tmp_path, bad_row):
 
 def load_csv_rowwise(path) -> StockPanel:
     """The row-by-row loader ``load_csv`` replaced; the oracle for its outputs and errors."""
-    rows: dict[tuple[str, str], tuple[float, list[float], int]] = {}
+    rows: dict[tuple[str, str], tuple[float, list[float]]] = {}
     n_feat = 0
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -207,10 +207,12 @@ def load_csv_rowwise(path) -> StockPanel:
                 feats = [float(v) for v in row[3:]]
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: unparseable row ({exc})") from None
+            if not np.isfinite([close, *feats]).all():
+                raise DataError(f"{path}:{lineno}: non-finite close or feature value")
             key = (date, ticker)
             if key in rows:
                 raise DataError(f"{path}:{lineno}: duplicate (date,ticker) {key}")
-            rows[key] = (close, feats, lineno)
+            rows[key] = (close, feats)
     if not rows:
         raise DataError(f"{path}: no data rows")
     dates = sorted({d for d, _ in rows})
@@ -220,14 +222,10 @@ def load_csv_rowwise(path) -> StockPanel:
     close = np.full((len(dates), len(tickers)), np.nan)
     features = np.full((len(dates), len(tickers), n_feat), np.nan)
     valid = np.zeros((len(dates), len(tickers)), dtype=bool)
-    for (d, t), (c, f, _) in rows.items():
+    for (d, t), (c, f) in rows.items():
         close[t_idx[d], n_idx[t]] = c
         features[t_idx[d], n_idx[t]] = f
         valid[t_idx[d], n_idx[t]] = True
-    bad = valid & ~(np.isfinite(close) & np.isfinite(features).all(axis=2))
-    if bad.any():
-        lineno = min(rows[(dates[i], tickers[j])][2] for i, j in np.argwhere(bad))
-        raise DataError(f"{path}:{lineno}: non-finite close or feature value")
     return StockPanel(dates, tickers, close, features, valid)
 
 
@@ -336,6 +334,18 @@ def test_load_csv_first_defect_wins_as_in_rowwise(tmp_path, two_chunks, early, l
     DEFECTS[late](rows, _CHUNK + 200)
     DEFECTS[early](rows, 500)
     assert_same_error(write_records(tmp_path, rows))
+
+
+@pytest.mark.parametrize("late", ["number", "duplicate"])
+def test_load_csv_non_finite_value_wins_over_a_later_defect(tmp_path, late):
+    rows = [list(r) for r in panel_records(20, 5)[:20]]
+    rows[2][2] = "nan"
+    if late == "number":
+        rows[19][2] = "abc"
+    else:
+        rows[19][:2] = rows[0][:2]
+    f = write_records(tmp_path, rows)
+    assert assert_same_error(f) == f"{f}:4: non-finite close or feature value"
 
 
 def test_load_csv_bad_date_and_number_on_one_row_reports_the_date(tmp_path):
@@ -546,6 +556,14 @@ def test_split_boundary_date_in_one_split_only():
     tr, va, te = split(p, spec)
     seen = tr.dates + va.dates + te.dates
     assert seen == p.dates  # partition, no date twice
+
+
+def test_split_endpoints_off_the_panel_select_the_dates_between():
+    p = gen_synthetic(20, 5, 0.0, seed=0)  # weekdays from 2018-01-02 to 2018-01-29
+    ranges = [("2017-12-30", "2018-01-07"), ("2018-01-13", "2018-01-21"),
+              ("2018-01-27", "2030-01-01")]  # the endpoints in January are weekends
+    for part, (lo, hi) in zip(split(p, SplitSpec(*ranges)), ranges):
+        assert part.dates == [d for d in p.dates if lo <= d <= hi]
 
 
 def test_fraction_split_rejects_degenerate():

@@ -9,6 +9,10 @@ attribute, imports it, or spells it in a string constant, because
 ``perfbench/tracer.py`` binds the functions it wraps by name. Names are
 matched without their module or class, so an unused method passes while
 another attribute of the same name is in use.
+
+A parameter default is an option too: each defaulted parameter of a
+module-level function or method needs a call in ``src/`` or ``perfbench/``
+that sets it, or it becomes a constant.
 """
 
 import ast
@@ -93,3 +97,55 @@ def test_every_public_name_has_a_library_or_benchmark_caller():
 def test_every_private_module_level_name_has_a_library_or_benchmark_caller():
     unused = names_without_caller(private_definitions)
     assert not unused, "no caller in src/ or perfbench/: " + ", ".join(unused)
+
+
+def defaulted_parameters(tree: ast.Module):
+    """(qualified name, callee name, parameter, position) of each defaulted parameter
+    of a module-level function or method. A method is called without its first
+    parameter, and ``__init__`` is called by its class's name; a keyword-only
+    parameter has no position."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield from _defaulted(node.name, node.name, node, 0)
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in item.decorator_list)
+                    callee = node.name if item.name == "__init__" else item.name
+                    yield from _defaulted(f"{node.name}.{item.name}", callee, item,
+                                          0 if static else 1)
+
+
+def _defaulted(qualified: str, callee: str, fn: ast.FunctionDef, skipped: int):
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    for i, arg in enumerate(positional[first:], start=first):
+        yield qualified, callee, arg.arg, i - skipped
+    for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+        if default is not None:
+            yield qualified, callee, arg.arg, None
+
+
+def sets(call: ast.Call, parameter: str, position: int | None) -> bool:
+    """Whether ``call`` passes ``parameter`` by keyword, by position or through
+    ``*args`` or ``**kwargs``."""
+    if any(kw.arg in (parameter, None) for kw in call.keywords):
+        return True
+    return position is not None and (
+        position < len(call.args) or any(isinstance(arg, ast.Starred) for arg in call.args))
+
+
+def test_every_defaulted_parameter_is_set_by_a_library_or_benchmark_caller():
+    calls: dict[str, list[ast.Call]] = {}
+    for path in CALLERS:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                calls.setdefault(name, []).append(node)
+    never_set = [f"{path.name}: {qualified}({parameter})"
+                 for path in LIBRARY
+                 for qualified, callee, parameter, position in defaulted_parameters(
+                     ast.parse(path.read_text(encoding="utf-8")))
+                 if not any(sets(call, parameter, position) for call in calls.get(callee, []))]
+    assert not never_set, "no call in src/ or perfbench/ sets: " + ", ".join(never_set)

@@ -218,7 +218,7 @@ def test_adam_updates_moments_in_place():
 @pytest.mark.parametrize("n_groups", [3, 2])  # both heads; stl steps trunk and reg_head only
 def test_one_buffer_step_equals_per_group_steps(kind, n_groups):
     # the oracle is the per-group path: one optimizer per group, each on its own buffer
-    params = init_params(Architecture(window=3, n_features=2, hidden=(6, 5)), seed=1)
+    params = init_params(Architecture(window=3, n_features=2, hidden=(6, 5), n_classes=5), seed=1)
     groups = [params.trunk_tensors(), params.reg_tensors(), params.cls_tensors()]
     sizes = [sum(t.data.size for t in group) for group in groups][:n_groups]
     bounds = np.cumsum([0] + sizes)
@@ -286,7 +286,7 @@ def test_train_config_rejects_non_positive_hidden_size():
 
 @pytest.mark.parametrize("ranking", ["ndcg", "pairwise"])
 def test_training_graph_leaves_nothing_for_the_cycle_collector(ranking):
-    params = init_params(Architecture(window=3, n_features=2, hidden=(6, 6)), seed=0)
+    params = init_params(Architecture(window=3, n_features=2, hidden=(6, 6), n_classes=5), seed=0)
     rng = np.random.default_rng(0)
     feats, y, labels = rng.normal(size=(12, 3, 2)), rng.normal(size=12), rng.integers(0, 5, 12)
     loss_cfg = RankLossConfig(ranking=ranking)
@@ -498,7 +498,7 @@ def test_fit_early_stops_on_stale_validation():
     # flat-price validation: returns are all zero, so the daily IC is undefined
     # and the early-stop score can never improve
     t, n = 8, train.n_tickers
-    flat = StockPanel(trading_days(t, start="2030-01-01"), list(train.tickers),
+    flat = StockPanel(trading_days(t), list(train.tickers),
                       np.full((t, n), 50.0),
                       np.random.default_rng(0).normal(size=(t, n, train.n_features)),
                       np.ones((t, n), dtype=bool))
