@@ -85,6 +85,10 @@ class ExperimentConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
 
+    def __post_init__(self):
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
+
 
 def _parse_opt(parser):
     def inner(text: str):
@@ -151,7 +155,7 @@ def _build_schema(root: type) -> tuple[dict[str, type], dict[str, tuple[str, str
 _SECTION_CLASSES, SCHEMA = _build_schema(ExperimentConfig)
 
 
-def parse_kv_text(text: str, origin: str = "<config>") -> dict[str, str]:
+def parse_kv_text(text: str, origin: str) -> dict[str, str]:
     """key = value lines; '#' starts a comment; blank lines ignored."""
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -186,7 +190,7 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
     return cfg
 
 
-def load_config(path: str | None, overrides: list[str] | None = None) -> ExperimentConfig:
+def load_config(path: str | None, overrides: list[str]) -> ExperimentConfig:
     raw: dict[str, str] = {}
     if path:
         try:
@@ -194,7 +198,7 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> Experim
                 raw.update(parse_kv_text(fh.read(), origin=str(path)))
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
-    for item in overrides or []:
+    for item in overrides:
         pairs = parse_kv_text(item, origin="--set")
         if not pairs:
             raise ConfigError(f"--set needs key=value, got {item!r}")

@@ -123,12 +123,12 @@ def load_csv(path) -> StockPanel:
     blank lines are accepted, and dates and tickers are stripped of
     surrounding spaces. Rows are converted ``_CHUNK`` at a time: the numbers
     in one numpy cast, dates and tickers to integer ids through two dicts.
-    Missing (date, ticker) combinations are masked invalid. A wrong field
-    count, an unparseable number or date, a date not written YYYY-MM-DD, a
-    duplicate key or a non-finite value raises ``DataError`` naming the file
-    and the line (the CSV record number, header = 1) of the first offending
-    row; a close that is not > 0 fails the panel's check, which names its
-    date and ticker.
+    Missing (date, ticker) combinations are masked invalid. A header with no
+    feature column raises ``DataError``; so do a wrong field count, an
+    unparseable number or date, a date not written YYYY-MM-DD, a duplicate key
+    or a non-finite value, naming the file and the line (the CSV record number,
+    header = 1) of the first offending row, which a second, row-by-row read of
+    the file finds. A close that is not > 0 fails the panel's check.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -139,95 +139,79 @@ def load_csv(path) -> StockPanel:
         if header[:3] != ["date", "ticker", "close"]:
             raise DataError(f"{path}: header must start 'date,ticker,close', got {header[:3]}")
         width = len(header)
+        if width == 3:
+            raise DataError(f"{path}: header has no feature column after 'date,ticker,close'")
         date_ids: dict[str, int] = {}
         ticker_ids: dict[str, int] = {}
-        empty = np.empty(0, dtype=np.intp)
-        # (lines, date ids, ticker ids, values) of each chunk
-        parts = [(empty, empty, empty, np.empty((0, width - 2)))]
-        error = pending = None
-        for first_line in itertools.count(2, _CHUNK):
-            rows: list[list[str]] = []
-            try:
-                rows.extend(itertools.islice(reader, _CHUNK))
-            except (csv.Error, UnicodeDecodeError) as exc:  # raised after earlier bad rows
-                pending = exc
-            if not rows:
-                break
-            *part, error = _parse_chunk(rows, first_line, width, date_ids, ticker_ids)
-            parts.append(part)
-            if error is not None or pending is not None:
-                break
-    lines, d, t = (np.concatenate(col) for col in list(zip(*parts))[:3])
-    if error is not None:
-        before = lines < error[0]
-        lines, d, t = lines[before], d[before], t[before]
+        try:
+            parts = list(iter(lambda: _parse_chunk(reader, width, date_ids, ticker_ids), None))
+            for date in date_ids:
+                iso_date(date)
+        except (ValueError, csv.Error):  # a UnicodeDecodeError is a ValueError
+            _raise_first_defect(path, width)
+            raise
+    if not date_ids:
+        raise DataError(f"{path}: no data rows")
+    d, t, values = (np.concatenate(col) for col in zip(*parts))
     dates, date_rank = _sorted_ids(date_ids)
     tickers, ticker_rank = _sorted_ids(ticker_ids)
     n = len(tickers)
     cells = date_rank[d] * n + ticker_rank[t]
-    dup = _first_repeat(cells)
-    if dup is not None:
-        key = (dates[cells[dup] // n], tickers[cells[dup] % n])
-        error = (lines[dup], f"duplicate (date,ticker) {key}")
-    if error is not None:
-        raise DataError(f"{path}:{error[0]}: {error[1]}")
-    if pending is not None:
-        raise pending
-    if not lines.size:
-        raise DataError(f"{path}: no data rows")
-    values = np.concatenate([part[3] for part in parts])
+    valid = np.zeros(len(dates) * n, dtype=bool)
+    valid[cells] = True
+    if np.count_nonzero(valid) < cells.size:  # a (date, ticker) key repeats
+        _raise_first_defect(path, width)
+        raise DataError(f"{path}: a (date, ticker) key repeated on the first read only")
     close = np.full(len(dates) * n, np.nan)
     features = np.full((len(dates) * n, width - 3), np.nan)
-    valid = np.zeros(len(dates) * n, dtype=bool)
-    close[cells], features[cells], valid[cells] = values[:, 0], values[:, 1:], True
+    close[cells], features[cells] = values[:, 0], values[:, 1:]
     return StockPanel(dates, tickers, close.reshape(-1, n), features.reshape(-1, n, width - 3),
                       valid.reshape(-1, n))
 
 
-def _parse_chunk(rows: list[list[str]], first_line: int, width: int,
-                 date_ids: dict[str, int], ticker_ids: dict[str, int]):
-    """Line numbers, date and ticker ids and float values of one chunk of records.
-
-    Blank records and records with a wrong field count are skipped; the last
-    item is the chunk's first bad row as (line, message), or None.
-    """
-    errors = []  # (line, order of the check within a row, message)
-    lines = np.arange(first_line, first_line + len(rows))
-    keep = np.fromiter(map(len, rows), np.intp, len(rows)) == width
-    for i in np.flatnonzero(~keep):
-        blank = not rows[i] or (len(rows[i]) == 1 and not rows[i][0].strip())
-        if not blank:
-            errors.append((lines[i], 0, f"expected {width} fields, got {len(rows[i])}"))
-            break
-    if not keep.all():
-        rows = [rows[i] for i in np.flatnonzero(keep)]
-        lines = lines[keep]
+def _parse_chunk(reader, width: int, date_ids: dict[str, int], ticker_ids: dict[str, int]):
+    """Date ids, ticker ids and values of the next ``_CHUNK`` records, or None at the
+    end. Blank records are skipped; a bad row raises ``ValueError`` without naming it."""
+    rows = list(itertools.islice(reader, _CHUNK))
+    if not rows:
+        return None
+    if set(map(len, rows)) != {width}:
+        if not all(_blank(row) for row in rows if len(row) != width):
+            raise ValueError("a record has the wrong number of fields")
+        rows = [row for row in rows if len(row) == width]
     cells = np.array(rows, dtype=object).reshape(len(rows), width)
-    known = len(date_ids)
     d = _ids(cells[:, 0], date_ids)
     t = _ids(cells[:, 1], ticker_ids)
-    for k, date in enumerate(itertools.islice(date_ids, known, None), start=known):
-        try:
-            iso_date(date)
-        except ValueError as exc:
-            errors.append((lines[np.argmax(d == k)], 1, f"unparseable row ({exc})"))
-    try:
-        values = cells[:, 2:].astype(np.float64)  # float() on each cell, in C
-    except ValueError:  # only a bad chunk pays for naming its row
-        for i, row in enumerate(rows):
+    values = cells[:, 2:].astype(np.float64)  # float() on each cell, in C
+    if not np.isfinite(values).all():
+        raise ValueError("a close or feature value is not finite")
+    return d, t, values
+
+
+def _raise_first_defect(path, width: int) -> None:
+    """Read ``path`` again row by row and raise ``DataError`` at the first bad row,
+    checking its field count, date, numbers, finiteness, then its key; return if
+    no row is bad. A ``csv.Error`` or ``UnicodeDecodeError`` before one propagates."""
+    keys: set[tuple[str, str]] = set()
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for line, row in enumerate(reader, start=2):
+            if _blank(row):
+                continue
+            if len(row) != width:
+                raise DataError(f"{path}:{line}: expected {width} fields, got {len(row)}")
+            key = (row[0].strip(), row[1].strip())
             try:
-                [float(v) for v in row[2:]]
+                iso_date(key[0])
+                values = [float(v) for v in row[2:]]
             except ValueError as exc:
-                errors.append((lines[i], 2, f"unparseable row ({exc})"))
-                break
-        else:
-            raise
-        values = cells[:i, 2:].astype(np.float64)  # the rows before the unparseable one
-    finite = np.isfinite(values).all(axis=1)
-    if not finite.all():
-        errors.append((lines[np.argmin(finite)], 3, "non-finite close or feature value"))
-    line, _, message = min(errors, default=(None, 0, ""))
-    return lines, d, t, values, None if line is None else (line, message)
+                raise DataError(f"{path}:{line}: unparseable row ({exc})") from None
+            if not np.isfinite(values).all():
+                raise DataError(f"{path}:{line}: non-finite close or feature value")
+            if key in keys:
+                raise DataError(f"{path}:{line}: duplicate (date,ticker) {key}")
+            keys.add(key)
 
 
 def _ids(column: np.ndarray, ids: dict[str, int]) -> np.ndarray:
@@ -247,11 +231,9 @@ def _sorted_ids(ids: dict[str, int]) -> tuple[list[str], np.ndarray]:
     return [names[i] for i in order], rank
 
 
-def _first_repeat(keys: np.ndarray) -> int | None:
-    """Index of the first element equal to an earlier one, or None."""
-    order = np.argsort(keys, kind="stable")
-    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
-    return int(repeats.min()) if repeats.size else None
+def _blank(row: list[str]) -> bool:
+    """Whether a CSV record is empty or one whitespace-only field."""
+    return not row or (len(row) == 1 and not row[0].strip())
 
 
 def normalize_features(panel: StockPanel) -> StockPanel:
@@ -301,7 +283,7 @@ def standardize(v: np.ndarray) -> np.ndarray:
 
 
 def check_synthetic(n_dates: int, n_tickers: int, n_features: int, signal_strength: float,
-                    shifted_signal_strength: float | None = None) -> None:
+                    shifted_signal_strength: float | None) -> None:
     """Reject a synthetic-market shape or signal mix that ``gen_synthetic`` cannot build."""
     if n_dates < 20 or n_tickers < 5 or n_features < 1:
         raise ContractError("synthetic data needs n_dates >= 20, n_tickers >= 5 and "

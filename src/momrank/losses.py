@@ -276,7 +276,7 @@ def _smooth_dcg_at_k(scores: Tensor, levels: np.ndarray, k: int, gain: str) -> T
     return Tensor(np.sum(weight / discount), (scores,), backward)
 
 
-def gain_values(levels: np.ndarray, gain: str = GAIN_STANDARD) -> np.ndarray:
+def gain_values(levels: np.ndarray, gain: str) -> np.ndarray:
     levels = np.asarray(levels, dtype=np.float64)
     if gain == GAIN_STANDARD:
         return np.exp2(levels) - 1.0
@@ -285,7 +285,7 @@ def gain_values(levels: np.ndarray, gain: str = GAIN_STANDARD) -> np.ndarray:
     raise ContractError(f"unknown gain variant {gain!r}")
 
 
-def ideal_dcg_at_k(levels: np.ndarray, k: int, gain: str = GAIN_STANDARD) -> float:
+def ideal_dcg_at_k(levels: np.ndarray, k: int, gain: str) -> float:
     """DCG of the gain-sorted ordering with exact integer ranks."""
     gains = np.sort(gain_values(levels, gain))[::-1]
     ranks = np.arange(1, gains.size + 1, dtype=np.float64)
@@ -293,7 +293,7 @@ def ideal_dcg_at_k(levels: np.ndarray, k: int, gain: str = GAIN_STANDARD) -> flo
     return float(np.sum(gains[top] / np.log2(1.0 + ranks[top])))
 
 
-def approx_ndcg_at_k(batch: RankBatch, gain: str = GAIN_STANDARD) -> Tensor:
+def approx_ndcg_at_k(batch: RankBatch, gain: str) -> Tensor:
     """Smooth NDCG@k of the batch's scores against its label gains.
 
     Days whose gains are all equal carry no ranking information; they are
@@ -310,7 +310,7 @@ def approx_ndcg_at_k(batch: RankBatch, gain: str = GAIN_STANDARD) -> Tensor:
     return _smooth_dcg_at_k(batch.scores, levels, batch.k, gain) / ideal
 
 
-def ndcg_loss(batch: RankBatch, gain: str = GAIN_STANDARD) -> Tensor:
+def ndcg_loss(batch: RankBatch, gain: str) -> Tensor:
     """exp(-NDCG@k): strictly decreasing in the NDCG value."""
     return (-approx_ndcg_at_k(batch, gain)).exp()
 

@@ -176,15 +176,15 @@ class EvalReport:
         }
 
 
-def aggregate(daily_ics, daily_rank_ics, daily_precisions: dict[int, list[float]] | None = None,
-              k_values=None) -> EvalReport:
+def aggregate(daily_ics, daily_rank_ics, daily_precisions: dict[int, list[float]],
+              k_values) -> EvalReport:
     """Mean the per-day values over defined days; stds reported x1e3."""
     ics = np.asarray([v for v in daily_ics if np.isfinite(v)], dtype=np.float64)
     rics = np.asarray([v for v in daily_rank_ics if np.isfinite(v)], dtype=np.float64)
     if ics.size == 0 or rics.size == 0:
         raise ContractError("no defined days to aggregate")
     precision_at = {}
-    for n_top, vals in (daily_precisions or {}).items():
+    for n_top, vals in daily_precisions.items():
         finite = [v for v in vals if np.isfinite(v)]
         if finite:
             precision_at[n_top] = float(np.mean(finite))
@@ -194,7 +194,7 @@ def aggregate(daily_ics, daily_rank_ics, daily_precisions: dict[int, list[float]
         ic_std=float(ics.std() * 1e3),
         rank_ic_std=float(rics.std() * 1e3),
         precision_at=precision_at,
-        k_histogram=record_k(k_values or []),
+        k_histogram=record_k(k_values),
         n_days=int(ics.size),
     )
 

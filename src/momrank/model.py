@@ -155,14 +155,14 @@ def predict_panel(params: BackboneParams, panel: StockPanel) -> np.ndarray:
     return scores
 
 
-def save_checkpoint(path, params: BackboneParams, extra: dict | None = None) -> None:
+def save_checkpoint(path, params: BackboneParams, extra: dict) -> None:
     """Write parameters as JSON named arrays with shapes (portable, diffable)."""
     write_json(path, {
         "format": "momrank-checkpoint-v1",
         "arch": asdict(params.arch),
         "params": {name: {"shape": list(t.data.shape), "data": t.data.reshape(-1).tolist()}
                    for name, t in params.all_named().items()},
-        "extra": extra or {},
+        "extra": extra,
     })
 
 

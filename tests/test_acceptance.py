@@ -62,7 +62,7 @@ def test_criterion_1_gradient_correctness():
     cfg = RankLossConfig()
 
     def ndcg_fn(x):
-        return ndcg_loss(make_rank_batch(x, gains, 5, cfg))
+        return ndcg_loss(make_rank_batch(x, gains, 5, cfg), cfg.gain)
 
     for seed in range(25):
         point = np.random.default_rng(500 + seed).normal(size=8) * 2.0
@@ -119,7 +119,7 @@ def test_criterion_3_approx_ndcg_fidelity():
         levels = rng.integers(0, 5, size=n)
         scores = rng.permutation(np.arange(n, dtype=np.float64)) * 10.0  # gaps >= 10
         batch = make_rank_batch(Tensor(scores), levels, 5, cfg)
-        smooth = approx_ndcg_at_k(batch).item()
+        smooth = approx_ndcg_at_k(batch, cfg.gain).item()
         if levels.max() == levels.min():
             assert smooth == 1.0
             continue
@@ -133,7 +133,7 @@ def test_criterion_3_approx_ndcg_fidelity():
         scores = np.empty(20)
         scores[order] = np.arange(20, 0, -1, dtype=np.float64) * 10.0  # ideal with gaps 10
         batch = make_rank_batch(Tensor(scores), levels, 5, cfg)
-        assert approx_ndcg_at_k(batch).item() >= 0.99
+        assert approx_ndcg_at_k(batch, cfg.gain).item() >= 0.99
     ok(3, f"smooth NDCG@k within 0.05 of the exact oracle on 500 gap-10 days "
           f"(worst {worst:.4f}) and >= 0.99 for 100 ideal orderings")
 

@@ -4,7 +4,7 @@ import pytest
 from momrank import losses
 from momrank.autodiff import Tensor, gradients, no_grad
 from momrank.errors import GraphError, NumericError, ShapeError
-from momrank.losses import RankLossConfig, make_rank_batch, ndcg_loss
+from momrank.losses import GAIN_STANDARD, RankLossConfig, make_rank_batch, ndcg_loss
 from oracles import check_gradient, log_softmax, relu_node, sigmoid_np
 
 
@@ -248,7 +248,8 @@ def every_op(x, w):
             x / (x + 1.0), 1.0 / x, -x, x @ w, np.ones((2, 2)) @ x, x @ np.ones((3, 2)),
             x.exp(), x.log(), x.tanh(), x.sum(), x.sum(axis=1),
             x.mean(), losses.log_softmax(x), x.reshape(3, 2),
-            ndcg_loss(make_rank_batch(v, np.array([0, 1, 2, 3, 4, 4]), 5, RankLossConfig()))]
+            ndcg_loss(make_rank_batch(v, np.array([0, 1, 2, 3, 4, 4]), 5, RankLossConfig()),
+                      GAIN_STANDARD)]
 
 
 def test_no_grad_records_no_parents_and_no_closure():

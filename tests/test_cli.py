@@ -9,7 +9,7 @@ import pytest
 import momrank
 from momrank.cli import REPRODUCE_CELLS, main
 from momrank.config import SCHEMA
-from momrank.data import gen_synthetic
+from momrank.data import gen_synthetic, trading_days
 
 FAST = ["data.n_dates=40", "data.n_tickers=8", "data.n_features=3",
         "data.signal_strength=0.9", "train.epochs=2", "train.window=2",
@@ -268,6 +268,27 @@ def test_a_zero_close_in_a_csv_fails_label_and_train_alike(tmp_path, capsys):
         assert capsys.readouterr().err == (
             f"error: non-positive close at date {panel.dates[17]} ticker S004\n")
         assert not (out / artifact).exists()
+
+
+def test_a_csv_with_no_feature_column_fails_label_and_train_alike(tmp_path, capsys):
+    csv_path = tmp_path / "panel.csv"
+    csv_path.write_text("date,ticker,close\n" + "".join(
+        f"{d},S{i},{10 + i}\n" for d in trading_days(30) for i in range(6)), encoding="utf-8")
+    for command in ("label", "train"):
+        code = main([command, "--set", "data.source=csv", "--set", f"data.csv_path={csv_path}",
+                     "--out-dir", str(tmp_path / command)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {csv_path}: header has no feature column after 'date,ticker,close'\n")
+
+
+def test_negative_seed_is_a_config_error_before_the_panel_is_read(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["train", "--set", "seed=-1", "--set", "data.source=csv",
+                 "--set", f"data.csv_path={tmp_path / 'absent.csv'}", "--out-dir", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "config error: seed must be >= 0, got -1\n"
+    assert not out.exists()
 
 
 def test_reproduce_cells_override_only_train_and_loss_keys():

@@ -28,13 +28,13 @@ def test_parse_kv_text_comments_and_blanks():
 seed = 9
 
 train.lr = 1e-3  # inline comment
-""")
+""", origin="<config>")
     assert raw == {"seed": "9", "train.lr": "1e-3"}
 
 
 def test_parse_kv_text_malformed_line():
     with pytest.raises(ConfigError):
-        parse_kv_text("just words")
+        parse_kv_text("just words", origin="<config>")
 
 
 def test_build_config_typed_values():

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from momrank.data import (_CHUNK, SplitSpec, StockPanel, compute_return, fraction_split_spec,
                           gen_synthetic, load_csv, normalize_features, split, trading_days)
@@ -391,6 +392,91 @@ def test_load_csv_peak_memory_below_rowwise_loader(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 20 * 2**20
+
+
+def test_load_csv_header_without_a_feature_column(tmp_path):
+    f = write_csv(tmp_path, "date,ticker,close\n2020-01-01,A,10\n2020-01-02,A,11\n")
+    with pytest.raises(DataError) as exc:
+        load_csv(f)
+    assert str(exc.value) == f"{f}: header has no feature column after 'date,ticker,close'"
+
+
+def test_load_csv_reads_a_clean_file_once(tmp_path, monkeypatch, two_chunks):
+    def second_read(path, width):
+        raise AssertionError("a clean file was read twice")
+
+    monkeypatch.setattr(data, "_raise_first_defect", second_read)
+    rows = list(two_chunks)
+    del rows[_CHUNK + 100]
+    for i in (0, 500, _CHUNK, len(rows)):
+        rows.insert(i, " ")
+    p = load_csv(write_records(tmp_path, rows))
+    assert p.valid.sum() == len(two_chunks) - 1
+
+
+@pytest.mark.parametrize("kind,raised", [("number", "could not convert string to float"),
+                                         ("duplicate", "repeated on the first read only")])
+def test_load_csv_raises_when_the_second_read_finds_nothing(tmp_path, monkeypatch, two_chunks,
+                                                            kind, raised):
+    rows = list(two_chunks)
+    DEFECTS[kind](rows, _CHUNK + 200)
+    monkeypatch.setattr(data, "_raise_first_defect", lambda path, width: None)
+    with pytest.raises(ValueError, match=raised):
+        load_csv(write_records(tmp_path, rows))
+
+
+TICKERS = ["A", " B", "S,003", 'Q"T', "Z\t"]
+# DEFECTS["duplicate"] copies the row 300 records back, which a small panel lacks
+SMALL_DEFECTS = {**DEFECTS, "duplicate": lambda rows, i: rows.insert(i, list(rows[i // 2]))}
+
+
+def csv_field(text: str, quote: bool) -> str:
+    if quote or any(c in text for c in ',"'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def number_text(value: int, style: int) -> str:
+    """``value`` written as a float, an integer, with a digit separator or padded."""
+    return [repr(value / 4), str(value), "_".join(str(value)), f" {value / 8} "][style]
+
+
+@st.composite
+def csv_panels(draw):
+    """The text of a small shuffled panel with missing rows, quoted and padded
+    fields, blank lines, either line end and at most one defect from ``DEFECTS``."""
+    n_dates, n_tickers, n_features = (draw(st.integers(1, 4)), draw(st.integers(1, 5)),
+                                      draw(st.integers(1, 2)))
+    cells = draw(st.permutations([(t, i) for t in range(n_dates) for i in range(n_tickers)]))
+    cells = cells[:draw(st.integers(1, len(cells)))]
+    rows = []
+    for t, i in cells:
+        numbers = [number_text(draw(st.integers(10, 999)), draw(st.integers(0, 3)))
+                   for _ in range(1 + n_features)]
+        pad = draw(st.sampled_from(["", " ", "\t"]))
+        rows.append([pad + trading_days(n_dates)[t], TICKERS[i] + pad] + numbers)
+    kind = draw(st.none() | st.sampled_from(sorted(SMALL_DEFECTS)))
+    if kind is not None:
+        SMALL_DEFECTS[kind](rows, draw(st.integers(0, len(rows) - 1)))
+    lines = [",".join(csv_field(f, draw(st.booleans())) for f in row) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " ", "\t "])))
+    header = ",".join(["date", "ticker", "close"] + [f"f{j}" for j in range(n_features)])
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join([header] + lines) + end
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=csv_panels())
+def test_load_csv_matches_rowwise_on_random_panels(tmp_path_factory, text):
+    f = tmp_path_factory.getbasetemp() / "random_panel.csv"
+    f.write_bytes(text.encode("utf-8"))
+    try:
+        expected = load_csv_rowwise(f)
+    except DataError:
+        assert_same_error(f)
+    else:
+        assert_same_panel(load_csv(f), expected)
 
 
 # ---- normalize_features ----

@@ -12,7 +12,8 @@ another attribute of the same name is in use.
 
 A parameter default is an option too: each defaulted parameter of a
 module-level function or method needs a call in ``src/`` or ``perfbench/``
-that sets it, or it becomes a constant.
+that sets it, or it becomes a constant, and a call there that omits it, or
+it becomes required.
 """
 
 import ast
@@ -136,16 +137,30 @@ def sets(call: ast.Call, parameter: str, position: int | None) -> bool:
         position < len(call.args) or any(isinstance(arg, ast.Starred) for arg in call.args))
 
 
-def test_every_defaulted_parameter_is_set_by_a_library_or_benchmark_caller():
+def defaulted_parameters_and_calls():
+    """(``module: function(parameter)``, the calls of its function in ``src/`` and
+    ``perfbench/``, parameter, position) of each defaulted parameter."""
     calls: dict[str, list[ast.Call]] = {}
     for path in CALLERS:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
                 name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
                 calls.setdefault(name, []).append(node)
-    never_set = [f"{path.name}: {qualified}({parameter})"
-                 for path in LIBRARY
-                 for qualified, callee, parameter, position in defaulted_parameters(
-                     ast.parse(path.read_text(encoding="utf-8")))
-                 if not any(sets(call, parameter, position) for call in calls.get(callee, []))]
+    for path in LIBRARY:
+        for qualified, callee, parameter, position in defaulted_parameters(
+                ast.parse(path.read_text(encoding="utf-8"))):
+            yield (f"{path.name}: {qualified}({parameter})", calls.get(callee, []), parameter,
+                   position)
+
+
+def test_every_defaulted_parameter_is_set_by_a_library_or_benchmark_caller():
+    never_set = [name for name, calls, parameter, position in defaulted_parameters_and_calls()
+                 if not any(sets(call, parameter, position) for call in calls)]
     assert not never_set, "no call in src/ or perfbench/ sets: " + ", ".join(never_set)
+
+
+def test_every_defaulted_parameter_is_omitted_by_a_library_or_benchmark_caller():
+    # the converse: a default that every call overrides serves only tests
+    always_set = [name for name, calls, parameter, position in defaulted_parameters_and_calls()
+                  if all(sets(call, parameter, position) for call in calls)]
+    assert not always_set, "every call in src/ or perfbench/ sets: " + ", ".join(always_set)

@@ -117,13 +117,13 @@ def test_dcg_single_zero_gain_item():
 
 
 def test_dcg_ideal_example():
-    val = ideal_dcg_at_k(np.array([2, 1, 0]), 3)
+    val = ideal_dcg_at_k(np.array([2, 1, 0]), 3, GAIN_STANDARD)
     assert val == pytest.approx(3.0 / math.log2(2) + 1.0 / math.log2(3), abs=1e-5)
     assert val == pytest.approx(3.63093, abs=1e-5)
 
 
 def test_gain_variants():
-    np.testing.assert_allclose(gain_values(np.array([0, 1, 2])), [0.0, 1.0, 3.0])
+    np.testing.assert_allclose(gain_values(np.array([0, 1, 2]), GAIN_STANDARD), [0.0, 1.0, 3.0])
     np.testing.assert_allclose(gain_values(np.array([0, 1, 2]), GAIN_SHIFTED), [0.5, 1.0, 2.0])
 
 
@@ -149,7 +149,7 @@ def oracle_exact_ndcg(scores, levels, k):
 def test_approx_ndcg_ideal_order_near_one():
     levels = np.array([4, 3, 2, 1, 0])
     scores = np.array([40.0, 30.0, 20.0, 10.0, 0.0])
-    val = approx_ndcg_at_k(batch_from(scores, levels)).item()
+    val = approx_ndcg_at_k(batch_from(scores, levels), GAIN_STANDARD).item()
     assert 0.99 <= val <= 1.0
 
 
@@ -157,14 +157,14 @@ def test_approx_ndcg_equal_gains_is_one():
     for lvl in (0, 2, 4):
         scores = np.array([5.0, -3.0, 0.7, 9.9])
         levels = np.full(4, lvl)
-        assert approx_ndcg_at_k(batch_from(scores, levels)).item() == 1.0
+        assert approx_ndcg_at_k(batch_from(scores, levels), GAIN_STANDARD).item() == 1.0
 
 
 def test_approx_ndcg_reversed_matches_oracle():
     levels = np.array([4, 3, 2, 1, 0])
     scores = np.array([0.0, 10.0, 20.0, 30.0, 40.0])  # reversed order
     batch = batch_from(scores, levels, fixed_k=5)
-    smooth = approx_ndcg_at_k(batch).item()
+    smooth = approx_ndcg_at_k(batch, GAIN_STANDARD).item()
     exact = oracle_exact_ndcg(scores, levels, 5)
     assert abs(smooth - exact) < 0.05
 
@@ -176,7 +176,7 @@ def test_approx_ndcg_random_days_match_oracle():
         levels = rng.integers(0, 5, size=n)
         scores = rng.permutation(np.arange(n, dtype=np.float64)) * 10.0
         batch = batch_from(scores, levels)
-        smooth = approx_ndcg_at_k(batch).item()
+        smooth = approx_ndcg_at_k(batch, GAIN_STANDARD).item()
         if levels.max() == levels.min():
             assert smooth == 1.0
             continue
@@ -190,8 +190,8 @@ def test_ndcg_loss_values_and_monotonicity():
     levels = np.array([4, 3, 2, 1, 0])
     ideal = batch_from(np.array([40.0, 30.0, 20.0, 10.0, 0.0]), levels)
     worst = batch_from(np.array([0.0, 10.0, 20.0, 30.0, 40.0]), levels)
-    loss_ideal = ndcg_loss(ideal).item()
-    loss_worst = ndcg_loss(worst).item()
+    loss_ideal = ndcg_loss(ideal, GAIN_STANDARD).item()
+    loss_worst = ndcg_loss(worst, GAIN_STANDARD).item()
     assert loss_ideal == pytest.approx(math.exp(-1.0), rel=1e-3)
     assert loss_ideal < loss_worst <= 1.0
 
@@ -199,7 +199,7 @@ def test_ndcg_loss_values_and_monotonicity():
 def test_ndcg_loss_equal_gain_day_has_zero_gradient():
     scores = Tensor(np.array([1.0, 2.0, 3.0]))
     batch = make_rank_batch(scores, np.array([2, 2, 2]), 5, RankLossConfig())
-    loss = ndcg_loss(batch)
+    loss = ndcg_loss(batch, GAIN_STANDARD)
     assert loss.item() == pytest.approx(math.exp(-1.0))
     loss.backward()
     np.testing.assert_array_equal(scores.grad, np.zeros(3))
@@ -211,7 +211,7 @@ def test_ndcg_loss_gradient_matches_finite_differences():
 
     def fn(x):
         batch = make_rank_batch(x, levels, 5, RankLossConfig())
-        return ndcg_loss(batch)
+        return ndcg_loss(batch, GAIN_STANDARD)
 
     for seed in range(5):
         point = np.random.default_rng(seed + 50).normal(size=8) * 2.0
@@ -388,7 +388,7 @@ def test_classification_loss_uniform_logits_ce_term():
     logits = Tensor(np.zeros((5, 5)))
     loss, batch = classification_loss(logits, day_labels(labels, 5, RankLossConfig()),
                                       RankLossConfig())
-    rank_part = ndcg_loss(batch).item()
+    rank_part = ndcg_loss(batch, GAIN_STANDARD).item()
     assert loss.item() == pytest.approx(0.5 * math.log(5.0) + 0.5 * rank_part, abs=1e-12)
     assert 0.5 * math.log(5.0) == pytest.approx(0.80472, abs=1e-5)
 
@@ -430,7 +430,7 @@ def test_classification_loss_scores_and_k_match_composed_terms():
                                                              want.group_sizes)
     np.testing.assert_array_equal(batch.gains, labels)
     ce = -(logp * np.eye(5)[labels]).sum(axis=1).mean()
-    assert loss.item() == (ce * 0.5 + ndcg_loss(want) * 0.5).item()
+    assert loss.item() == (ce * 0.5 + ndcg_loss(want, cfg.gain) * 0.5).item()
 
 
 def test_classification_loss_improves_when_swapping_misordered_pair():
@@ -441,7 +441,7 @@ def test_classification_loss_improves_when_swapping_misordered_pair():
     loss_good, batch_good = classification_loss(Tensor(good), day_labels(labels, 5, cfg), cfg)
     loss_swapped, batch_swapped = classification_loss(Tensor(swapped), day_labels(labels, 5, cfg),
                                                       cfg)
-    assert ndcg_loss(batch_good).item() < ndcg_loss(batch_swapped).item()
+    assert ndcg_loss(batch_good, cfg.gain).item() < ndcg_loss(batch_swapped, cfg.gain).item()
     assert loss_good.item() < loss_swapped.item()
 
 
@@ -573,7 +573,7 @@ def test_ndcg_loss_backward_peak_memory_at_2000_names():
     tracemalloc.start()
     try:
         batch = make_rank_batch(Tensor(scores), levels, 5, RankLossConfig())
-        ndcg_loss(batch).backward()
+        ndcg_loss(batch, GAIN_STANDARD).backward()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

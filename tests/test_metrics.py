@@ -154,26 +154,26 @@ def test_aggregate_basics():
 
 
 def test_aggregate_single_day_and_constant_std():
-    rep = aggregate([0.02], [0.02])
+    rep = aggregate([0.02], [0.02], {}, [])
     assert rep.ic == pytest.approx(0.02) and rep.ic_std == 0.0
-    rep2 = aggregate([0.05, 0.05, 0.05], [0.01, 0.01, 0.01])
+    rep2 = aggregate([0.05, 0.05, 0.05], [0.01, 0.01, 0.01], {}, [])
     assert rep2.ic_std == pytest.approx(0.0, abs=1e-12)
     assert rep2.rank_ic_std == pytest.approx(0.0, abs=1e-12)
 
 
 def test_aggregate_std_scaled_e3():
-    rep = aggregate([0.0, 0.02], [0.0, 0.02])
+    rep = aggregate([0.0, 0.02], [0.0, 0.02], {}, [])
     assert rep.ic_std == pytest.approx(10.0)  # std 0.01 -> 10 (x1e3)
 
 
 def test_aggregate_excludes_undefined_days():
-    rep = aggregate([0.02, float("nan"), 0.04], [0.03, float("nan"), 0.05])
+    rep = aggregate([0.02, float("nan"), 0.04], [0.03, float("nan"), 0.05], {}, [])
     assert rep.n_days == 2
 
 
 def test_aggregate_empty_errors():
     with pytest.raises(ContractError):
-        aggregate([float("nan")], [float("nan")])
+        aggregate([float("nan")], [float("nan")], {}, [])
 
 
 def test_record_k():

@@ -153,7 +153,7 @@ def test_checkpoint_roundtrip(tmp_path):
 def test_checkpoint_shape_mismatch_names_file_and_parameter(tmp_path):
     params = init_params(small_arch(hidden=(8, 4)), seed=9)
     path = tmp_path / "ckpt.json"
-    save_checkpoint(path, params)
+    save_checkpoint(path, params, extra={})
     blob = json.loads(path.read_text())
     blob["params"]["trunk.w1"]["shape"] = [4, 8]  # same 32 values, transposed shape
     path.write_text(json.dumps(blob))
@@ -188,7 +188,7 @@ MALFORMED_CHECKPOINTS = {
 @pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
 def test_malformed_checkpoint_raises_contract_error_naming_file(tmp_path, case):
     path = tmp_path / "ckpt.json"
-    save_checkpoint(path, init_params(small_arch(), seed=9))
+    save_checkpoint(path, init_params(small_arch(), seed=9), extra={})
     path.write_bytes(MALFORMED_CHECKPOINTS[case](path.read_text(encoding="utf-8")))
     with pytest.raises(ContractError) as exc:
         load_checkpoint(path)
@@ -198,7 +198,7 @@ def test_malformed_checkpoint_raises_contract_error_naming_file(tmp_path, case):
 def test_parameters_view_one_flat_buffer(tmp_path):
     params = init_params(small_arch(), seed=3)
     path = tmp_path / "ckpt.json"
-    save_checkpoint(path, params)
+    save_checkpoint(path, params, extra={})
     loaded, _ = load_checkpoint(path)
     loaded.flat[...] = params.flat
     for p in (params, loaded):
