@@ -42,7 +42,7 @@ def run_topn(panel: StockPanel, scores: np.ndarray, top_n: int,
     balance: list[float] = []
     value = 1.0
     for t in range(panel.n_dates - 1):
-        candidates = np.flatnonzero(np.isfinite(y[t]) & np.isfinite(scores[t]) & panel.valid[t])
+        candidates = np.flatnonzero(np.isfinite(y[t]) & np.isfinite(scores[t]))
         if candidates.size == 0:
             picks = np.empty(0, dtype=np.int64)
             day_ret = 0.0

@@ -92,7 +92,7 @@ class ExperimentConfig:
 
 def _parse_opt(parser):
     def inner(text: str):
-        return None if text.strip().lower() in ("", "none", "auto") else parser(text)
+        return None if text.strip().lower() in ("", "none") else parser(text)
     return inner
 
 

@@ -124,32 +124,25 @@ def load_csv(path) -> StockPanel:
     surrounding spaces. Rows are converted ``_CHUNK`` at a time: the numbers
     in one numpy cast, dates and tickers to integer ids through two dicts.
     Missing (date, ticker) combinations are masked invalid. A header with no
-    feature column raises ``DataError``; so do a wrong field count, an
-    unparseable number or date, a date not written YYYY-MM-DD, a duplicate key
-    or a non-finite value, naming the file and the line (the CSV record number,
-    header = 1) of the first offending row, which a second, row-by-row read of
-    the file finds. A close that is not > 0 fails the panel's check.
+    feature column raises ``DataError``; so do bytes that are not UTF-8, a
+    field over ``csv.field_size_limit()``, a wrong field count, an unparseable
+    number or date, a date not written YYYY-MM-DD, a duplicate key or a
+    non-finite value, naming the file and the line (the CSV record number,
+    header = 1) of the first offending record, which a second, record-by-record
+    read of the file finds. A close that is not > 0 fails the panel's check.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file")
-        header = [h.strip() for h in header]
-        if header[:3] != ["date", "ticker", "close"]:
-            raise DataError(f"{path}: header must start 'date,ticker,close', got {header[:3]}")
-        width = len(header)
-        if width == 3:
-            raise DataError(f"{path}: header has no feature column after 'date,ticker,close'")
-        date_ids: dict[str, int] = {}
-        ticker_ids: dict[str, int] = {}
-        try:
+    date_ids: dict[str, int] = {}
+    ticker_ids: dict[str, int] = {}
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            width = _header_width(path, next(reader, None))
             parts = list(iter(lambda: _parse_chunk(reader, width, date_ids, ticker_ids), None))
-            for date in date_ids:
-                iso_date(date)
-        except (ValueError, csv.Error):  # a UnicodeDecodeError is a ValueError
-            _raise_first_defect(path, width)
-            raise
+        for date in date_ids:
+            iso_date(date)
+    except (ValueError, csv.Error):  # a UnicodeDecodeError is a ValueError
+        _raise_first_defect(path)
+        raise
     if not date_ids:
         raise DataError(f"{path}: no data rows")
     d, t, values = (np.concatenate(col) for col in zip(*parts))
@@ -160,13 +153,25 @@ def load_csv(path) -> StockPanel:
     valid = np.zeros(len(dates) * n, dtype=bool)
     valid[cells] = True
     if np.count_nonzero(valid) < cells.size:  # a (date, ticker) key repeats
-        _raise_first_defect(path, width)
+        _raise_first_defect(path)
         raise DataError(f"{path}: a (date, ticker) key repeated on the first read only")
     close = np.full(len(dates) * n, np.nan)
     features = np.full((len(dates) * n, width - 3), np.nan)
     close[cells], features[cells] = values[:, 0], values[:, 1:]
     return StockPanel(dates, tickers, close.reshape(-1, n), features.reshape(-1, n, width - 3),
                       valid.reshape(-1, n))
+
+
+def _header_width(path, header: list[str] | None) -> int:
+    """The field count of a ``date,ticker,close,f0..`` header record."""
+    if header is None:
+        raise DataError(f"{path}: empty file")
+    header = [h.strip() for h in header]
+    if header[:3] != ["date", "ticker", "close"]:
+        raise DataError(f"{path}: header must start 'date,ticker,close', got {header[:3]}")
+    if len(header) == 3:
+        raise DataError(f"{path}: header has no feature column after 'date,ticker,close'")
+    return len(header)
 
 
 def _parse_chunk(reader, width: int, date_ids: dict[str, int], ticker_ids: dict[str, int]):
@@ -188,30 +193,45 @@ def _parse_chunk(reader, width: int, date_ids: dict[str, int], ticker_ids: dict[
     return d, t, values
 
 
-def _raise_first_defect(path, width: int) -> None:
-    """Read ``path`` again row by row and raise ``DataError`` at the first bad row,
-    checking its field count, date, numbers, finiteness, then its key; return if
-    no row is bad. A ``csv.Error`` or ``UnicodeDecodeError`` before one propagates."""
+def _raise_first_defect(path) -> None:
+    """Read ``path`` again record by record and raise ``DataError`` at the first bad
+    one; return if none is bad. Any record is bad with a byte that is not UTF-8 or
+    a field over ``csv.field_size_limit()``; the header as ``_header_width`` rules;
+    a data row by its field count, date, numbers, finiteness, then key.
+
+    An undecodable byte is read as a lone surrogate and found on its own record:
+    a strict decoder raises on text read ahead of the record being parsed.
+    """
     keys: set[tuple[str, str]] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
-        next(reader)
-        for line, row in enumerate(reader, start=2):
-            if _blank(row):
-                continue
-            if len(row) != width:
-                raise DataError(f"{path}:{line}: expected {width} fields, got {len(row)}")
-            key = (row[0].strip(), row[1].strip())
-            try:
-                iso_date(key[0])
-                values = [float(v) for v in row[2:]]
-            except ValueError as exc:
-                raise DataError(f"{path}:{line}: unparseable row ({exc})") from None
-            if not np.isfinite(values).all():
-                raise DataError(f"{path}:{line}: non-finite close or feature value")
-            if key in keys:
-                raise DataError(f"{path}:{line}: duplicate (date,ticker) {key}")
-            keys.add(key)
+        try:
+            for line, row in enumerate(reader, start=1):
+                try:
+                    ",".join(row).encode("utf-8")
+                except UnicodeEncodeError as exc:  # a surrogate: a byte that is not UTF-8
+                    byte = ord(exc.object[exc.start]) - 0xDC00
+                    raise DataError(f"{path}:{line}: byte {byte:#04x} is not UTF-8") from None
+                if line == 1:
+                    width = _header_width(path, row)
+                    continue
+                if _blank(row):
+                    continue
+                if len(row) != width:
+                    raise DataError(f"{path}:{line}: expected {width} fields, got {len(row)}")
+                key = (row[0].strip(), row[1].strip())
+                try:
+                    iso_date(key[0])
+                    values = [float(v) for v in row[2:]]
+                except ValueError as exc:
+                    raise DataError(f"{path}:{line}: unparseable row ({exc})") from None
+                if not np.isfinite(values).all():
+                    raise DataError(f"{path}:{line}: non-finite close or feature value")
+                if key in keys:
+                    raise DataError(f"{path}:{line}: duplicate (date,ticker) {key}")
+                keys.add(key)
+        except csv.Error as exc:
+            raise DataError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def _ids(column: np.ndarray, ids: dict[str, int]) -> np.ndarray:

@@ -125,6 +125,16 @@ def level_counts(levels: np.ndarray, sizes, n_levels: int,
     return counts[:, ::-1], floors
 
 
+def level_ks(levels: np.ndarray, sizes, n_levels: int,
+             cfg: RankLossConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``level_counts`` of days stacked in one array of levels, and each day's k:
+    ``cfg.fixed_k`` capped at the day's size when set, else ``adaptive_ks``."""
+    groups, floors = level_counts(levels, sizes, n_levels, cfg.threshold_frac)
+    if cfg.fixed_k is not None:
+        return groups, floors, np.minimum(cfg.fixed_k, sizes)
+    return groups, floors, adaptive_ks(groups, floors)
+
+
 def split_labels(levels: np.ndarray, sizes, n_levels: int,
                  cfg: RankLossConfig) -> list[DayLabels]:
     """The label constants of days stacked in one array of levels in [0, n_levels).
@@ -139,11 +149,7 @@ def split_labels(levels: np.ndarray, sizes, n_levels: int,
                             f"{gains.shape} for day sizes {sizes.tolist()}")
     if gains.size and (gains.min() < 0 or gains.max() >= n_levels):
         raise ContractError(f"labels must lie in [0, {n_levels - 1}]")
-    groups, floors = level_counts(gains, sizes, n_levels, cfg.threshold_frac)
-    if cfg.fixed_k is not None:
-        ks = np.minimum(cfg.fixed_k, sizes)
-    else:
-        ks = adaptive_ks(groups, floors)
+    groups, floors, ks = level_ks(gains, sizes, n_levels, cfg)
     one_level = (groups > 0).sum(axis=1) == 1
     out = []
     for day, size, k, floor, flat, group in zip(np.split(gains, np.cumsum(sizes)[:-1]), sizes,

@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import StockPanel, compute_return
 from .errors import ContractError
-from .losses import RankLossConfig, adaptive_ks, level_counts
+from .losses import RankLossConfig, level_ks
 from .momentum import UNLABELED
 
 _GROUP_ROWS = 4096  # names of whole days per kernel pass; a larger day runs alone
@@ -205,14 +205,15 @@ def evaluate_predictions(scores: np.ndarray, panel: StockPanel,
                          loss_cfg: RankLossConfig | None = None) -> EvalReport:
     """Score a prediction matrix against a panel's realized next-day returns.
 
-    A day counts when at least 2 valid names have a score and a next-day
-    return. Precision@N on a day is only defined when the day has at least N
-    such names. When class labels are given, the day-by-day adaptive
-    truncation depth over those names' labels is recorded into the report's
-    k histogram.
+    A day counts when at least 2 names have a score and a next-day return (a
+    finite return implies a valid cell). Precision@N on a day is only defined
+    when the day has at least N such names. When class labels are given, the
+    day-by-day truncation depth k over those names' labels (``level_ks``:
+    fixed or adaptive, as in training) is recorded into the report's k
+    histogram.
     """
     y = compute_return(panel)
-    ok = np.isfinite(y) & np.isfinite(scores) & panel.valid
+    ok = np.isfinite(y) & np.isfinite(scores)
     days = np.flatnonzero(ok.sum(axis=1) >= 2)
     ok = ok[days]
     sizes = ok.sum(axis=1)
@@ -220,12 +221,11 @@ def evaluate_predictions(scores: np.ndarray, panel: StockPanel,
     ics, rics = day_ics(pred, ret, sizes)
     precisions = day_precisions(pred, ret, sizes, precision_ns)
     k_values = []
-    cfg = loss_cfg or RankLossConfig()
-    if class_labels is not None and cfg.fixed_k is None:
+    if class_labels is not None:
         labeled = ok & (class_labels[days] != UNLABELED)
         lab = class_labels[days][labeled]
         if lab.size:
-            groups, floors = level_counts(lab, labeled.sum(axis=1), int(lab.max()) + 1,
-                                          cfg.threshold_frac)
-            k_values = adaptive_ks(groups, floors)[labeled.any(axis=1)].tolist()
+            _, _, ks = level_ks(lab, labeled.sum(axis=1), int(lab.max()) + 1,
+                                loss_cfg or RankLossConfig())
+            k_values = ks[labeled.any(axis=1)].tolist()
     return aggregate(ics, rics, precisions, k_values)

@@ -11,9 +11,8 @@ Lines are bucketed into five trend levels used as the classification target:
     0 Sink      starts positive, ends negative
 
 "Starts"/"ends" refer to the first/last value whose sign survives the dead
-zone. Unless ``dead_zone`` is set, the dead zone is ``DEAD_ZONE_SCALE`` (0.01)
-x the per-date population std of the cross-section's line values, so flat
-noise lands in Volatile.
+zone. The dead zone is ``DEAD_ZONE_SCALE`` (0.01) x the per-date population
+std of the cross-section's line values, so flat noise lands in Volatile.
 """
 
 from __future__ import annotations
@@ -28,21 +27,18 @@ from .errors import ContractError
 LEVEL_SINK, LEVEL_NEGATIVE, LEVEL_VOLATILE, LEVEL_POSITIVE, LEVEL_BOUNCE = 0, 1, 2, 3, 4
 N_LEVELS = 5
 UNLABELED = -1
-DEAD_ZONE_SCALE = 0.01  # dead zone vs the per-date std of line values when dead_zone is None
+DEAD_ZONE_SCALE = 0.01  # dead zone vs the per-date std of line values
 
 
 @dataclass(frozen=True)
 class MomentumConfig:
     gap: int = 4                     # days between the two closes in one momentum value
     length: int = 6                  # line has length + 1 values
-    dead_zone: float | None = None   # absolute |value| treated as zero; None = scaled rule
     anchor_offset: int = 2           # line for sample date t ends at t + anchor_offset
 
     def __post_init__(self):
         if self.gap < 1 or self.length < 1:
             raise ContractError("momentum gap and length must be >= 1")
-        if self.dead_zone is not None and self.dead_zone < 0:
-            raise ContractError("dead_zone must be >= 0")
         if self.anchor_offset < 0:
             raise ContractError("anchor_offset must be >= 0")
 
@@ -82,10 +78,7 @@ def label_dataset(panel: StockPanel, cfg: MomentumConfig) -> np.ndarray:
         closes = panel.close[lo:anchor + 1, ok]
         # rows are the length+1 line values m[anchor-length..anchor] per ticker
         lines = closes[cfg.gap:, :] - closes[: closes.shape[0] - cfg.gap, :]
-        eps = cfg.dead_zone
-        if eps is None:
-            eps = DEAD_ZONE_SCALE * float(lines.std())
-        labels[t, ok] = _classify_lines(lines, eps)
+        labels[t, ok] = _classify_lines(lines, DEAD_ZONE_SCALE * float(lines.std()))
     return labels
 
 

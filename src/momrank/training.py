@@ -173,25 +173,16 @@ def converge_ratio(train_hist, valid_hist, epoch: int, window: int) -> float:
 
     Change of loss = last epoch's loss minus the mean over the window of
     epochs one window earlier; the ratio valid/train is floored at |1e-8| in
-    the denominator (sign kept) and clamped to [-5, 5]. Before two full
-    windows of history exist the rate is defined as 1.
+    the denominator (sign kept) and clamped to [-5, 5]. The rate is 1 before
+    two full windows of history exist, when the earlier window is empty, and
+    when a loss it needs is missing or not finite.
     """
-    if epoch < 2 * window:
-        return 1.0
-
-    def change(hist) -> float | None:
-        if len(hist) < epoch - 1 or epoch - 2 < 0:
-            return None
-        recent = hist[epoch - 2]
-        lo, hi = max(1, epoch - 2 * window), epoch - window - 1
-        if hi < lo:
-            return None
-        baseline = float(np.mean(hist[lo - 1: hi]))
-        return recent - baseline
-
-    d_train = change(train_hist)
-    d_valid = change(valid_hist)
-    if d_train is None or d_valid is None or not (np.isfinite(d_train) and np.isfinite(d_valid)):
+    lo, hi = max(1, epoch - 2 * window), epoch - window - 1
+    d_train, d_valid = (hist[epoch - 2] - float(np.mean(hist[lo - 1: hi]))
+                        if epoch >= 2 * window and lo <= hi and len(hist) >= epoch - 1
+                        else np.nan
+                        for hist in (train_hist, valid_hist))
+    if not (np.isfinite(d_train) and np.isfinite(d_valid)):
         return 1.0
     if abs(d_train) < 1e-8:
         d_train = 1e-8 if d_train >= 0 else -1e-8
@@ -249,10 +240,6 @@ class _GroupOptimizer:
         v_hat = self.v / (1.0 - ADAM_BETA2 ** self.t)
         flat[...] = flat - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS) - self.lr * decay * flat
         return flat
-
-
-def _flatten(arrays) -> np.ndarray:
-    return np.concatenate([a.ravel() for a in arrays])
 
 
 # ---- batches ----
@@ -387,10 +374,13 @@ def fit(train_panel: StockPanel, valid_panel: StockPanel, mom_cfg: MomentumConfi
                         hidden=cfg.hidden, n_classes=n_classes)
     params = init_params(arch, seed)
     theta = params.trunk_tensors()
-    head_tensors = {REG: params.reg_tensors(), CLS: params.cls_tensors()}
+    n_trunk = sum(t.data.size for t in theta)
+    heads = {REG: params.reg_tensors(), CLS: params.cls_tensors()}
+    wrt = {task: theta + heads[task] for task in tasks}
     # the active tasks' groups are a prefix of the buffer's trunk, reg_head, cls_head layout
-    active = theta + [t for task in tasks for t in head_tensors[task]]
-    opt = _GroupOptimizer(cfg.optimizer, sum(t.data.size for t in active), cfg.lr)
+    opt = _GroupOptimizer(cfg.optimizer,
+                          n_trunk + sum(t.data.size for task in tasks for t in heads[task]), cfg.lr)
+    grad_fn = log_grad if mode.pipeline else gradients
 
     ema: dict[str, np.ndarray | None] = dict.fromkeys(tasks)
     hist = {(split, task): [] for split in ("train", "valid") for task in tasks}
@@ -398,14 +388,9 @@ def fit(train_panel: StockPanel, valid_panel: StockPanel, mom_cfg: MomentumConfi
     # a day's k depends only on its labels, so every epoch counts the same histogram
     k_counts = record_k(b.labels.k for b in train_batches) if CLS in tasks else {}
     log: list[EpochRecord] = []
-    best_ic = -np.inf
-    best_epoch = 0
-    best_snapshot = params.flat.copy()
-    stale = 0
-    epochs_run = 0
+    best_ic, stale = -np.inf, 0
 
     for epoch in range(1, cfg.epochs + 1):
-        epochs_run = epoch
         beta_e = {task: adapted_beta(cfg.beta, converge[task]) if mode.adapt_beta else cfg.beta
                   for task in tasks}
         mean_converge = sum(converge[task] for task in tasks) / len(tasks)
@@ -419,14 +404,12 @@ def fit(train_panel: StockPanel, valid_panel: StockPanel, mom_cfg: MomentumConfi
             # every gradient is taken before any in-place update: backward reads param data
             trunk_grads, head_grads = [], []
             for task in tasks:
-                wrt = theta + head_tensors[task]
-                grads = (log_grad(losses[task], wrt) if mode.pipeline
-                         else gradients(losses[task], wrt))
-                g_theta = _flatten(grads[: len(theta)])
+                grad = np.concatenate([g.ravel() for g in grad_fn(losses[task], wrt[task])])
+                g_theta = grad[:n_trunk]
                 if mode.pipeline:
                     ema[task] = g_theta = ema_update(ema[task], g_theta, beta_e[task])
                 trunk_grads.append(g_theta)
-                head_grads.append(_flatten(grads[len(theta):]))
+                head_grads.append(grad[n_trunk:])
             if mode.pipeline and len(tasks) == 2:
                 g_tilde = balance_gradients(*trunk_grads)
             else:  # plain joint sum, or the single task's gradient
@@ -450,20 +433,17 @@ def fit(train_panel: StockPanel, valid_panel: StockPanel, mom_cfg: MomentumConfi
                 converge[task] = converge_ratio(hist[("train", task)], hist[("valid", task)],
                                                 epoch + 1, cfg.loss_window)
 
+        # the best epoch has the highest finite valid IC; epoch 1 stands in until one exists
         score = evals["valid"][1]
         if np.isfinite(score) and score > best_ic + 1e-12:
-            best_ic = score
-            best_epoch = epoch
-            best_snapshot = params.flat.copy()
-            stale = 0
+            best_ic, stale = score, 0
         else:
-            if best_epoch == 0:  # keep something sensible even without a valid IC
-                best_epoch = epoch
-                best_snapshot = params.flat.copy()
             stale += 1
+        if stale == 0 or epoch == 1:
+            best_epoch, best_snapshot = epoch, params.flat.copy()
         if stale >= cfg.patience:
             break
 
     params.flat[...] = best_snapshot
-    return FitResult(params=params, best_epoch=best_epoch, epochs_run=epochs_run,
+    return FitResult(params=params, best_epoch=best_epoch, epochs_run=epoch,
                      epoch_log=log, k_counts=k_counts)

@@ -39,14 +39,14 @@ def test_parse_kv_text_malformed_line():
 
 def test_build_config_typed_values():
     cfg = build_config({"seed": "3", "train.hidden": "8,4", "loss.fixed_k": "7",
-                        "momentum.dead_zone": "none",
+                        "data.shift_after": "none",
                         "split.train": "2020-01-01:2020-06-30",
                         "split.valid": "2020-07-01:2020-08-31",
                         "split.test": "2020-09-01:2020-12-31"})
     assert cfg.seed == 3
     assert cfg.train.hidden == (8, 4)
     assert cfg.loss.fixed_k == 7
-    assert cfg.momentum.dead_zone is None
+    assert cfg.data.shift_after is None
     assert cfg.split.train == ("2020-01-01", "2020-06-30")
 
 
@@ -58,10 +58,16 @@ def test_unknown_key_rejected():
 
 @pytest.mark.parametrize("key", ["train.trunk", "train.standardize_y", "loss.ce_weight",
                                  "loss.rank_weight", "loss.score_scale",
-                                 "momentum.dead_zone_scale", "data.normalize"])
+                                 "momentum.dead_zone_scale", "data.normalize",
+                                 "momentum.dead_zone"])
 def test_removed_keys_rejected(key):
     with pytest.raises(ConfigError, match="unknown config key"):
         build_config({key: "1"})
+
+
+def test_auto_is_not_a_none_spelling():
+    with pytest.raises(ConfigError, match="bad value for loss.fixed_k"):
+        build_config({"loss.fixed_k": "auto"})
 
 
 def test_ranking_none_rejected():
@@ -77,7 +83,7 @@ def test_flat_keys_are_the_declared_knobs():
         "data.source",
         "eval.precision_ns",
         "loss.fixed_k", "loss.gain", "loss.ranking", "loss.threshold_frac",
-        "momentum.anchor_offset", "momentum.dead_zone", "momentum.gap", "momentum.length",
+        "momentum.anchor_offset", "momentum.gap", "momentum.length",
         "seed",
         "split.test", "split.train", "split.train_frac", "split.valid", "split.valid_frac",
         "train.beta", "train.decay", "train.epochs", "train.hidden", "train.loss_window",

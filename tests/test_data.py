@@ -374,11 +374,42 @@ def test_load_csv_reader_error_comes_after_earlier_bad_rows(tmp_path):
     rows[50][1] = "x" * (csv.field_size_limit() + 1)
     rows[60][2] = "ten"
     f = write_records(tmp_path, rows)
-    for loader in (load_csv_rowwise, load_csv):
-        with pytest.raises(csv.Error):
-            loader(f)
+    with pytest.raises(csv.Error):
+        load_csv_rowwise(f)
+    with pytest.raises(DataError) as exc:
+        load_csv(f)
+    limit = f"field larger than field limit ({csv.field_size_limit()})"
+    assert str(exc.value) == f"{f}:52: {limit}"
+    rows[50][1] = '"' + "x" * 140_000 + '"'
+    with pytest.raises(DataError) as exc:
+        load_csv(write_records(tmp_path, rows))
+    assert str(exc.value) == f"{f}:52: {limit}"
     rows[20][2] = "ten"
     assert_same_error(write_records(tmp_path, rows))
+
+
+@pytest.mark.parametrize("index", [0, 12])  # the header, a data row
+def test_load_csv_byte_not_utf8_names_its_line(tmp_path, index):
+    # the bad byte lies in the first block a text reader decodes ahead, with the header
+    f = write_records(tmp_path, panel_records(20, 5))
+    lines = f.read_bytes().split(b"\n")
+    lines[index] = lines[index].replace(b",", b",\xff", 1)
+    f.write_bytes(b"\n".join(lines))
+    with pytest.raises(DataError) as exc:
+        load_csv(f)
+    assert str(exc.value) == f"{f}:{index + 1}: byte 0xff is not UTF-8"
+
+
+def test_load_csv_earlier_bad_row_wins_over_a_byte_decoded_ahead(tmp_path):
+    rows = [list(r) for r in panel_records(20, 5)]
+    rows[5][2] = "ten"
+    f = write_records(tmp_path, rows)
+    lines = f.read_bytes().split(b"\n")
+    lines[40] += b"\xff"
+    f.write_bytes(b"\n".join(lines))
+    with pytest.raises(DataError) as exc:
+        load_csv(f)
+    assert str(exc.value).startswith(f"{f}:7: unparseable row")
 
 
 def test_load_csv_peak_memory_below_rowwise_loader(tmp_path):
@@ -402,7 +433,7 @@ def test_load_csv_header_without_a_feature_column(tmp_path):
 
 
 def test_load_csv_reads_a_clean_file_once(tmp_path, monkeypatch, two_chunks):
-    def second_read(path, width):
+    def second_read(path):
         raise AssertionError("a clean file was read twice")
 
     monkeypatch.setattr(data, "_raise_first_defect", second_read)
@@ -420,7 +451,7 @@ def test_load_csv_raises_when_the_second_read_finds_nothing(tmp_path, monkeypatc
                                                             kind, raised):
     rows = list(two_chunks)
     DEFECTS[kind](rows, _CHUNK + 200)
-    monkeypatch.setattr(data, "_raise_first_defect", lambda path, width: None)
+    monkeypatch.setattr(data, "_raise_first_defect", lambda path: None)
     with pytest.raises(ValueError, match=raised):
         load_csv(write_records(tmp_path, rows))
 

@@ -204,6 +204,13 @@ def test_evaluate_predictions_k_histogram():
                                precision_ns=(5,), class_labels=labels)
     assert sum(rep.k_histogram.values()) > 0
     assert all(1 <= k <= 10 for k in rep.k_histogram)
+    # a fixed k, capped at the day's labeled names, as in training
+    from momrank.losses import RankLossConfig
+    labeled_days = int(((labels != UNLABELED) & np.isfinite(y)).any(axis=1).sum())
+    for fixed_k, k in ((5, 5), (12, 10)):
+        rep = evaluate_predictions(np.where(np.isfinite(y), y, np.nan), panel, precision_ns=(5,),
+                                   class_labels=labels, loss_cfg=RankLossConfig(fixed_k=fixed_k))
+        assert rep.k_histogram == {k: labeled_days}
 
 
 def test_report_to_dict_roundish():

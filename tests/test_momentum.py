@@ -197,31 +197,27 @@ def reference_labels(panel, cfg):
         if not ok.any():
             continue
         lines = {i: momentum_line(panel.close[:, i], anchor, cfg) for i in np.flatnonzero(ok)}
-        eps = cfg.dead_zone
-        if eps is None:
-            eps = DEAD_ZONE_SCALE * float(np.stack(list(lines.values()), axis=1).std())
+        eps = DEAD_ZONE_SCALE * float(np.stack(list(lines.values()), axis=1).std())
         for i, line in lines.items():
             labels[t, i] = classify_line(line, eps)
     return labels
 
 
-@pytest.mark.parametrize("dead_zone", [None, 0.0])
-def test_label_dataset_matches_reference_on_every_sign_pattern(dead_zone):
+def test_label_dataset_matches_reference_on_every_sign_pattern():
     patterns = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=7)))
     # one ticker per pattern; gap 1 makes the line on the last date its daily steps
     close = 100.0 + np.concatenate([np.zeros((len(patterns), 1)), patterns.cumsum(axis=1)], axis=1)
     p = series_panel(close)
-    cfg = MomentumConfig(gap=1, length=6, anchor_offset=0, dead_zone=dead_zone)
+    cfg = MomentumConfig(gap=1, length=6, anchor_offset=0)
     labels = label_dataset(p, cfg)
     np.testing.assert_array_equal(labels, reference_labels(p, cfg))
     assert labels[-1].tolist() == [rule_table_oracle(pat) for pat in patterns.astype(int)]
 
 
-@pytest.mark.parametrize("dead_zone", [None, 0.05])
-def test_label_dataset_matches_reference_with_invalid_cells(dead_zone):
+def test_label_dataset_matches_reference_with_invalid_cells():
     p = gen_synthetic(80, 30, 0.3, seed=11)
     p.valid &= np.random.default_rng(12).random(p.valid.shape) > 0.05
-    cfg = MomentumConfig(dead_zone=dead_zone)
+    cfg = MomentumConfig()
     labels = label_dataset(p, cfg)
     assert (labels != UNLABELED).sum() > 1000
     np.testing.assert_array_equal(labels, reference_labels(p, cfg))

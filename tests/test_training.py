@@ -1,6 +1,8 @@
 import gc
 import json
 import math
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +36,10 @@ def test_converge_rate_early_epochs_are_one():
     hist = [1.0] * 30
     assert converge_ratio(hist, hist, 5, 6) == 1.0
     assert converge_ratio(hist, hist, 11, 6) == 1.0
+    # window 1 at epoch 2: the earlier window (epochs 1..0) is empty, and no mean is taken
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert converge_ratio([1.0, 0.5], [1.0, 2.0], 2, 1) == 1.0
 
 
 def test_converge_rate_healthy_and_overfit():
@@ -44,6 +50,7 @@ def test_converge_rate_healthy_and_overfit():
     assert converge_ratio(train, valid, 5, b) == pytest.approx(0.5)
     valid_up = [1.0, 1.0, 1.0, 1.1]
     assert converge_ratio(train, valid_up, 5, b) == pytest.approx(-0.5)
+    assert converge_ratio(train, [1.0, float("nan"), 1.0, 0.9], 5, b) == 1.0  # NaN in the window
 
 
 def test_converge_rate_clamped_and_floored():
@@ -61,6 +68,7 @@ def test_converge_rate_uses_available_history_at_boundary():
     valid = list(np.linspace(2.0, 1.5, 11))
     v = converge_ratio(train, valid, 12, b)  # needs epochs -< only 11 available
     assert np.isfinite(v) and v != 1.0
+    assert converge_ratio(train[:10], valid, 12, b) == 1.0  # shorter than epoch - 1
 
 
 # ---- beta / decay adaptation ----
@@ -506,6 +514,9 @@ def test_fit_early_stops_on_stale_validation():
     result = fit(train, flat, small_mom_cfg(), RankLossConfig(), cfg, seed=8)
     assert result.epochs_run == 3
     assert result.best_epoch == 1
+    # with no finite valid IC, the first epoch's parameters stand in
+    first = fit(train, flat, small_mom_cfg(), RankLossConfig(), replace(cfg, epochs=1), seed=8)
+    assert result.params.flat.tobytes() == first.params.flat.tobytes()
 
 
 def test_fit_no_usable_days_raises():
