@@ -9,6 +9,7 @@ is read off those fields, so a knob is declared once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, dataclass, field, fields
 
 from .data import check_synthetic, iso_date
@@ -34,6 +35,8 @@ class DataConfig:
             raise ContractError(f"unknown data source {self.source!r}")
         if self.source == "csv" and not self.csv_path:
             raise ContractError("data.csv_path is required when data.source = csv")
+        if self.shift_after is not None and self.shift_after < 0:
+            raise ContractError(f"data.shift_after must be >= 0, got {self.shift_after}")
         check_synthetic(self.n_dates, self.n_tickers, self.n_features, self.signal_strength,
                         self.shifted_signal_strength)
 
@@ -73,6 +76,8 @@ class EvalConfig:
                                 f"{','.join(map(str, self.precision_ns))}")
         if self.cost_bps < 0:
             raise ContractError("backtest.cost_bps must be >= 0")
+        if self.cost_bps > 5000:  # there a day's two one-way charges reach 100%
+            raise ContractError(f"backtest.cost_bps must be <= 5000, got {self.cost_bps}")
 
 
 @dataclass(frozen=True)
@@ -170,9 +175,11 @@ def parse_kv_text(text: str, origin: str) -> dict[str, str]:
 
 
 def build_config(raw: dict[str, str]) -> ExperimentConfig:
-    """Typed, validated config from a flat key->string map."""
+    """Typed, validated config from a flat key->string map; a float key must be
+    finite, checked after the range rules."""
     per_section: dict[str, dict] = {name: {} for name in _SECTION_CLASSES}
     top: dict = {}  # top-level keys (the seed)
+    non_finite = []
     for key, text in raw.items():
         if key not in SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
@@ -181,12 +188,16 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
             value = parser(text)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad value for {key}: {exc}") from None
+        if isinstance(value, float) and not math.isfinite(value):
+            non_finite.append(key)
         (per_section[section] if section else top)[fname] = value
     try:
         sections = {name: cls(**per_section[name]) for name, cls in _SECTION_CLASSES.items()}
         cfg = ExperimentConfig(**top, **sections)
     except ContractError as exc:
         raise ConfigError(str(exc)) from None
+    if non_finite:
+        raise ConfigError(f"{non_finite[0]} must be finite, got {raw[non_finite[0]]}")
     return cfg
 
 

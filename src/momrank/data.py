@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ContractError, DataError
 
-_CHUNK = 16384  # CSV records converted per numpy pass
+_CHUNK = 16384  # CSV lines tokenized per numpy pass
 SYNTHETIC_START = "2018-01-02"  # first date of a synthetic panel
 SYNTHETIC_DRIFT, SYNTHETIC_VOL = 5e-4, 0.02  # mean and std of a synthetic daily return
 
@@ -119,47 +119,25 @@ def compute_return(panel: StockPanel) -> np.ndarray:
 def load_csv(path) -> StockPanel:
     """Assemble a panel from ``date,ticker,close,f0..f{F-1}`` rows (UTF-8).
 
-    ``csv.reader`` tokenizes the file, so quoted fields, CRLF line ends and
-    blank lines are accepted, and dates and tickers are stripped of
-    surrounding spaces. Rows are converted ``_CHUNK`` at a time: the numbers
-    in one numpy cast, dates and tickers to integer ids through two dicts.
-    Missing (date, ticker) combinations are masked invalid. A header with no
-    feature column raises ``DataError``; so do bytes that are not UTF-8, a
-    field over ``csv.field_size_limit()``, a wrong field count, an unparseable
-    number or date, a date not written YYYY-MM-DD, a duplicate key or a
-    non-finite value, naming the file and the line (the CSV record number,
-    header = 1) of the first offending record, which a second, record-by-record
-    read of the file finds. A close that is not > 0 fails the panel's check.
+    Records follow ``csv.reader``'s rules: quoted fields, CRLF line ends and blank
+    lines are accepted, and dates and tickers are stripped of surrounding spaces.
+    numpy's C parser tokenizes the rows ``_CHUNK`` lines at a time. A file that pass
+    refuses is read again record by record, which names the first bad record or
+    loads the panel. Missing (date, ticker) combinations are masked invalid. A header
+    with no feature column raises ``DataError``; so do bytes that are not UTF-8, a
+    field over ``csv.field_size_limit()``, a wrong field count, an unparseable number
+    or date, a date not written YYYY-MM-DD, a duplicate key or a non-finite value,
+    naming the file and the line (the CSV record number, header = 1) of the first
+    offending record. A close that is not > 0 fails the panel's check.
     """
-    date_ids: dict[str, int] = {}
-    ticker_ids: dict[str, int] = {}
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            width = _header_width(path, next(reader, None))
-            parts = list(iter(lambda: _parse_chunk(reader, width, date_ids, ticker_ids), None))
-        for date in date_ids:
-            iso_date(date)
-    except (ValueError, csv.Error):  # a UnicodeDecodeError is a ValueError
-        _raise_first_defect(path)
+            width = _header_width(path, next(csv.reader(fh), None))
+            return _panel(path, width, *_tokenize(fh, width))
+    except DataError:  # a header or panel rule, which a second read would only repeat
         raise
-    if not date_ids:
-        raise DataError(f"{path}: no data rows")
-    d, t, values = (np.concatenate(col) for col in zip(*parts))
-    dates, date_rank = _sorted_ids(date_ids)
-    tickers, ticker_rank = _sorted_ids(ticker_ids)
-    n = len(tickers)
-    cells = date_rank[d] * n + ticker_rank[t]
-    valid = np.zeros(len(dates) * n, dtype=bool)
-    valid[cells] = True
-    if np.count_nonzero(valid) < cells.size:  # a (date, ticker) key repeats
-        _raise_first_defect(path)
-        raise DataError(f"{path}: a (date, ticker) key repeated on the first read only")
-    close = np.full(len(dates) * n, np.nan)
-    features = np.full((len(dates) * n, width - 3), np.nan)
-    close[cells], features[cells] = values[:, 0], values[:, 1:]
-    return StockPanel(dates, tickers, close.reshape(-1, n), features.reshape(-1, n, width - 3),
-                      valid.reshape(-1, n))
+    except (ValueError, csv.Error):  # a UnicodeDecodeError is a ValueError
+        return _panel(path, *_read_records(path))
 
 
 def _header_width(path, header: list[str] | None) -> int:
@@ -174,35 +152,37 @@ def _header_width(path, header: list[str] | None) -> int:
     return len(header)
 
 
-def _parse_chunk(reader, width: int, date_ids: dict[str, int], ticker_ids: dict[str, int]):
-    """Date ids, ticker ids and values of the next ``_CHUNK`` records, or None at the
-    end. Blank records are skipped; a bad row raises ``ValueError`` without naming it."""
-    rows = list(itertools.islice(reader, _CHUNK))
-    if not rows:
-        return None
-    if set(map(len, rows)) != {width}:
-        if not all(_blank(row) for row in rows if len(row) != width):
-            raise ValueError("a record has the wrong number of fields")
-        rows = [row for row in rows if len(row) == width]
-    cells = np.array(rows, dtype=object).reshape(len(rows), width)
-    d = _ids(cells[:, 0], date_ids)
-    t = _ids(cells[:, 1], ticker_ids)
-    values = cells[:, 2:].astype(np.float64)  # float() on each cell, in C
-    if not np.isfinite(values).all():
-        raise ValueError("a close or feature value is not finite")
-    return d, t, values
+def _tokenize(fh, width: int):
+    """Date ids, ticker ids and (date id, ticker id, values) parts of the non-blank lines
+    left in ``fh``. ``ValueError`` at a row numpy's parser refuses or may split unlike
+    ``csv.reader``: over the field size limit, over two lines, or open at a chunk's end."""
+    date_ids, ticker_ids, parts = {}, {}, []
+    lines = itertools.filterfalse(str.isspace, fh)
+    dtype = [("d", object), ("t", object), ("v", np.float64, (width - 2,))]
+    while chunk := list(itertools.islice(lines, _CHUNK)):
+        if (max(map(len, chunk)) > csv.field_size_limit() or ('"' in chunk[-1]
+                and next(csv.reader(chunk[-1:]))[-1].endswith(("\n", "\r")))):
+            raise ValueError("a line is over the field size limit or ends inside quotes")
+        rows = np.loadtxt(chunk, dtype, delimiter=",", comments=None, quotechar='"', ndmin=1)
+        if len(rows) != len(chunk):
+            raise ValueError("a quoted field spans lines")
+        values = rows["v"].copy()  # a view would keep every chunk's strings alive
+        parts.append((_ids(rows["d"], date_ids), _ids(rows["t"], ticker_ids), values))
+    for date in date_ids:
+        iso_date(date)
+    return date_ids, ticker_ids, parts
 
 
-def _raise_first_defect(path) -> None:
-    """Read ``path`` again record by record and raise ``DataError`` at the first bad
-    one; return if none is bad. Any record is bad with a byte that is not UTF-8 or
-    a field over ``csv.field_size_limit()``; the header as ``_header_width`` rules;
-    a data row by its field count, date, numbers, finiteness, then key.
+def _read_records(path):
+    """The field count and ``_tokenize``'s result for ``path`` read record by record,
+    or ``DataError`` at the first bad record: one with a byte that is not UTF-8 or a
+    field over ``csv.field_size_limit()``, the header as ``_header_width`` rules, a
+    data row by its field count, date, numbers, finiteness, then key.
 
     An undecodable byte is read as a lone surrogate and found on its own record:
     a strict decoder raises on text read ahead of the record being parsed.
     """
-    keys: set[tuple[str, str]] = set()
+    rows: dict[tuple[str, str], list[float]] = {}
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         try:
@@ -215,7 +195,7 @@ def _raise_first_defect(path) -> None:
                 if line == 1:
                     width = _header_width(path, row)
                     continue
-                if _blank(row):
+                if not row or (len(row) == 1 and not row[0].strip()):  # a blank record
                     continue
                 if len(row) != width:
                     raise DataError(f"{path}:{line}: expected {width} fields, got {len(row)}")
@@ -227,11 +207,36 @@ def _raise_first_defect(path) -> None:
                     raise DataError(f"{path}:{line}: unparseable row ({exc})") from None
                 if not np.isfinite(values).all():
                     raise DataError(f"{path}:{line}: non-finite close or feature value")
-                if key in keys:
+                if key in rows:
                     raise DataError(f"{path}:{line}: duplicate (date,ticker) {key}")
-                keys.add(key)
+                rows[key] = values
         except csv.Error as exc:
             raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+    keys = np.array(list(rows), dtype=object).reshape(-1, 2)
+    date_ids, ticker_ids = {}, {}
+    parts = [(_ids(keys[:, 0], date_ids), _ids(keys[:, 1], ticker_ids),
+              np.array(list(rows.values())).reshape(-1, width - 2))]
+    return width, date_ids, ticker_ids, parts
+
+
+def _panel(path, width: int, date_ids: dict, ticker_ids: dict, parts) -> StockPanel:
+    """``_tokenize``'s result as a panel; ``ValueError`` at a non-finite value or repeated key."""
+    if not date_ids:
+        raise DataError(f"{path}: no data rows")
+    d, t, values = (np.concatenate(col) for col in zip(*parts))
+    dates, date_rank = _sorted_ids(date_ids)
+    tickers, ticker_rank = _sorted_ids(ticker_ids)
+    n = len(tickers)
+    cells = date_rank[d] * n + ticker_rank[t]
+    valid = np.zeros(len(dates) * n, dtype=bool)
+    valid[cells] = True
+    if np.count_nonzero(valid) < cells.size or not np.isfinite(values).all():
+        raise ValueError("a value is not finite or a (date, ticker) key repeats")
+    close = np.full(len(dates) * n, np.nan)
+    features = np.full((len(dates) * n, width - 3), np.nan)
+    close[cells], features[cells] = values[:, 0], values[:, 1:]
+    return StockPanel(dates, tickers, close.reshape(-1, n), features.reshape(-1, n, width - 3),
+                      valid.reshape(-1, n))
 
 
 def _ids(column: np.ndarray, ids: dict[str, int]) -> np.ndarray:
@@ -249,11 +254,6 @@ def _sorted_ids(ids: dict[str, int]) -> tuple[list[str], np.ndarray]:
     rank = np.empty(len(names), dtype=np.intp)
     rank[order] = np.arange(len(names))
     return [names[i] for i in order], rank
-
-
-def _blank(row: list[str]) -> bool:
-    """Whether a CSV record is empty or one whitespace-only field."""
-    return not row or (len(row) == 1 and not row[0].strip())
 
 
 def normalize_features(panel: StockPanel) -> StockPanel:

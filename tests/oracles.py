@@ -7,18 +7,22 @@ composed log-probabilities, exact ranks and NDCG, the full-block smooth-rank
 kernel (and adapters that run the library's sorted one in input order), the
 composed pairwise hinge, per-ticker momentum lines and the
 per-line trend rule, the per-day metric, k and evaluation loops that the
-split-wide kernels replaced, and a per-day forward over windows gathered
-ticker by ticker. None of them runs outside the tests.
+split-wide kernels replaced, a per-day forward over windows gathered
+ticker by ticker, and the chunked ``csv.reader`` pass that numpy's CSV
+parser replaced in ``load_csv``. None of them runs outside the tests.
 """
 
 from __future__ import annotations
 
+import csv
+import itertools
 import math
 
 import numpy as np
 
 from momrank.autodiff import Tensor, no_grad
-from momrank.data import compute_return
+from momrank.data import (_CHUNK, StockPanel, _header_width, _ids, _sorted_ids, compute_return,
+                          iso_date)
 from momrank.errors import ContractError, GraphError, NumericError
 from momrank.losses import (_ROW_CHUNK, GAIN_STANDARD, _blocks_vjp, _sorted_ranks,
                             _upper_blocks, gain_values, ideal_dcg_at_k)
@@ -395,3 +399,42 @@ def predict_by_day(params, panel) -> np.ndarray:
                 feats = np.stack([panel.features[t - window + 1: t + 1, i] for i in rows])
                 scores[t, rows] = forward(params, feats).pred_return.data
     return scores
+
+
+# ---- CSV ----
+
+def load_csv_chunked(path) -> StockPanel:
+    """``load_csv``'s clean-file pass before numpy's parser: ``csv.reader`` records,
+    ``_CHUNK`` at a time, numbers in one numpy cast per chunk, dates and tickers to
+    ids through two dicts. Raises ``ValueError`` at a bad row without naming it."""
+    date_ids: dict[str, int] = {}
+    ticker_ids: dict[str, int] = {}
+    parts = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        width = _header_width(path, next(reader, None))
+        while rows := list(itertools.islice(reader, _CHUNK)):
+            rows = [row for row in rows if row and (len(row) > 1 or row[0].strip())]
+            if any(len(row) != width for row in rows):
+                raise ValueError("a record has the wrong number of fields")
+            cells = np.array(rows, dtype=object).reshape(len(rows), width)
+            values = cells[:, 2:].astype(np.float64)  # float() on each cell, in C
+            if not np.isfinite(values).all():
+                raise ValueError("a close or feature value is not finite")
+            parts.append((_ids(cells[:, 0], date_ids), _ids(cells[:, 1], ticker_ids), values))
+    for date in date_ids:
+        iso_date(date)
+    d, t, values = (np.concatenate(col) for col in zip(*parts))
+    dates, date_rank = _sorted_ids(date_ids)
+    tickers, ticker_rank = _sorted_ids(ticker_ids)
+    n = len(tickers)
+    cells = date_rank[d] * n + ticker_rank[t]
+    valid = np.zeros(len(dates) * n, dtype=bool)
+    valid[cells] = True
+    if np.count_nonzero(valid) < cells.size:
+        raise ValueError("a (date, ticker) key repeats")
+    close = np.full(len(dates) * n, np.nan)
+    features = np.full((len(dates) * n, width - 3), np.nan)
+    close[cells], features[cells] = values[:, 0], values[:, 1:]
+    return StockPanel(dates, tickers, close.reshape(-1, n), features.reshape(-1, n, width - 3),
+                      valid.reshape(-1, n))

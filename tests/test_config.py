@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import pytest
 
-from momrank.config import (ExperimentConfig, _build_schema, build_config, load_config,
+from momrank.config import (SCHEMA, ExperimentConfig, _build_schema, build_config, load_config,
                             parse_kv_text, to_flat)
 from momrank.errors import ConfigError
 
@@ -141,3 +142,43 @@ def test_to_flat_roundtrips():
     assert rebuilt == cfg
     assert flat["seed"] == "13"
     assert flat["train.hidden"] == "8,4"
+
+
+@pytest.mark.parametrize("key", sorted(SCHEMA))
+def test_every_key_rejects_or_reads_a_finite_typed_value_at_the_boundary(key):
+    section, fname, _ = SCHEMA[key]
+    misread = []
+    for text in ["nan", "inf", "-inf", "-1", "0", "1e300", ""]:
+        try:
+            cfg = load_config(None, [f"{key}={text}"])
+        except ConfigError:
+            continue
+        value = getattr(getattr(cfg, section) if section else cfg, fname)
+        for v in value if isinstance(value, tuple) else (value,):
+            if not (v is None or isinstance(v, str)
+                    or type(v) in (int, float) and math.isfinite(v)):
+                misread.append((text, value))
+    assert misread == []
+
+
+@pytest.mark.parametrize("key,text,message", [
+    ("train.lr", "nan", "train.lr must be finite, got nan"),
+    ("train.lr", "inf", "train.lr must be finite, got inf"),
+    ("train.decay", "nan", "train.decay must be finite, got nan"),
+    ("train.decay", "inf", "train.decay must be finite, got inf"),
+    ("backtest.cost_bps", "nan", "backtest.cost_bps must be finite, got nan"),
+    ("backtest.cost_bps", "inf", "backtest.cost_bps must be <= 5000, got inf"),
+    ("backtest.cost_bps", "1e9", "backtest.cost_bps must be <= 5000, got 1000000000.0"),
+    ("backtest.cost_bps", "-1", "backtest.cost_bps must be >= 0"),
+    ("data.shift_after", "-1", "data.shift_after must be >= 0, got -1"),
+    ("train.beta", "nan", "beta must lie in (0, 1)"),  # a range rule speaks before finiteness
+])
+def test_values_that_would_fail_partway_through_a_run_are_config_errors(key, text, message):
+    with pytest.raises(ConfigError) as exc:
+        build_config({key: text})
+    assert str(exc.value) == message
+
+
+def test_cost_bps_of_5000_and_shift_after_of_0_are_accepted():
+    cfg = build_config({"backtest.cost_bps": "5000", "data.shift_after": "0"})
+    assert cfg.eval.cost_bps == 5000.0 and cfg.data.shift_after == 0
