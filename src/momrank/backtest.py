@@ -1,8 +1,8 @@
 """Daily Top-N rebalance simulation against next-day realized returns.
 
-Each day the N highest-scored tradable stocks are bought equal-weight and sold
-the next day; the account compounds multiplicatively from 1.0. Turnover cost
-is charged as two one-way trades per day.
+Each day the N highest-scored tradable stocks, in the order Precision@N ranks
+by, are bought equal-weight and sold the next day; the account compounds from
+1.0, less a turnover cost of two one-way trades a day.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import numpy as np
 
 from .data import StockPanel, compute_return
 from .errors import ContractError
+from .metrics import _day_sums, _sorted_within_days
 
 
 @dataclass
@@ -28,35 +29,26 @@ def run_topn(panel: StockPanel, scores: np.ndarray, top_n: int,
     """Simulate the strategy over every date with a defined next-day return.
 
     Ties in score break by ticker order; days with fewer than N candidates
-    hold all of them; days with none sit in cash (zero return).
+    hold all of them; days with none sit in cash (zero return). A day's net
+    return is floored at -1, so a ruined account stays at 0.
     """
     if top_n < 1:
         raise ContractError("top_n must be >= 1")
     if scores.shape != panel.close.shape:
         raise ContractError(f"scores shape {scores.shape} does not match panel {panel.close.shape}")
-    y = compute_return(panel)
-    cost = 2.0 * cost_bps / 1e4
-    dates: list[str] = []
-    returns: list[float] = []
-    holdings: list[list[str]] = []
-    balance: list[float] = []
-    value = 1.0
-    for t in range(panel.n_dates - 1):
-        candidates = np.flatnonzero(np.isfinite(y[t]) & np.isfinite(scores[t]))
-        if candidates.size == 0:
-            picks = np.empty(0, dtype=np.int64)
-            day_ret = 0.0
-        else:
-            order = np.argsort(-scores[t, candidates], kind="stable")
-            picks = candidates[order[:top_n]]
-            day_ret = float(y[t, picks].mean()) - cost
-        value *= 1.0 + day_ret
-        dates.append(panel.dates[t])
-        returns.append(day_ret)
-        holdings.append([panel.tickers[i] for i in picks])
-        balance.append(value)
-    return BacktestLedger(dates=dates, balance=np.asarray(balance),
-                          daily_return=np.asarray(returns), holdings=holdings)
+    y, scores = compute_return(panel)[:-1], scores[:-1]
+    ok = np.isfinite(y) & np.isfinite(scores)   # each day's candidates
+    sizes = ok.sum(axis=1)
+    held = np.minimum(sizes, top_n)
+    order = _sorted_within_days(-scores[ok], sizes)   # best first, ties in ticker order
+    rank = np.arange(order.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    picks = order[rank < top_n]
+    ends = np.cumsum(held)
+    gross = _day_sums(y[ok][picks], ends - held) / np.maximum(held, 1)
+    daily = np.where(held > 0, np.maximum(gross - 2.0 * cost_bps / 1e4, -1.0), 0.0)
+    names = [panel.tickers[i] for i in np.nonzero(ok)[1][picks].tolist()]
+    return BacktestLedger(panel.dates[:-1], np.cumprod(1.0 + daily), daily,
+                          [names[lo:hi] for lo, hi in zip((ends - held).tolist(), ends.tolist())])
 
 
 def cumulative_return(ledger: BacktestLedger) -> float:

@@ -19,7 +19,7 @@ which keeps their temporaries to a few hundred KiB on any split.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,6 +147,12 @@ def daily_rank_ic(pred: np.ndarray, y: np.ndarray) -> float:
     return float(day_ics(pred, y, [np.size(pred)])[1][0])
 
 
+def defined(daily_values) -> np.ndarray:
+    """A per-day metric's values on the days it is defined: the finite ones, in day order."""
+    values = np.asarray(daily_values, dtype=np.float64)
+    return values[np.isfinite(values)]
+
+
 def record_k(k_values) -> dict[int, int]:
     """Occurrence count per truncation depth."""
     return dict(sorted(Counter(int(k) for k in k_values).items()))
@@ -160,9 +166,9 @@ class EvalReport:
     rank_ic: float
     ic_std: float
     rank_ic_std: float
-    precision_at: dict[int, float] = field(default_factory=dict)
-    k_histogram: dict[int, int] = field(default_factory=dict)
-    n_days: int = 0
+    precision_at: dict[int, float]
+    k_histogram: dict[int, int]
+    n_days: int
 
     def to_dict(self) -> dict:
         return {
@@ -179,15 +185,14 @@ class EvalReport:
 def aggregate(daily_ics, daily_rank_ics, daily_precisions: dict[int, list[float]],
               k_values) -> EvalReport:
     """Mean the per-day values over defined days; stds reported x1e3."""
-    ics = np.asarray([v for v in daily_ics if np.isfinite(v)], dtype=np.float64)
-    rics = np.asarray([v for v in daily_rank_ics if np.isfinite(v)], dtype=np.float64)
+    ics, rics = defined(daily_ics), defined(daily_rank_ics)
     if ics.size == 0 or rics.size == 0:
         raise ContractError("no defined days to aggregate")
     precision_at = {}
     for n_top, vals in daily_precisions.items():
-        finite = [v for v in vals if np.isfinite(v)]
-        if finite:
-            precision_at[n_top] = float(np.mean(finite))
+        finite = defined(vals)
+        if finite.size:
+            precision_at[n_top] = float(finite.mean())
     return EvalReport(
         ic=float(ics.mean()),
         rank_ic=float(rics.mean()),

@@ -42,7 +42,8 @@ a call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -51,7 +52,7 @@ from .autodiff import Tensor, gradients, no_grad
 from .data import StockPanel, compute_return, standardize
 from .errors import ContractError, TrainingError
 from .losses import DayLabels, RankLossConfig, classification_loss, mse_loss, split_labels
-from .metrics import day_ics, record_k
+from .metrics import day_ics, defined, record_k
 from .model import Architecture, BackboneParams, forward, init_params, window_ok
 from .momentum import N_LEVELS, UNLABELED, MomentumConfig, label_dataset, rise_fall_label
 
@@ -102,6 +103,11 @@ class TrainConfig:
             raise ContractError(f"unknown task {self.task!r}")
         if self.lr <= 0 or self.epochs < 1 or self.decay < 0:
             raise ContractError("need lr > 0, epochs >= 1, decay >= 0")
+        # decoupled decay scales every weight by 1 - lr * decay (the adapted decay is
+        # never larger); a non-finite value is left to the config's finiteness message
+        if math.isfinite(self.lr) and math.isfinite(self.decay) and self.lr * self.decay > 1:
+            raise ContractError(f"train.lr * train.decay must be <= 1, got "
+                                f"{self.lr} * {self.decay}")
         if not 0.0 < self.beta < 1.0:
             raise ContractError("beta must lie in (0, 1)")
         if self.loss_window < 1 or self.patience < 1 or self.window < 1:
@@ -132,8 +138,8 @@ class FitResult:
     params: BackboneParams
     best_epoch: int
     epochs_run: int
-    epoch_log: list[EpochRecord] = field(default_factory=list)
-    k_counts: dict[int, int] = field(default_factory=dict)
+    epoch_log: list[EpochRecord]
+    k_counts: dict[int, int]
 
 
 # ---- pipeline primitives ----
@@ -343,14 +349,9 @@ def _split_metrics(params: BackboneParams, batches: list[_DayBatch],
             preds.append(out.pred_return.data)
     ics, rics = day_ics(np.concatenate(preds), np.concatenate([b.y for b in batches]),
                         [b.rows.size for b in batches])
+    means = [float(v.mean()) if v.size else float("nan") for v in (defined(ics), defined(rics))]
     n = len(batches)
-    return ({task: total / n for task, total in loss_sums.items()},
-            _finite_mean(ics), _finite_mean(rics))
-
-
-def _finite_mean(values: np.ndarray) -> float:
-    finite = values[np.isfinite(values)]
-    return float(finite.mean()) if finite.size else float("nan")
+    return {task: total / n for task, total in loss_sums.items()}, *means
 
 
 def fit(train_panel: StockPanel, valid_panel: StockPanel, mom_cfg: MomentumConfig,

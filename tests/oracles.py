@@ -5,11 +5,12 @@ in one vectorized or fused path: gradients by central differences, the
 array logistic, sigmoid and relu nodes for composed reference graphs,
 composed log-probabilities, exact ranks and NDCG, the full-block smooth-rank
 kernel (and adapters that run the library's sorted one in input order), the
-composed pairwise hinge, per-ticker momentum lines and the
-per-line trend rule, the per-day metric, k and evaluation loops that the
-split-wide kernels replaced, a per-day forward over windows gathered
-ticker by ticker, and the chunked ``csv.reader`` pass that numpy's CSV
-parser replaced in ``load_csv``. None of them runs outside the tests.
+composed pairwise hinge, per-ticker momentum lines and the per-line trend
+rule, the per-day metric, k, evaluation and Top-N backtest loops that the
+split-wide kernels replaced, a per-day forward over windows gathered ticker
+by ticker, CQB training written one equation at a time, and the chunked
+``csv.reader`` pass that numpy's CSV parser replaced in ``load_csv``. None of
+them runs outside the tests.
 """
 
 from __future__ import annotations
@@ -20,16 +21,19 @@ import math
 
 import numpy as np
 
-from momrank.autodiff import Tensor, no_grad
+from momrank.autodiff import Tensor, gradients, no_grad
+from momrank.backtest import BacktestLedger
 from momrank.data import (_CHUNK, StockPanel, _header_width, _ids, _sorted_ids, compute_return,
                           iso_date)
 from momrank.errors import ContractError, GraphError, NumericError
 from momrank.losses import (_ROW_CHUNK, GAIN_STANDARD, _blocks_vjp, _sorted_ranks,
-                            _upper_blocks, gain_values, ideal_dcg_at_k)
+                            _upper_blocks, classification_loss, gain_values, ideal_dcg_at_k,
+                            mse_loss)
 from momrank.metrics import aggregate
 from momrank.model import forward, window_ok
 from momrank.momentum import (LEVEL_BOUNCE, LEVEL_NEGATIVE, LEVEL_POSITIVE, LEVEL_SINK,
                               LEVEL_VOLATILE, UNLABELED, MomentumConfig)
+from momrank.training import CLS, REG
 
 
 # ---- gradients ----
@@ -367,6 +371,31 @@ def evaluate_by_day(scores, panel, precision_ns, class_labels=None, threshold_fr
     return aggregate(ics, rics, precisions, k_values)
 
 
+def run_topn_by_day(panel, scores, top_n, cost_bps=0.0) -> BacktestLedger:
+    """``backtest.run_topn`` as one pass per date with its own stable sort and no
+    floor on a day's net return."""
+    y = compute_return(panel)
+    cost = 2.0 * cost_bps / 1e4
+    dates, returns, holdings, balance = [], [], [], []
+    value = 1.0
+    for t in range(panel.n_dates - 1):
+        candidates = np.flatnonzero(np.isfinite(y[t]) & np.isfinite(scores[t]))
+        if candidates.size == 0:
+            picks = np.empty(0, dtype=np.int64)
+            day_ret = 0.0
+        else:
+            order = np.argsort(-scores[t, candidates], kind="stable")
+            picks = candidates[order[:top_n]]
+            day_ret = float(y[t, picks].mean()) - cost
+        value *= 1.0 + day_ret
+        dates.append(panel.dates[t])
+        returns.append(day_ret)
+        holdings.append([panel.tickers[i] for i in picks])
+        balance.append(value)
+    return BacktestLedger(dates=dates, balance=np.asarray(balance),
+                          daily_return=np.asarray(returns), holdings=holdings)
+
+
 def split_metrics_by_day(params, batches, loss_cfg, tasks, batch_losses):
     """``training._split_metrics`` as one pass per day with the per-day IC loops."""
     if not batches:
@@ -385,6 +414,113 @@ def split_metrics_by_day(params, batches, loss_cfg, tasks, batch_losses):
     ic = float(np.mean(finite_ics)) if finite_ics else float("nan")
     ric = float(np.mean(finite_rics)) if finite_rics else float("nan")
     return {task: total / len(batches) for task, total in loss_sums.items()}, ic, ric
+
+
+# ---- convergence-aware balancing (CQB) ----
+
+def cqb_converge_by_hand(train_losses, valid_losses, window) -> float:
+    """The converge rate V for the epoch after the given epochs' losses.
+
+    Per split, the change of loss is the last epoch's loss minus the mean over
+    the ``window`` epochs that end ``window`` epochs before it (those before
+    epoch 1 left out); V = change(valid) / change(train), the denominator
+    floored at 1e-8 in size with its sign kept, clamped to [-5, 5]. V is 1
+    while that earlier window would start more than one epoch before epoch 1,
+    while it holds no epoch, and when a change is not finite.
+    """
+    last = len(train_losses)
+    first = last - 2 * window + 1          # 1-based first epoch of the earlier window
+    earlier = slice(max(first, 1) - 1, last - window)
+    if first < 0 or not train_losses[earlier]:
+        return 1.0
+    d_train, d_valid = (losses[-1] - float(np.mean(losses[earlier]))
+                        for losses in (train_losses, valid_losses))
+    if not (math.isfinite(d_train) and math.isfinite(d_valid)):
+        return 1.0
+    if abs(d_train) < 1e-8:
+        d_train = math.copysign(1e-8, d_train)
+    return min(5.0, max(-5.0, d_valid / d_train))
+
+
+def cqb_fit_by_hand(params, train_batches, valid_batches, loss_cfg, tasks, *, lr, beta, decay,
+                    epochs, loss_window, adapt_beta, adapt_decay):
+    """``training.fit`` with the pipeline on and plain SGD, one equation at a time.
+
+    Per day and task the log-gradient is the loss gradient divided by
+    loss + 1e-8. Its trunk part is smoothed by an EMA at the epoch's
+    forgetting rate beta ** sigmoid(V) (the first day adopts it as is). The
+    trunk steps on one task's smoothed gradient as is, or on two rescaled to
+    the larger of their L2 norms and summed. Each head steps on its own task's
+    log-gradient. Every stepped weight w becomes w - lr * g - lr * d * w at
+    the epoch's decay d = decay * sigmoid(-mean V over the tasks). After each
+    epoch V per task comes from the mean per-day losses on both splits
+    (``cqb_converge_by_hand``). Returns one dict per epoch: V, beta and decay
+    in force, the mean losses by (split, task), and a copy of the flat
+    parameters after the epoch.
+    """
+    def sigmoid(x):
+        return 1.0 / (1.0 + math.exp(-x))
+
+    trunk = params.trunk_tensors()
+    heads = {REG: params.reg_tensors(), CLS: params.cls_tensors()}
+    n_trunk = sum(t.data.size for t in trunk)
+
+    def day_losses(batch):
+        out = forward(params, batch.feats)
+        losses = {REG: mse_loss(out.pred_return, batch.y)}
+        if CLS in tasks:
+            losses[CLS] = classification_loss(out.class_logits, batch.labels, loss_cfg)[0]
+        return losses
+
+    def sgd(tensors, grad, d):
+        offset = 0
+        for tensor in tensors:
+            g = grad[offset: offset + tensor.data.size].reshape(tensor.data.shape)
+            tensor.data = tensor.data - lr * g - lr * d * tensor.data
+            offset += tensor.data.size
+
+    ema = dict.fromkeys(tasks)
+    converge = dict.fromkeys(tasks, 1.0)
+    history = {(split, task): [] for split in ("train", "valid") for task in tasks}
+    records = []
+    for _ in range(epochs):
+        betas = {task: beta ** sigmoid(converge[task]) if adapt_beta else beta for task in tasks}
+        d = decay * sigmoid(-sum(converge.values()) / len(tasks)) if adapt_decay else decay
+        for batch in train_batches:
+            losses = day_losses(batch)
+            head_grads = {}
+            for task in tasks:
+                grad = np.concatenate([g.ravel() for g in
+                                       gradients(losses[task], trunk + heads[task])])
+                grad = grad / (losses[task].item() + 1e-8)
+                b = betas[task]
+                ema[task] = (grad[:n_trunk] if ema[task] is None
+                             else b * ema[task] + (1.0 - b) * grad[:n_trunk])
+                head_grads[task] = grad[n_trunk:]
+            if len(tasks) == 1:
+                step = ema[tasks[0]]
+            else:
+                norms = {task: math.sqrt(float(ema[task] @ ema[task])) for task in tasks}
+                step = sum(ema[task] * (max(norms.values()) / norms[task]) if norms[task] > 1e-12
+                           else np.zeros(n_trunk) for task in tasks)
+            sgd(trunk, step, d)
+            for task in tasks:
+                sgd(heads[task], head_grads[task], d)
+        with no_grad():
+            for split, batches in (("train", train_batches), ("valid", valid_batches)):
+                sums = dict.fromkeys(tasks, 0.0)
+                for batch in batches:
+                    for task, loss in day_losses(batch).items():
+                        sums[task] += loss.item()
+                for task in tasks:
+                    history[(split, task)].append(sums[task] / len(batches))
+        records.append({"converge": dict(converge), "beta": betas, "decay": d,
+                        "loss": {key: values[-1] for key, values in history.items()},
+                        "flat": np.concatenate([t.data.ravel()
+                                                for t in params.all_named().values()])})
+        converge = {task: cqb_converge_by_hand(history[("train", task)], history[("valid", task)],
+                                               loss_window) for task in tasks}
+    return records
 
 
 def predict_by_day(params, panel) -> np.ndarray:

@@ -6,6 +6,7 @@ from hypothesis.extra import numpy as hnp
 from momrank.backtest import BacktestLedger, cumulative_return, run_topn
 from momrank.data import StockPanel, compute_return, gen_synthetic, trading_days
 from momrank.errors import ContractError
+import oracles
 
 
 def panel_from_close(close):
@@ -65,6 +66,35 @@ def test_ledger_identities_under_random_validity_masks(case):
         held = [index[name] for name in names]
         assert len(set(held)) == len(held) == min(top_n, int(candidate[day].sum()))
         assert all(candidate[day, i] for i in held)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(masked_panels(), st.booleans(), st.sampled_from([0.0, 10.0]))
+def test_split_wide_pass_equals_the_per_date_loop_bitwise(case, tied, cost_bps):
+    panel, scores, top_n = case
+    if tied:  # integer scores: many ties, broken by ticker order
+        scores = np.round(scores)
+    ledger = run_topn(panel, scores, top_n=top_n, cost_bps=cost_bps)
+    want = oracles.run_topn_by_day(panel, scores, top_n=top_n, cost_bps=cost_bps)
+    assert ledger.dates == want.dates and ledger.holdings == want.holdings
+    # the loop lets a day lose more than the account; the ledger floors it at -1
+    ruined = np.flatnonzero(want.daily_return < -1.0)
+    cut = ruined[0] if ruined.size else want.balance.size
+    np.testing.assert_array_equal(ledger.daily_return, np.maximum(want.daily_return, -1.0))
+    np.testing.assert_array_equal(ledger.balance[:cut], want.balance[:cut])
+    np.testing.assert_array_equal(ledger.balance[cut:], 0.0)
+
+
+def test_a_ruined_account_stays_at_zero():
+    # at 5000 bps the day's charge is 100%, so any falling day loses more than the account
+    p = gen_synthetic(150, 12, 0.6, seed=1)
+    scores = np.random.default_rng(0).normal(size=p.close.shape)
+    assert oracles.run_topn_by_day(p, scores, top_n=5, cost_bps=5000.0).daily_return[0] < -1.0
+    ledger = run_topn(p, scores, top_n=5, cost_bps=5000.0)
+    assert ledger.daily_return[0] == -1.0 and ledger.daily_return.min() == -1.0
+    np.testing.assert_array_equal(ledger.balance, np.zeros(149))
+    np.testing.assert_array_equal(ledger.balance, np.cumprod(1.0 + ledger.daily_return))
+    assert cumulative_return(ledger) == -100.0
 
 
 def test_full_pool_reproduces_equal_weight_index():

@@ -291,6 +291,27 @@ def test_negative_seed_is_a_config_error_before_the_panel_is_read(tmp_path, caps
     assert not out.exists()
 
 
+def test_a_decay_step_that_flips_the_weights_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["train", "--set", "train.lr=1e300", "--out-dir", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "config error: train.lr * train.decay must be <= 1, got 1e+300 * 0.001\n")
+    assert not out.exists()
+
+
+def test_backtest_at_a_full_day_charge_floors_the_account_at_zero(tmp_path):
+    code, train_out = run(["train"], tmp_path, "tr")
+    assert code == 0
+    code, bt_out = run(["backtest", "--checkpoint", str(train_out / "checkpoint.json")],
+                       tmp_path, "bt", extra=["backtest.cost_bps=5000"])
+    assert code == 0
+    comments, _, rows = read_csv_lines(bt_out / "ledger.csv")
+    assert "# cumulative_return_pct = -100.0" in comments
+    balances = [float(r.split(",")[1]) for r in rows]
+    assert min(balances) == 0.0 and balances[-1] == 0.0
+
+
 def test_reproduce_cells_override_only_train_and_loss_keys():
     # cmd_reproduce prepares, splits and labels the panel once for every cell
     keys = {key for _, delta in REPRODUCE_CELLS for key in delta} | {"loss.fixed_k"}

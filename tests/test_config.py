@@ -166,6 +166,8 @@ def test_every_key_rejects_or_reads_a_finite_typed_value_at_the_boundary(key):
     ("train.lr", "inf", "train.lr must be finite, got inf"),
     ("train.decay", "nan", "train.decay must be finite, got nan"),
     ("train.decay", "inf", "train.decay must be finite, got inf"),
+    ("train.lr", "1e300", "train.lr * train.decay must be <= 1, got 1e+300 * 0.001"),
+    ("train.decay", "1e300", "train.lr * train.decay must be <= 1, got 0.0002 * 1e+300"),
     ("backtest.cost_bps", "nan", "backtest.cost_bps must be finite, got nan"),
     ("backtest.cost_bps", "inf", "backtest.cost_bps must be <= 5000, got inf"),
     ("backtest.cost_bps", "1e9", "backtest.cost_bps must be <= 5000, got 1000000000.0"),

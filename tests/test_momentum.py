@@ -185,6 +185,18 @@ def test_label_dataset_flat_series_volatile():
     assert labeled.any() and np.all(labels[labeled] == LEVEL_VOLATILE)
 
 
+def test_dead_zone_is_one_percent_of_the_dates_line_std():
+    # gap 1, length 1, anchor offset 0: date 2's label reads each ticker's two daily
+    # steps. The lines are (100, -100), (1, 1) and (0.5, 0.5); their six values have
+    # mean 0.5 and population variance (99.5^2 + 100.5^2 + 2 * 0.5^2) / 6 = 3333.5,
+    # so std 57.74 and a dead zone of 0.577 at 0.01 x std: (1, 1) clears it and
+    # (0.5, 0.5) does not. At 0.02 x std (1.155) neither would; at 0.005 (0.289) both.
+    p = series_panel([[200.0, 300.0, 200.0], [50.0, 51.0, 52.0], [50.0, 50.5, 51.0]])
+    labels = label_dataset(p, MomentumConfig(gap=1, length=1, anchor_offset=0))
+    assert labels[:2].tolist() == [[UNLABELED] * 3] * 2
+    assert labels[2].tolist() == [LEVEL_SINK, LEVEL_POSITIVE, LEVEL_VOLATILE]
+
+
 def reference_labels(panel, cfg):
     """Per-cell reference: classify_line on each ticker's line, dead zone per date."""
     labels = np.full(panel.valid.shape, UNLABELED, dtype=np.int64)

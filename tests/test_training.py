@@ -431,6 +431,44 @@ def test_ew_mode_matches_hand_rolled_joint_loop():
         np.testing.assert_allclose(got[name].data, want[name].data, atol=1e-9, err_msg=name)
 
 
+CQB_MODES = {  # mode -> (tasks, adapt beta, adapt decay): the training docstring's table
+    "full": ((REG, CLS), True, True),
+    "stl": ((REG,), True, True),
+    "fixed_beta": ((REG, CLS), False, True),
+    "fixed_decay": ((REG, CLS), True, False),
+}
+
+
+@pytest.mark.parametrize("mode", list(CQB_MODES))
+def test_fit_matches_the_hand_rolled_cqb_loop(mode):
+    # loss_window=2 over 8 epochs: V leaves 1 from epoch 4 on and feeds beta and decay
+    tasks, adapt_beta, adapt_decay = CQB_MODES[mode]
+    train, valid = tiny_panels(n_dates=8)
+    loss_cfg = RankLossConfig()
+    hyper = {"lr": 0.05, "beta": 0.5, "decay": 0.05, "epochs": 8, "loss_window": 2}
+    cfg = TrainConfig(mode=mode, optimizer="sgd", window=2, hidden=(6, 6), patience=30, **hyper)
+    result = fit(train, valid, small_mom_cfg(), loss_cfg, cfg, seed=3)
+
+    ref = init_params(Architecture(window=2, n_features=train.n_features, hidden=(6, 6),
+                                   n_classes=5), seed=3)
+    records = oracles.cqb_fit_by_hand(ref, train_days(train), train_days(valid), loss_cfg,
+                                      tasks, adapt_beta=adapt_beta, adapt_decay=adapt_decay,
+                                      **hyper)
+    assert sum(any(v != 1.0 for v in r["converge"].values()) for r in records) >= 4
+    if len(tasks) == 2:  # the tasks' rates differ, so decay must average them
+        assert any(len(set(r["converge"].values())) == 2 for r in records)
+    got = [(r.loss, r.converge, r.beta, r.decay) for r in result.epoch_log]
+    want = []
+    for r in result.epoch_log:
+        rec = records[r.epoch - 1]
+        want.append((rec["loss"][(r.split, r.task)], rec["converge"][r.task],
+                     rec["beta"][r.task], rec["decay"]))
+    assert len(result.epoch_log) == 8 * 2 * len(tasks)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(result.params.flat, records[result.best_epoch - 1]["flat"],
+                               rtol=1e-12, atol=1e-12)
+
+
 def test_fit_deterministic_logs():
     train, valid = tiny_panels()
     cfg = TrainConfig(lr=1e-3, epochs=3, window=2, hidden=(6, 6), patience=30)
