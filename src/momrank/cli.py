@@ -3,7 +3,7 @@
 Every artifact embeds the resolved configuration (and therefore the seed) as
 ``# key = value`` header lines in CSVs or a ``config`` object in JSON, so any
 output is re-derivable from its own file. Exit codes: 0 success, 1 config
-error, 2 runtime error. Nothing is written until the config has validated.
+error, 2 runtime error. ``--out-dir`` is made at the first artifact written.
 """
 
 from __future__ import annotations
@@ -23,15 +23,14 @@ import numpy as np
 
 from .backtest import cumulative_return, run_topn
 from .config import ExperimentConfig, _fmt_value, build_config, load_config, to_flat
-from .data import (StockPanel, compute_return, fraction_split_spec, gen_synthetic, load_csv,
-                   normalize_features, split)
-from .data import SplitSpec
+from .data import (SplitSpec, StockPanel, compute_return, fraction_split_spec, gen_synthetic,
+                   load_csv, normalize_features, split)
 from .errors import ConfigError, ContractError, MomrankError
-from .metrics import evaluate_predictions
+from .metrics import EvalReport, evaluate_predictions
 from .model import (Architecture, load_checkpoint, predict_panel, save_checkpoint, window_ok,
                     write_json)
 from .momentum import UNLABELED, label_dataset
-from .training import N_CLASSES, class_labels_for, fit
+from .training import N_CLASSES, FitResult, class_labels_for, fit
 
 REPRODUCE_CELLS: list[tuple[str, dict[str, str]]] = [
     ("full", {}),
@@ -111,59 +110,65 @@ def _scored_split(cfg: ExperimentConfig, checkpoint, split_name: str):
     return picked, predict_panel(params, picked)
 
 
+def _artifact(out_dir: str, name: str) -> str:
+    """The path of an artifact in ``out_dir``; the directory is made at its first artifact."""
+    os.makedirs(out_dir, exist_ok=True)
+    return os.path.join(out_dir, name)
+
+
 def cmd_label(cfg: ExperimentConfig, out_dir: str) -> None:
     panel = _prepare_panel(cfg)
     labels = label_dataset(panel, cfg.momentum)
     days, names = np.nonzero(labels != UNLABELED)
     rows = [(panel.dates[t], panel.tickers[i], level)
             for t, i, level in zip(days.tolist(), names.tolist(), labels[days, names].tolist())]
-    _write_csv(os.path.join(out_dir, "labels.csv"), to_flat(cfg),
-               ["date", "ticker", "level"], rows)
+    _write_csv(_artifact(out_dir, "labels.csv"), to_flat(cfg), ["date", "ticker", "level"], rows)
 
 
-def cmd_train(cfg: ExperimentConfig, out_dir: str) -> None:
-    panel = _prepare_panel(cfg)
-    train_p, valid_p, _ = _split_panels(cfg, panel)
+def write_train(cfg: ExperimentConfig, out_dir: str, train_p, valid_p) -> FitResult:
+    """Fit, then write checkpoint.json, epochs.csv and the training-day k_hist.csv."""
     result = fit(train_p, valid_p, cfg.momentum, cfg.loss, cfg.train, cfg.seed)
     flat = to_flat(cfg)
-    save_checkpoint(os.path.join(out_dir, "checkpoint.json"), result.params,
+    save_checkpoint(_artifact(out_dir, "checkpoint.json"), result.params,
                     extra={"config": flat, "best_epoch": result.best_epoch,
                            "epochs_run": result.epochs_run,
                            "k_counts": {str(k): c for k, c in result.k_counts.items()}})
-    _write_csv(os.path.join(out_dir, "epochs.csv"), flat,
+    _write_csv(_artifact(out_dir, "epochs.csv"), flat,
                ["epoch", "split", "task", "loss", "V", "beta", "decay", "ic", "rank_ic"],
                [(r.epoch, r.split, r.task, r.loss, r.converge, r.beta, r.decay, r.ic, r.rank_ic)
                 for r in result.epoch_log])
-    _write_csv(os.path.join(out_dir, "k_hist.csv"), flat, ["k", "count"],
+    _write_csv(_artifact(out_dir, "k_hist.csv"), flat, ["k", "count"],
                sorted(result.k_counts.items()))
+    return result
 
 
-def cmd_evaluate(cfg: ExperimentConfig, out_dir: str, checkpoint: str, split_name: str) -> None:
-    eval_panel, scores = _scored_split(cfg, checkpoint, split_name)
-    labels = class_labels_for(eval_panel, cfg.train.task, cfg.momentum)
-    report = evaluate_predictions(scores, eval_panel, precision_ns=cfg.eval.precision_ns,
+def write_evaluate(cfg: ExperimentConfig, out_dir: str, panel: StockPanel, scores: np.ndarray,
+                   split_name: str) -> EvalReport:
+    """Score a split and write report.json; its k histogram is the report's ``k_histogram``."""
+    labels = class_labels_for(panel, cfg.train.task, cfg.momentum)
+    report = evaluate_predictions(scores, panel, precision_ns=cfg.eval.precision_ns,
                                   class_labels=labels, loss_cfg=cfg.loss)
-    write_json(os.path.join(out_dir, "report.json"),
+    write_json(_artifact(out_dir, "report.json"),
                {"config": to_flat(cfg), "split": split_name, "report": report.to_dict()})
-    _write_csv(os.path.join(out_dir, "k_hist.csv"), to_flat(cfg), ["k", "count"],
-               sorted(report.k_histogram.items()))
+    return report
 
 
-def cmd_backtest(cfg: ExperimentConfig, out_dir: str, checkpoint: str, split_name: str) -> None:
-    bt_panel, scores = _scored_split(cfg, checkpoint, split_name)
-    ledger = run_topn(bt_panel, scores, cfg.eval.top_n, cfg.eval.cost_bps)
-    provenance = dict(to_flat(cfg))
-    provenance["cumulative_return_pct"] = repr(cumulative_return(ledger))
-    _write_csv(os.path.join(out_dir, "ledger.csv"), provenance,
+def write_backtest(cfg: ExperimentConfig, out_dir: str, panel: StockPanel,
+                   scores: np.ndarray) -> float:
+    """Run the Top-N backtest, write ledger.csv and return the cumulative return in percent."""
+    ledger = run_topn(panel, scores, cfg.eval.top_n, cfg.eval.cost_bps)
+    cum_return = cumulative_return(ledger)
+    _write_csv(_artifact(out_dir, "ledger.csv"),
+               {**to_flat(cfg), "cumulative_return_pct": repr(cum_return)},
                ["date", "balance", "daily_return"],
-               [(d, b, r) for d, b, r in zip(ledger.dates, ledger.balance, ledger.daily_return)])
+               zip(ledger.dates, ledger.balance, ledger.daily_return))
+    return cum_return
 
 
 def cmd_reproduce(cfg: ExperimentConfig, out_dir: str) -> None:
-    """Train and evaluate every ablation variant on the configured data.
-
-    Prints one progress line per finished cell to stderr: name, wall time, test IC.
-    """
+    """Train, evaluate and backtest each ablation cell into ``out_dir/<cell>`` through the
+    commands' own writers, then write comparison.csv. Prints one progress line per finished
+    cell to stderr: name, wall time, test IC."""
     base_flat = to_flat(cfg)
     header = ["variant", "ic", "rank_ic", "ic_std_e3", "rank_ic_std_e3"]
     precision_cols = [f"precision_at_{n}" for n in cfg.eval.precision_ns]
@@ -174,29 +179,21 @@ def cmd_reproduce(cfg: ExperimentConfig, out_dir: str) -> None:
     rows = []
     for i, (name, delta) in enumerate(REPRODUCE_CELLS, 1):
         started = time.perf_counter()
-        overrides = dict(delta)
-        if name == "fixed_k":
-            overrides["loss.fixed_k"] = str(cfg.eval.top_n)
-        flat = dict(base_flat)
-        flat.update(overrides)
-        cell_cfg = build_config(flat)
+        fixed_k = {"loss.fixed_k": str(cfg.eval.top_n)} if name == "fixed_k" else {}
+        cell_cfg = build_config({**base_flat, **delta, **fixed_k})
         cell_dir = os.path.join(out_dir, name)
-        os.makedirs(cell_dir, exist_ok=True)
-        result = fit(train_p, valid_p, cell_cfg.momentum, cell_cfg.loss, cell_cfg.train,
-                     cell_cfg.seed)
-        save_checkpoint(os.path.join(cell_dir, "checkpoint.json"), result.params,
-                        extra={"config": to_flat(cell_cfg), "best_epoch": result.best_epoch})
+        result = write_train(cell_cfg, cell_dir, train_p, valid_p)
         scores = predict_panel(result.params, test_p)
-        report = evaluate_predictions(scores, test_p, precision_ns=cell_cfg.eval.precision_ns)
-        ledger = run_topn(test_p, scores, cell_cfg.eval.top_n, cell_cfg.eval.cost_bps)
+        report = write_evaluate(cell_cfg, cell_dir, test_p, scores, "test")
         row = [name, report.ic, report.rank_ic, report.ic_std, report.rank_ic_std]
         row += [report.precision_at.get(n, float("nan")) for n in cell_cfg.eval.precision_ns]
-        row += [cumulative_return(ledger), result.best_epoch, result.epochs_run]
+        row += [write_backtest(cell_cfg, cell_dir, test_p, scores), result.best_epoch,
+                result.epochs_run]
         rows.append(row)
         print(f"reproduce [{i}/{len(REPRODUCE_CELLS)}] {name}: "
               f"{time.perf_counter() - started:.2f} s, test IC {report.ic:.4f}",
               file=sys.stderr, flush=True)
-    _write_csv(os.path.join(out_dir, "comparison.csv"), base_flat, header, rows)
+    _write_csv(_artifact(out_dir, "comparison.csv"), base_flat, header, rows)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,17 +221,19 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     try:
-        os.makedirs(args.out_dir, exist_ok=True)
         if args.command == "label":
             cmd_label(cfg, args.out_dir)
         elif args.command == "train":
-            cmd_train(cfg, args.out_dir)
-        elif args.command == "evaluate":
-            cmd_evaluate(cfg, args.out_dir, args.checkpoint, args.split)
-        elif args.command == "backtest":
-            cmd_backtest(cfg, args.out_dir, args.checkpoint, args.split)
+            train_p, valid_p, _ = _split_panels(cfg, _prepare_panel(cfg))
+            write_train(cfg, args.out_dir, train_p, valid_p)
         elif args.command == "reproduce":
             cmd_reproduce(cfg, args.out_dir)
+        else:
+            panel, scores = _scored_split(cfg, args.checkpoint, args.split)
+            if args.command == "evaluate":
+                write_evaluate(cfg, args.out_dir, panel, scores, args.split)
+            else:
+                write_backtest(cfg, args.out_dir, panel, scores)
     except (MomrankError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

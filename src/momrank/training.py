@@ -175,13 +175,13 @@ def balance_gradients(g_reg: np.ndarray, g_cls: np.ndarray) -> np.ndarray:
 
 
 def converge_ratio(train_hist, valid_hist, epoch: int, window: int) -> float:
-    """Relative converge rate for ``epoch`` from losses of epochs 1..epoch-1.
+    """Relative converge rate in force at epoch e, from the losses of epochs 1..e-1.
 
-    Change of loss = last epoch's loss minus the mean over the window of
-    epochs one window earlier; the ratio valid/train is floored at |1e-8| in
-    the denominator (sign kept) and clamped to [-5, 5]. The rate is 1 before
-    two full windows of history exist, when the earlier window is empty, and
-    when a loss it needs is missing or not finite.
+    The change of loss is epoch e-1's loss minus the mean over epochs
+    max(1, e-2w)..e-w-1 (w = ``window``); the ratio valid/train is floored at
+    |1e-8| in the denominator (sign kept) and clamped to [-5, 5]. The rate is 1
+    for e < 2w (at e = 2w the earlier window holds only epochs 1..w-1), when
+    that window is empty, and when a loss it needs is missing or not finite.
     """
     lo, hi = max(1, epoch - 2 * window), epoch - window - 1
     d_train, d_valid = (hist[epoch - 2] - float(np.mean(hist[lo - 1: hi]))
@@ -397,26 +397,27 @@ def fit(train_panel: StockPanel, valid_panel: StockPanel, mom_cfg: MomentumConfi
         mean_converge = sum(converge[task] for task in tasks) / len(tasks)
         decay_e = adapted_decay(cfg.decay, mean_converge) if mode.adapt_decay else cfg.decay
 
-        for batch in train_batches:
-            _, losses = _batch_losses(params, batch, loss_cfg, tasks)
-            if not all(np.isfinite(loss.data).all() for loss in losses.values()):
-                raise TrainingError(f"training diverged at epoch {epoch}, day index {batch.t}")
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below names the day
+            for batch in train_batches:
+                _, losses = _batch_losses(params, batch, loss_cfg, tasks)
+                if not all(np.isfinite(loss.data).all() for loss in losses.values()):
+                    raise TrainingError(f"training diverged at epoch {epoch}, day index {batch.t}")
 
-            # every gradient is taken before any in-place update: backward reads param data
-            trunk_grads, head_grads = [], []
-            for task in tasks:
-                grad = np.concatenate([g.ravel() for g in grad_fn(losses[task], wrt[task])])
-                g_theta = grad[:n_trunk]
-                if mode.pipeline:
-                    ema[task] = g_theta = ema_update(ema[task], g_theta, beta_e[task])
-                trunk_grads.append(g_theta)
-                head_grads.append(grad[n_trunk:])
-            if mode.pipeline and len(tasks) == 2:
-                g_tilde = balance_gradients(*trunk_grads)
-            else:  # plain joint sum, or the single task's gradient
-                g_tilde = sum(trunk_grads[1:], trunk_grads[0])
-            step = np.concatenate([g_tilde, *head_grads])
-            opt.step(params.flat[:step.size], step, decay_e)
+                # every gradient is taken before any in-place update: backward reads param data
+                trunk_grads, head_grads = [], []
+                for task in tasks:
+                    grad = np.concatenate([g.ravel() for g in grad_fn(losses[task], wrt[task])])
+                    g_theta = grad[:n_trunk]
+                    if mode.pipeline:
+                        ema[task] = g_theta = ema_update(ema[task], g_theta, beta_e[task])
+                    trunk_grads.append(g_theta)
+                    head_grads.append(grad[n_trunk:])
+                if mode.pipeline and len(tasks) == 2:
+                    g_tilde = balance_gradients(*trunk_grads)
+                else:  # plain joint sum, or the single task's gradient
+                    g_tilde = sum(trunk_grads[1:], trunk_grads[0])
+                step = np.concatenate([g_tilde, *head_grads])
+                opt.step(params.flat[:step.size], step, decay_e)
 
         # epoch-end evaluation on both splits
         evals = {split: _split_metrics(params, batches, loss_cfg, tasks)

@@ -74,6 +74,19 @@ def test_train_then_evaluate_then_backtest(tmp_path):
     np.testing.assert_allclose(balances, recomputed, rtol=1e-12)
 
 
+def test_evaluate_into_the_train_dir_keeps_the_training_k_histogram(tmp_path):
+    code, out = run(["train"], tmp_path, "shared")
+    assert code == 0
+    k_hist = (out / "k_hist.csv").read_bytes()
+    extra = json.loads((out / "checkpoint.json").read_text(encoding="utf-8"))["extra"]
+    _, _, rows = read_csv_lines(out / "k_hist.csv")
+    assert {k: int(c) for k, c in (r.split(",") for r in rows)} == extra["k_counts"]
+    code, _ = run(["evaluate", "--checkpoint", str(out / "checkpoint.json")], tmp_path, "shared")
+    assert code == 0
+    assert (out / "k_hist.csv").read_bytes() == k_hist
+    assert json.loads((out / "report.json").read_text(encoding="utf-8"))["report"]["k_histogram"]
+
+
 def test_train_determinism_byte_identical(tmp_path):
     code_a, out_a = run(["train"], tmp_path, "d1")
     code_b, out_b = run(["train"], tmp_path, "d2")
@@ -197,7 +210,7 @@ def test_checkpoint_not_matching_the_run_exits_2_naming_both_values(tmp_path, ca
                         extra=[override])
         assert code == 2
         assert capsys.readouterr().err == f"error: {ckpt}: checkpoint {named}\n"
-        assert not any(out.iterdir())
+        assert not out.exists()
 
 
 NO_SCOREABLE_DAY = ("error: no scoreable day in the test split: it has 8 dates, and with "
@@ -224,14 +237,14 @@ def test_evaluate_on_a_split_with_no_scoreable_day_exits_2(tmp_path, capsys, def
     out = tmp_path / "ev"
     assert run_on_short_panel("evaluate", default_checkpoint, out) == 2
     assert capsys.readouterr().err == NO_SCOREABLE_DAY
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_backtest_on_a_split_with_no_scoreable_day_exits_2(tmp_path, capsys, default_checkpoint):
     out = tmp_path / "bt"
     assert run_on_short_panel("backtest", default_checkpoint, out) == 2
     assert capsys.readouterr().err == NO_SCOREABLE_DAY
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_csv_source_roundtrip(tmp_path):
@@ -300,6 +313,28 @@ def test_a_decay_step_that_flips_the_weights_is_a_config_error(tmp_path, capsys)
     assert not out.exists()
 
 
+def cli_subprocess_env():
+    """The environment for running the CLI in a child process from this source tree."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(momrank.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_a_diverging_run_prints_only_the_divergence_error(tmp_path):
+    # a child process, so that stderr holds whatever numpy would warn
+    out = tmp_path / "out"
+    argv = ["train", "--set", "data.n_dates=150", "--set", "data.n_tickers=12",
+            "--set", "train.epochs=2", "--set", "train.lr=1e300", "--set", "train.decay=0",
+            "--out-dir", str(out)]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from momrank.cli import main; sys.exit(main())"]
+        + argv, env=cli_subprocess_env(), capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: training diverged at epoch 1, day index 20\n"
+    assert not out.exists()
+
+
 def test_backtest_at_a_full_day_charge_floors_the_account_at_zero(tmp_path):
     code, train_out = run(["train"], tmp_path, "tr")
     assert code == 0
@@ -313,23 +348,47 @@ def test_backtest_at_a_full_day_charge_floors_the_account_at_zero(tmp_path):
 
 
 def test_reproduce_cells_override_only_train_and_loss_keys():
-    # cmd_reproduce prepares, splits and labels the panel once for every cell
+    # cmd_reproduce prepares and splits the panel once for every cell
     keys = {key for _, delta in REPRODUCE_CELLS for key in delta} | {"loss.fixed_k"}
     assert keys <= set(SCHEMA)
     assert {key.split(".")[0] for key in keys} <= {"train", "loss"}
 
 
-def test_reproduce_emits_comparison_table(tmp_path):
-    code, out = run(["reproduce"], tmp_path, "rep", extra=["train.epochs=1"])
+@pytest.fixture(scope="module")
+def reproduced(tmp_path_factory):
+    """``reproduce`` on the FAST panel."""
+    code, out = run(["reproduce"], tmp_path_factory.mktemp("reproduce"), "rep")
     assert code == 0
-    comments, header, rows = read_csv_lines(out / "comparison.csv")
+    return out
+
+
+def test_reproduce_emits_comparison_table(reproduced):
+    comments, header, rows = read_csv_lines(reproduced / "comparison.csv")
     cols = header.split(",")
     assert cols[:3] == ["variant", "ic", "rank_ic"]
     variants = [r.split(",")[0] for r in rows]
     assert variants == ["full", "equal_weight", "single_task", "rise_fall",
                         "pairwise", "fixed_k", "fixed_beta", "fixed_decay"]
     for name in ("full", "fixed_k"):
-        assert (out / name / "checkpoint.json").exists()
+        assert (reproduced / name / "checkpoint.json").exists()
+
+
+CELL_ARTIFACTS = ["checkpoint.json", "epochs.csv", "k_hist.csv", "ledger.csv", "report.json"]
+
+
+@pytest.mark.parametrize("cell,override", [("fixed_beta", "train.mode=fixed_beta"),
+                                           ("fixed_k", "loss.fixed_k=3")])  # FAST's top_n
+def test_a_reproduce_cell_holds_the_commands_artifacts_byte_for_byte(tmp_path, reproduced,
+                                                                     cell, override):
+    code, out = run(["train"], tmp_path, "commands", extra=[override])
+    assert code == 0
+    for command in ("evaluate", "backtest"):
+        code, _ = run([command, "--checkpoint", str(out / "checkpoint.json")], tmp_path,
+                      "commands", extra=[override])
+        assert code == 0
+    assert sorted(p.name for p in (reproduced / cell).iterdir()) == CELL_ARTIFACTS
+    for name in CELL_ARTIFACTS:
+        assert (reproduced / cell / name).read_bytes() == (out / name).read_bytes(), name
 
 
 def test_reproduce_reports_each_cell_on_stderr(tmp_path, capsys):
@@ -364,10 +423,8 @@ print(json.dumps(seen))
 
 @pytest.mark.parametrize("preset,expected", [(None, "1"), ("2", "2")])
 def test_cli_sets_one_blas_thread_before_numpy_unless_set(preset, expected):
-    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env = {k: v for k, v in cli_subprocess_env().items() if k not in BLAS_VARS}
     env.update({v: preset for v in BLAS_VARS if preset is not None})
-    src = os.path.dirname(os.path.dirname(momrank.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", SPY_NUMPY_IMPORT], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert json.loads(out) == {v: expected for v in BLAS_VARS}

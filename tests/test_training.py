@@ -71,6 +71,22 @@ def test_converge_rate_uses_available_history_at_boundary():
     assert converge_ratio(train[:10], valid, 12, b) == 1.0  # shorter than epoch - 1
 
 
+def test_converge_rate_window_rule_on_hand_made_histories():
+    # epoch e compares epoch e-1 with the mean of epochs max(1, e-2w)..e-w-1; 1 for e < 2w
+    train = [4.0, 3.0, 2.5, 2.0]
+    valid = [4.0, 3.5, 3.5, 4.5]
+    assert converge_ratio(train, valid, 3, 2) == 1.0
+    # at e = 2w = 4 the earlier window is epoch 1 alone: (v3 - v1) / (t3 - t1)
+    assert converge_ratio(train, valid, 4, 2) == pytest.approx((3.5 - 4.0) / (2.5 - 4.0))
+    assert converge_ratio(train, [4.0, 3.5, 12.0, 4.5], 4, 2) == -5.0  # clipped
+    train = [10.0, 9.0, 8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.5, 1.0]
+    valid = [10.0, 9.5, 9.0, 8.5, 8.0, 7.5, 7.0, 6.5, 6.0, 5.5, 7.0]
+    assert converge_ratio(train, valid, 11, 6) == 1.0
+    # at e = 12 the earlier window is epochs 1-5, compared with epoch 11
+    want = (7.0 - np.mean(valid[:5])) / (1.0 - np.mean(train[:5]))
+    assert converge_ratio(train, valid, 12, 6) == pytest.approx(want)
+
+
 # ---- beta / decay adaptation ----
 
 def test_adapted_beta_at_zero():
