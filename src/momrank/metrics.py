@@ -70,6 +70,16 @@ def _pearson(a: np.ndarray, b: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return np.where((sizes < 2) | (sd_a < 1e-15) | (sd_b < 1e-15), np.nan, ic)
 
 
+def day_standardize(v: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Each day of ``v`` z-scored with population moments, rounded as
+    ``data.standardize`` rounds that day; a day whose std is below 1e-12 is zeros."""
+    starts = np.cumsum(sizes) - sizes
+    dev = v - np.repeat(_day_sums(v, starts) / sizes, sizes)
+    sd = np.repeat(np.sqrt(_day_sums(dev * dev, starts) / sizes), sizes)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(sd < 1e-12, 0.0, dev / sd)
+
+
 def _day_grid(v: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``v`` as a [days, max names] array padded with NaN, and the mask of its entries."""
     width = int(sizes.max(initial=0))

@@ -135,9 +135,15 @@ def window_ok(panel: StockPanel, window: int) -> np.ndarray:
     return ok
 
 
-def day_window(panel: StockPanel, t: int, window: int, rows: np.ndarray) -> np.ndarray:
-    """Feature windows [len(rows), window, F] for the given ticker rows at date t."""
-    return panel.features[t - window + 1: t + 1, rows, :].transpose(1, 0, 2)
+def ticker_major(panel: StockPanel) -> np.ndarray:
+    """The panel's features as one C-contiguous [N, T, F] copy: each ticker's dates in a row."""
+    return np.ascontiguousarray(panel.features.transpose(1, 0, 2))
+
+
+def day_window(features: np.ndarray, t: int, window: int, rows: np.ndarray) -> np.ndarray:
+    """Feature windows [len(rows), window, F] of the given ticker rows at date t, copied
+    from a split's ``ticker_major`` features into one C-contiguous array."""
+    return features[rows, t - window + 1: t + 1]
 
 
 def predict_panel(params: BackboneParams, panel: StockPanel) -> np.ndarray:
@@ -145,12 +151,13 @@ def predict_panel(params: BackboneParams, panel: StockPanel) -> np.ndarray:
     arch = params.arch
     scores = np.full((panel.n_dates, panel.n_tickers), np.nan)
     ok = window_ok(panel, arch.window)
+    features = ticker_major(panel)
     with no_grad():
         for t in range(arch.window - 1, panel.n_dates):
             rows = np.flatnonzero(ok[t])
             if rows.size == 0:
                 continue
-            out = forward(params, day_window(panel, t, arch.window, rows))
+            out = forward(params, day_window(features, t, arch.window, rows))
             scores[t, rows] = out.pred_return.data
     return scores
 
@@ -166,11 +173,45 @@ def save_checkpoint(path, params: BackboneParams, extra: dict) -> None:
     })
 
 
+_MARK = "\0"  # starts a float list's stand-in string; json spells it \u0000
+
+
 def write_json(path, payload: dict) -> None:
-    """Write an artifact as indented JSON with sorted keys and a final newline."""
+    """Write an artifact as indented JSON with sorted keys and a final newline.
+
+    The text is ``json.dump(payload, fh, indent=1, sort_keys=True)``'s. An
+    indent sends json to its pure-Python encoder, slow on a checkpoint's
+    weights, so each non-empty list of floats is swapped for a stand-in
+    string, json lays out the rest, and each stand-in becomes its list as json
+    spells it: one ``float.__repr__`` a line, with json's names for NaN and
+    the infinities (no finite repr holds "nan" or "inf"). A payload string
+    that json would spell like a stand-in sends the whole payload to json.
+    """
+    lists = []
+
+    def stand_ins(obj):
+        if isinstance(obj, dict):
+            return {key: stand_ins(value) for key, value in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            if obj and all(isinstance(v, float) for v in obj):
+                lists.append(obj)
+                return f"{_MARK}{len(lists) - 1}"
+            return [stand_ins(v) for v in obj]
+        return obj
+
+    pieces = json.dumps(stand_ins(payload), indent=1, sort_keys=True).split('"\\u0000')
+    if len(pieces) != len(lists) + 1:
+        pieces = [json.dumps(payload, indent=1, sort_keys=True)]
+    out = pieces[:1]
+    for piece in pieces[1:]:
+        index, rest = piece.split('"', 1)
+        line = out[-1][out[-1].rfind("\n") + 1:]
+        lead = "\n" + " " * (len(line) - len(line.lstrip(" ")))  # the list's own indent
+        text = ("," + lead + " ").join(map(float.__repr__, lists[int(index)]))
+        out += ["[", lead, " ", text.replace("nan", "NaN").replace("inf", "Infinity"), lead,
+                "]", rest]
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write("".join(out) + "\n")
 
 
 def load_checkpoint(path) -> tuple[BackboneParams, dict]:
@@ -210,5 +251,7 @@ def load_checkpoint(path) -> tuple[BackboneParams, dict]:
         if shape != want or arr.size != named[name].data.size:
             raise ContractError(f"{path}: parameter {name} has shape {shape} "
                                 f"and {arr.size} values, architecture expects {want}")
+        if not np.isfinite(arr).all():
+            raise ContractError(f"{path}: parameter {name} holds a non-finite value")
         named[name].data[...] = arr.reshape(want)
     return params, blob.get("extra", {})

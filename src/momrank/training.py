@@ -29,15 +29,16 @@ Decay adapts on the mean converge rate over the active tasks. With the
 pipeline off the trunk step is the plain sum of the raw task gradients (plain
 joint training); with one task it is that task's EMA'd gradient.
 
-``build_batches`` writes a split's feature windows once into one contiguous
-[rows, window, features] array, each day's batch holding a row slice of it,
-and derives each day's label constants once (``losses.split_labels``); every
-step and every evaluation reads them. Epoch-end evaluation runs the training
-forward and losses under ``no_grad``, one day per forward, and takes every
-day's IC and RankIC from one split-wide ``metrics.day_ics`` call. A forward
-over several days would not reproduce the per-day values bitwise: BLAS rounds
-the regression head's matrix-vector product differently in the last rows of
-a call.
+``build_batches`` keeps one ticker-major copy of a split's features
+(``model.ticker_major``), the size of the split, and each day's batch gathers
+its [names, window, features] windows from it (``model.day_window``) when a
+forward reads them; every day's z-scored target and label constants
+(``losses.split_labels``) are derived once, split-wide. Epoch-end evaluation
+runs the training forward and losses under ``no_grad``, one day per forward,
+and takes every day's IC and RankIC from one split-wide ``metrics.day_ics``
+call. A forward over several days would not reproduce the per-day values
+bitwise: BLAS rounds the regression head's matrix-vector product differently
+in the last rows of a call.
 """
 
 from __future__ import annotations
@@ -46,14 +47,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .autodiff import Tensor, gradients, no_grad
-from .data import StockPanel, compute_return, standardize
+from .data import StockPanel, compute_return
 from .errors import ContractError, TrainingError
 from .losses import DayLabels, RankLossConfig, classification_loss, mse_loss, split_labels
-from .metrics import day_ics, defined, record_k
-from .model import Architecture, BackboneParams, forward, init_params, window_ok
+from .metrics import day_ics, day_standardize, defined, record_k
+from .model import (Architecture, BackboneParams, day_window, forward, init_params, ticker_major,
+                    window_ok)
 from .momentum import N_LEVELS, UNLABELED, MomentumConfig, label_dataset, rise_fall_label
 
 MODE_FULL, MODE_EW, MODE_STL = "full", "ew", "stl"
@@ -254,9 +255,15 @@ class _GroupOptimizer:
 class _DayBatch:
     t: int
     rows: np.ndarray      # ticker columns of the day's names
-    feats: np.ndarray     # [names, window, features], a row slice of the split's windows
     y: np.ndarray
     labels: DayLabels
+    features: np.ndarray  # the split's ``ticker_major`` features, shared by its batches
+    window: int
+
+    @property
+    def feats(self) -> np.ndarray:
+        """The day's [names, window, features] windows, gathered at each read."""
+        return day_window(self.features, self.t, self.window, self.rows)
 
 
 def class_labels_for(panel: StockPanel, task: str, mom_cfg: MomentumConfig) -> np.ndarray:
@@ -271,27 +278,23 @@ def build_batches(panel: StockPanel, labels: np.ndarray, window: int, n_classes:
 
     The regression target is the day's return z-scored across the batch,
     putting the MSE on unit scale like the class loss. Per-day IC against the
-    raw return is unchanged (affine invariance). The split's feature windows
-    are written once into one contiguous [rows, window, features] array, and
-    each day's label constants are derived once.
+    raw return is unchanged (affine invariance); every day is z-scored in one
+    split-wide pass (``metrics.day_standardize``). The batches share one
+    ticker-major copy of the split's features and gather their windows from
+    it when read.
     """
     y = compute_return(panel)
     usable = window_ok(panel, window) & np.isfinite(y) & (labels != UNLABELED)
     usable[usable.sum(axis=1) < 2] = False
     day_of, ticker_of = np.nonzero(usable)   # the usable cells, day by day
     days, starts, sizes = np.unique(day_of, return_index=True, return_counts=True)
-    windows = np.empty((0, window, panel.n_features))
-    if day_of.size:  # ticker-major, a cell's window is one contiguous block to copy
-        by_ticker = np.ascontiguousarray(panel.features.transpose(1, 0, 2))
-        windows = sliding_window_view(by_ticker, window, axis=1).transpose(0, 1, 3, 2)[
-            ticker_of, day_of - (window - 1)]
+    z = day_standardize(y[day_of, ticker_of], sizes)
     labels_by_day = split_labels(labels[day_of, ticker_of], sizes, n_classes, loss_cfg)
-    batches: list[_DayBatch] = []
-    for t, lo, size, day in zip(days.tolist(), starts.tolist(), sizes.tolist(), labels_by_day):
-        rows = ticker_of[lo: lo + size]
-        batches.append(_DayBatch(t=t, rows=rows, feats=windows[lo: lo + size],
-                                 y=standardize(y[t, rows]), labels=day))
-    return batches
+    features = ticker_major(panel)
+    return [_DayBatch(t=t, rows=ticker_of[lo: lo + size], y=z[lo: lo + size], labels=day,
+                      features=features, window=window)
+            for t, lo, size, day in zip(days.tolist(), starts.tolist(), sizes.tolist(),
+                                        labels_by_day)]
 
 
 def _no_training_days(panel: StockPanel, cfg: TrainConfig,
@@ -317,6 +320,10 @@ def _no_training_days(panel: StockPanel, cfg: TrainConfig,
         f"train.window = {cfg.window} leaves {days['window']} of them, {label} leaves "
         f"{days['label']}, the next-day return leaves {days['return']}, and no day has "
         f"2 names that pass all three")
+
+
+def _diverged(epoch: int, t: int) -> TrainingError:
+    return TrainingError(f"training diverged at epoch {epoch}, day index {t}")
 
 
 def _batch_losses(params: BackboneParams, batch: _DayBatch, loss_cfg: RankLossConfig,
@@ -397,11 +404,11 @@ def fit(train_panel: StockPanel, valid_panel: StockPanel, mom_cfg: MomentumConfi
         mean_converge = sum(converge[task] for task in tasks) / len(tasks)
         decay_e = adapted_decay(cfg.decay, mean_converge) if mode.adapt_decay else cfg.decay
 
-        with np.errstate(over="ignore", invalid="ignore"):  # the check below names the day
+        with np.errstate(over="ignore", invalid="ignore"):  # the checks below name the day
             for batch in train_batches:
                 _, losses = _batch_losses(params, batch, loss_cfg, tasks)
                 if not all(np.isfinite(loss.data).all() for loss in losses.values()):
-                    raise TrainingError(f"training diverged at epoch {epoch}, day index {batch.t}")
+                    raise _diverged(epoch, batch.t)
 
                 # every gradient is taken before any in-place update: backward reads param data
                 trunk_grads, head_grads = [], []
@@ -418,10 +425,15 @@ def fit(train_panel: StockPanel, valid_panel: StockPanel, mom_cfg: MomentumConfi
                     g_tilde = sum(trunk_grads[1:], trunk_grads[0])
                 step = np.concatenate([g_tilde, *head_grads])
                 opt.step(params.flat[:step.size], step, decay_e)
+                if not np.isfinite(params.flat).all():
+                    raise _diverged(epoch, batch.t)
 
-        # epoch-end evaluation on both splits
-        evals = {split: _split_metrics(params, batches, loss_cfg, tasks)
-                 for split, batches in (("train", train_batches), ("valid", valid_batches))}
+            # epoch-end evaluation on both splits; the train losses are the next day's check
+            # for the epoch's last step
+            evals = {split: _split_metrics(params, batches, loss_cfg, tasks)
+                     for split, batches in (("train", train_batches), ("valid", valid_batches))}
+        if not all(map(math.isfinite, evals["train"][0].values())):
+            raise _diverged(epoch, train_batches[-1].t)
         for split, (split_losses, ic, ric) in evals.items():
             for task in tasks:
                 hist[(split, task)].append(split_losses[task])

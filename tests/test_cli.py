@@ -335,6 +335,36 @@ def test_a_diverging_run_prints_only_the_divergence_error(tmp_path):
     assert not out.exists()
 
 
+def test_a_last_step_that_diverges_is_reported_at_its_day(tmp_path):
+    # the train split has one usable day, so no later day's loss can reveal its step
+    out = tmp_path / "out"
+    argv = ["train", "--set", "data.n_dates=20", "--set", "split.train_frac=0.2",
+            "--set", "split.valid_frac=0.3", "--set", "train.window=2",
+            "--set", "momentum.gap=1", "--set", "momentum.length=1", "--set", "train.epochs=1",
+            "--set", "train.lr=1e300", "--set", "train.decay=0", "--out-dir", str(out)]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from momrank.cli import main; sys.exit(main())"]
+        + argv, env=cli_subprocess_env(), capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: training diverged at epoch 1, day index 1\n"
+    assert not out.exists()
+
+
+def test_evaluate_rejects_a_checkpoint_holding_nan(tmp_path, capsys):
+    code, train_out = run(["train"], tmp_path, "tr")
+    assert code == 0
+    path = train_out / "checkpoint.json"
+    blob = json.loads(path.read_text(encoding="utf-8"))
+    blob["params"]["trunk.b1"]["data"][2] = float("nan")
+    path.write_text(json.dumps(blob), encoding="utf-8")
+    capsys.readouterr()
+    code, out = run(["evaluate", "--checkpoint", str(path)], tmp_path, "ev")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: parameter trunk.b1 holds a non-finite value\n")
+    assert not out.exists()
+
+
 def test_backtest_at_a_full_day_charge_floors_the_account_at_zero(tmp_path):
     code, train_out = run(["train"], tmp_path, "tr")
     assert code == 0

@@ -7,11 +7,12 @@ from hypothesis.extra import numpy as hnp
 
 import oracles
 from momrank import metrics
-from momrank.data import StockPanel, gen_synthetic
+from momrank.data import StockPanel, gen_synthetic, standardize
 from momrank.errors import ContractError
 from momrank.losses import adaptive_ks, level_counts
 from momrank.metrics import (EvalReport, _day_sums, aggregate, daily_rank_ic, day_ics,
-                             day_precisions, day_ranks, evaluate_predictions, record_k)
+                             day_precisions, day_ranks, day_standardize, evaluate_predictions,
+                             record_k)
 from momrank.momentum import UNLABELED
 
 
@@ -259,13 +260,13 @@ def day_values(rng, kind, size):
 
 
 @st.composite
-def stacked_days(draw, max_days=8):
-    """Days of 1-200 names stacked in one array: continuous, tied and constant values.
+def stacked_days(draw, max_days=8, max_size=200):
+    """Days of 1-``max_size`` names stacked in one array: continuous, tied and constant values.
 
     The sizes and each side's kind per day are drawn; the values come from a
     drawn seed. Single-name days appear at every draw of size 1.
     """
-    sizes = draw(st.lists(st.one_of(st.just(1), st.integers(1, 200)), min_size=1,
+    sizes = draw(st.lists(st.one_of(st.just(1), st.integers(1, max_size)), min_size=1,
                           max_size=max_days))
     kinds = draw(st.lists(st.tuples(st.sampled_from(DAY_KINDS), st.sampled_from(DAY_KINDS)),
                           min_size=len(sizes), max_size=len(sizes)))
@@ -305,6 +306,15 @@ def test_day_sums_round_as_each_days_own_sum(case):
     starts = np.cumsum(sizes) - sizes
     np.testing.assert_array_equal(_day_sums(pred, starts),
                                   [pred[d].sum() for d in day_slices(sizes)])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(stacked_days(max_days=40, max_size=700))
+def test_split_z_scores_equal_each_days_standardize_bitwise(case):
+    values, _, sizes = case
+    want = np.concatenate([standardize(values[d]) for d in day_slices(sizes)])
+    got = day_standardize(values, sizes)
+    assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -6,7 +6,7 @@ import pytest
 from momrank.autodiff import gradients
 from momrank.errors import ContractError, NumericError
 from momrank.model import (Architecture, forward, init_params, load_checkpoint, predict_panel,
-                           save_checkpoint, window_ok)
+                           save_checkpoint, window_ok, write_json)
 from momrank.data import gen_synthetic
 from momrank.losses import mse_loss
 
@@ -148,6 +148,51 @@ def test_checkpoint_roundtrip(tmp_path):
     assert loaded.arch == params.arch
     for name, tensor in params.all_named().items():
         np.testing.assert_array_equal(loaded.all_named()[name].data, tensor.data)
+
+
+def json_dump_text(payload):
+    """What ``write_json`` must write: json's own indented, key-sorted dump."""
+    return json.dumps(payload, indent=1, sort_keys=True) + "\n"
+
+
+def checkpoint_payload():
+    params = init_params(small_arch(hidden=(16, 8)), seed=4)
+    return {"format": "momrank-checkpoint-v1", "arch": {"window": 3, "hidden": [16, 8]},
+            "params": {name: {"shape": list(t.data.shape), "data": t.data.ravel().tolist()}
+                       for name, t in params.all_named().items()},
+            "extra": {"k_counts": {"9": 3, "10": 1}, "best_epoch": 2}}
+
+
+JSON_PAYLOADS = {
+    "checkpoint": checkpoint_payload,
+    "report_with_nan": lambda: {"config": {"seed": "7"}, "split": "test", "report": {
+        "ic": float("nan"), "rank_ic": 0.25, "precision_at": {"10": float("nan")},
+        "k_histogram": {"3": 2}, "n_days": 4}},
+    "int_keys": lambda: {"k_counts": {9: 1, 10: 2}, "floats": {10: [0.5, -0.0], 9: [1e300]}},
+    "non_finite_and_nested": lambda: {"x": [float("nan"), float("inf"), -float("inf"), 1.5],
+                                      "nested": [[1.0, 2.0], [], [3, 4.0], (0.25,), "a"],
+                                      "np": [np.float64(2.5), np.float64(1e-7)]},
+    "string_spelled_like_a_stand_in": lambda: {"s": "\0" + "0", "t": "a\"\0", "v": [1.0]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(JSON_PAYLOADS))
+def test_write_json_writes_json_dumps_bytes(tmp_path, case):
+    payload = JSON_PAYLOADS[case]()
+    path = tmp_path / "out.json"
+    write_json(path, payload)
+    assert path.read_bytes() == json_dump_text(payload).encode("utf-8")
+
+
+def test_checkpoint_with_non_finite_value_names_file_and_parameter(tmp_path):
+    path = tmp_path / "ckpt.json"
+    for bad in (float("nan"), float("inf")):
+        save_checkpoint(path, init_params(small_arch(), seed=9), extra={})
+        blob = json.loads(path.read_text())
+        blob["params"]["cls_head.w"]["data"][1] = bad
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ContractError, match=r"parameter cls_head.w holds a non-finite value"):
+            load_checkpoint(path)
 
 
 def test_checkpoint_shape_mismatch_names_file_and_parameter(tmp_path):

@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -10,8 +11,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from momrank.autodiff import Tensor, gradients
-from momrank.data import (StockPanel, fraction_split_spec, gen_synthetic, normalize_features,
-                          split, trading_days)
+from momrank.data import (StockPanel, compute_return, fraction_split_spec, gen_synthetic,
+                          normalize_features, split, standardize, trading_days)
 from momrank.errors import ContractError, TrainingError
 from momrank.metrics import day_ics
 from momrank.losses import RankLossConfig, classification_loss, day_labels, mse_loss
@@ -284,6 +285,20 @@ def test_build_batches_filters_days():
     for b in batches:
         assert b.rows.size >= 2
         assert b.feats.shape == (b.rows.size, 3, panel.n_features)
+
+
+def test_batches_keep_memory_of_the_split_size_not_times_the_window():
+    panel = normalize_features(gen_synthetic(60, 200, 0.5, seed=4))
+    labels = class_labels_for(panel, "momentum", small_mom_cfg())
+    tracemalloc.start()
+    try:
+        batches = build_batches(panel, labels, 20, 5, RankLossConfig())
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(batches) >= 30
+    assert kept <= 3 * panel.features.nbytes
+    assert peak <= 4 * panel.features.nbytes
 
 
 def test_train_config_validation():
@@ -581,6 +596,23 @@ def test_fit_no_usable_days_raises():
         fit(short, short, small_mom_cfg(), RankLossConfig(), cfg, seed=0)
 
 
+def test_a_step_that_leaves_non_finite_weights_is_reported_at_its_day(monkeypatch):
+    train, valid = tiny_panels()
+    first, second = (b.t for b in train_days(train)[:2])
+    step = _GroupOptimizer.step
+
+    def overflowing_step(self, flat, grad, decay):
+        step(self, flat, grad, decay)
+        flat[-1] = np.inf  # only the head's last bias: the next day's losses would be inf
+        return flat
+
+    monkeypatch.setattr(_GroupOptimizer, "step", overflowing_step)
+    cfg = TrainConfig(lr=1e-2, epochs=1, window=2, hidden=(6, 6))
+    with pytest.raises(TrainingError, match=rf"^training diverged at epoch 1, day index {first}$"):
+        fit(train, valid, small_mom_cfg(), RankLossConfig(), cfg, seed=0)
+    assert second > first
+
+
 # ---- fit on panels with random missing cells ----
 
 @st.composite
@@ -629,6 +661,16 @@ def test_fit_on_masked_panels_matches_the_per_day_oracles(panel, mode, ranking):
         scores = model.predict_panel(result.params, part)
         np.testing.assert_array_equal(scores, oracles.predict_by_day(result.params, part))
         np.testing.assert_array_equal(np.isnan(scores), ~model.window_ok(part, 2))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(masked_panels(), st.integers(1, 4))
+def test_batch_windows_and_targets_equal_the_per_name_gathers(panel, window):
+    y = compute_return(panel)
+    for b in train_days(panel, window):
+        want = np.stack([panel.features[b.t - window + 1: b.t + 1, i] for i in b.rows])
+        assert b.feats.tobytes() == want.tobytes() and b.feats.shape == want.shape
+        assert b.y.tobytes() == standardize(y[b.t, b.rows]).tobytes()
 
 
 # ---- fit: every mode pinned against recorded values ----
