@@ -175,7 +175,11 @@ def cmd_reproduce(cfg: ExperimentConfig, out_dir: str) -> None:
     header += precision_cols + ["cum_return_pct", "best_epoch", "epochs_run"]
     # no cell overrides a data.*, split.* or momentum.* key, so every cell shares one
     # panel and one split
-    train_p, valid_p, test_p = _split_panels(cfg, _prepare_panel(cfg))
+    panel = _prepare_panel(cfg)
+    if cfg.eval.top_n >= panel.n_tickers:  # every cell would hold the whole universe
+        raise ContractError(f"backtest.top_n = {cfg.eval.top_n} must be below the "
+                            f"panel's {panel.n_tickers} tickers")
+    train_p, valid_p, test_p = _split_panels(cfg, panel)
     rows = []
     for i, (name, delta) in enumerate(REPRODUCE_CELLS, 1):
         started = time.perf_counter()

@@ -63,7 +63,7 @@ class SplitConfig:
 @dataclass(frozen=True)
 class EvalConfig:
     precision_ns: tuple[int, ...] = (10, 20, 30, 50)
-    top_n: int = 50
+    top_n: int = 10
     cost_bps: float = 0.0
 
     def __post_init__(self):

@@ -29,8 +29,7 @@ class StockPanel:
 
     A valid cell's close and features must be finite, and its close must be
     > 0; the first cell that breaks a rule raises ``DataError`` naming its
-    date and ticker, the finiteness rule first. Panels cut or transformed
-    from a checked panel are built with ``derived``, which skips the checks.
+    date and ticker, the finiteness rule first. Every panel is checked.
     """
 
     dates: list[str]            # ISO-8601, strictly increasing
@@ -49,15 +48,6 @@ class StockPanel:
             raise DataError(f"features shape {self.features.shape} does not match ({t}, {n})")
         _check_cells(self)
 
-    @classmethod
-    def derived(cls, dates: list[str], tickers: list[str], close: np.ndarray,
-                features: np.ndarray, valid: np.ndarray) -> "StockPanel":
-        """A panel made from a checked panel's values, without checking them again."""
-        panel = cls.__new__(cls)
-        panel.dates, panel.tickers, panel.valid = dates, tickers, valid
-        panel.close, panel.features = close, features
-        return panel
-
     @property
     def n_dates(self) -> int:
         return len(self.dates)
@@ -72,9 +62,8 @@ class StockPanel:
 
     def subpanel(self, lo: int, hi: int) -> "StockPanel":
         """Rows [lo, hi) as a new panel (copies; panels stay immutable)."""
-        return StockPanel.derived(self.dates[lo:hi], list(self.tickers),
-                                  self.close[lo:hi].copy(), self.features[lo:hi].copy(),
-                                  self.valid[lo:hi].copy())
+        return StockPanel(self.dates[lo:hi], list(self.tickers), self.close[lo:hi].copy(),
+                          self.features[lo:hi].copy(), self.valid[lo:hi].copy())
 
 
 def _check_cells(panel: StockPanel) -> None:
@@ -261,18 +250,19 @@ def normalize_features(panel: StockPanel) -> StockPanel:
 
     Means and stds of all dates come from masked reductions over the ticker
     axis. Channels with std below 1e-12 on a date are zeroed. Idempotent
-    within numerical tolerance; invalid cells are untouched.
+    within numerical tolerance; invalid cells are untouched. A date whose sums
+    overflow fails the new panel's check, naming that date.
     """
     valid = panel.valid[..., None]
-    with np.errstate(invalid="ignore", divide="ignore"):  # dates with no valid cell
-        count = panel.valid.sum(axis=1)[:, None]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        count = panel.valid.sum(axis=1)[:, None]  # 0 on a date with no valid cell
         mu = np.add.reduce(panel.features, axis=1, where=valid) / count
         dev = panel.features - mu[:, None, :]
         sd = np.sqrt(np.add.reduce(dev * dev, axis=1, where=valid) / count)
-    degenerate = (sd < 1e-12)[:, None, :]
-    z = np.where(degenerate, 0.0, dev / np.where(degenerate, 1.0, sd[:, None, :]))
-    return StockPanel.derived(list(panel.dates), list(panel.tickers), panel.close.copy(),
-                              np.where(valid, z, panel.features), panel.valid.copy())
+        degenerate = (sd < 1e-12)[:, None, :]
+        z = np.where(degenerate, 0.0, dev / np.where(degenerate, 1.0, sd[:, None, :]))
+    return StockPanel(list(panel.dates), list(panel.tickers), panel.close.copy(),
+                      np.where(valid, z, panel.features), panel.valid.copy())
 
 
 def iso_date(text: str) -> str:

@@ -33,7 +33,7 @@ class Architecture:
 
     def __post_init__(self):
         sizes = (self.window, self.n_features, *self.hidden, self.n_classes)
-        if not all(isinstance(v, int) for v in sizes):
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in sizes):
             raise ContractError(f"architecture sizes must be integers, got {sizes}")
         if self.window < 1 or self.n_features < 1:
             raise ContractError("window and n_features must be >= 1")
@@ -173,45 +173,11 @@ def save_checkpoint(path, params: BackboneParams, extra: dict) -> None:
     })
 
 
-_MARK = "\0"  # starts a float list's stand-in string; json spells it \u0000
-
-
 def write_json(path, payload: dict) -> None:
-    """Write an artifact as indented JSON with sorted keys and a final newline.
-
-    The text is ``json.dump(payload, fh, indent=1, sort_keys=True)``'s. An
-    indent sends json to its pure-Python encoder, slow on a checkpoint's
-    weights, so each non-empty list of floats is swapped for a stand-in
-    string, json lays out the rest, and each stand-in becomes its list as json
-    spells it: one ``float.__repr__`` a line, with json's names for NaN and
-    the infinities (no finite repr holds "nan" or "inf"). A payload string
-    that json would spell like a stand-in sends the whole payload to json.
-    """
-    lists = []
-
-    def stand_ins(obj):
-        if isinstance(obj, dict):
-            return {key: stand_ins(value) for key, value in obj.items()}
-        if isinstance(obj, (list, tuple)):
-            if obj and all(isinstance(v, float) for v in obj):
-                lists.append(obj)
-                return f"{_MARK}{len(lists) - 1}"
-            return [stand_ins(v) for v in obj]
-        return obj
-
-    pieces = json.dumps(stand_ins(payload), indent=1, sort_keys=True).split('"\\u0000')
-    if len(pieces) != len(lists) + 1:
-        pieces = [json.dumps(payload, indent=1, sort_keys=True)]
-    out = pieces[:1]
-    for piece in pieces[1:]:
-        index, rest = piece.split('"', 1)
-        line = out[-1][out[-1].rfind("\n") + 1:]
-        lead = "\n" + " " * (len(line) - len(line.lstrip(" ")))  # the list's own indent
-        text = ("," + lead + " ").join(map(float.__repr__, lists[int(index)]))
-        out += ["[", lead, " ", text.replace("nan", "NaN").replace("inf", "Infinity"), lead,
-                "]", rest]
+    """Write an artifact as indented JSON with sorted keys and a final newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(out) + "\n")
+        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 def load_checkpoint(path) -> tuple[BackboneParams, dict]:

@@ -10,6 +10,7 @@ import momrank
 from momrank.cli import REPRODUCE_CELLS, main
 from momrank.config import SCHEMA
 from momrank.data import gen_synthetic, trading_days
+from momrank.model import Architecture, init_params, save_checkpoint
 
 FAST = ["data.n_dates=40", "data.n_tickers=8", "data.n_features=3",
         "data.signal_strength=0.9", "train.epochs=2", "train.window=2",
@@ -321,15 +322,19 @@ def cli_subprocess_env():
     return env
 
 
+def run_cli_process(argv):
+    """The CLI in a child process, so that stderr holds whatever numpy would warn."""
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from momrank.cli import main; sys.exit(main())"]
+        + argv, env=cli_subprocess_env(), capture_output=True, text=True)
+
+
 def test_a_diverging_run_prints_only_the_divergence_error(tmp_path):
-    # a child process, so that stderr holds whatever numpy would warn
     out = tmp_path / "out"
     argv = ["train", "--set", "data.n_dates=150", "--set", "data.n_tickers=12",
             "--set", "train.epochs=2", "--set", "train.lr=1e300", "--set", "train.decay=0",
             "--out-dir", str(out)]
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from momrank.cli import main; sys.exit(main())"]
-        + argv, env=cli_subprocess_env(), capture_output=True, text=True)
+    proc = run_cli_process(argv)
     assert proc.returncode == 2
     assert proc.stderr == "error: training diverged at epoch 1, day index 20\n"
     assert not out.exists()
@@ -342,9 +347,7 @@ def test_a_last_step_that_diverges_is_reported_at_its_day(tmp_path):
             "--set", "split.valid_frac=0.3", "--set", "train.window=2",
             "--set", "momentum.gap=1", "--set", "momentum.length=1", "--set", "train.epochs=1",
             "--set", "train.lr=1e300", "--set", "train.decay=0", "--out-dir", str(out)]
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from momrank.cli import main; sys.exit(main())"]
-        + argv, env=cli_subprocess_env(), capture_output=True, text=True)
+    proc = run_cli_process(argv)
     assert proc.returncode == 2
     assert proc.stderr == "error: training diverged at epoch 1, day index 1\n"
     assert not out.exists()
@@ -362,6 +365,44 @@ def test_evaluate_rejects_a_checkpoint_holding_nan(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err == (
         f"error: {path}: parameter trunk.b1 holds a non-finite value\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["label", "train", "evaluate", "backtest"])
+def test_a_csv_date_whose_feature_sums_overflow_exits_2_naming_it(tmp_path, command):
+    # every value is finite, but the date's cross-section of f1 sums past the float range
+    panel = gen_synthetic(40, 6, 0.6, seed=3, n_features=2)
+    panel.features[17, :, 1] = 1.5e308
+    csv_path = tmp_path / "panel.csv"
+    csv_path.write_text("date,ticker,close,f0,f1\n" + "".join(
+        f"{d},{tick}," + ",".join(repr(float(v)) for v in (panel.close[t, i],
+                                                         *panel.features[t, i])) + "\n"
+        for t, d in enumerate(panel.dates) for i, tick in enumerate(panel.tickers)),
+        encoding="utf-8")
+    ckpt = tmp_path / "checkpoint.json"
+    save_checkpoint(ckpt, init_params(Architecture(20, 2, (64, 64), 5), seed=0), extra={})
+    out = tmp_path / "out"
+    argv = [command, "--set", "data.source=csv", "--set", f"data.csv_path={csv_path}",
+            "--out-dir", str(out)]
+    proc = run_cli_process(argv + (["--checkpoint", str(ckpt)]
+                                   if command in ("evaluate", "backtest") else []))
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        f"error: non-finite close or feature at date {panel.dates[17]} ticker S000\n")
+    assert not out.exists()
+
+
+def test_a_checkpoint_with_a_boolean_window_exits_2_naming_the_file(tmp_path, capsys):
+    ckpt = tmp_path / "checkpoint.json"
+    save_checkpoint(ckpt, init_params(Architecture(2, 3, (6, 6), 5), seed=0), extra={})
+    blob = json.loads(ckpt.read_text(encoding="utf-8"))
+    blob["arch"]["window"] = True
+    ckpt.write_text(json.dumps(blob), encoding="utf-8")
+    code, out = run(["evaluate", "--checkpoint", str(ckpt)], tmp_path, "ev")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {ckpt}: bad arch: architecture sizes must be integers, "
+        f"got (True, 3, 6, 6, 5)\n")
     assert not out.exists()
 
 
@@ -419,6 +460,16 @@ def test_a_reproduce_cell_holds_the_commands_artifacts_byte_for_byte(tmp_path, r
     assert sorted(p.name for p in (reproduced / cell).iterdir()) == CELL_ARTIFACTS
     for name in CELL_ARTIFACTS:
         assert (reproduced / cell / name).read_bytes() == (out / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("top_n", [8, 9])
+def test_reproduce_with_a_top_n_holding_every_ticker_exits_2_before_writing(tmp_path, capsys,
+                                                                            top_n):
+    code, out = run(["reproduce"], tmp_path, "rep", extra=[f"backtest.top_n={top_n}"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: backtest.top_n = {top_n} must be below the panel's 8 tickers\n")
+    assert not out.exists()
 
 
 def test_reproduce_reports_each_cell_on_stderr(tmp_path, capsys):

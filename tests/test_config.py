@@ -20,7 +20,7 @@ def test_defaults_match_reference_settings():
     assert cfg.train.decay == pytest.approx(1e-3)
     assert cfg.train.loss_window == 6
     assert cfg.train.patience == 30
-    assert cfg.eval.top_n == 50
+    assert cfg.eval.top_n == 10
 
 
 def test_parse_kv_text_comments_and_blanks():

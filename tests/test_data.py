@@ -1,5 +1,6 @@
 import csv
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -80,7 +81,7 @@ def test_panel_accepts_non_finite_invalid_cell_and_names_the_first_valid_one():
         StockPanel(p.dates, p.tickers, close, features, valid)
 
 
-def test_panels_derived_from_a_checked_panel_are_not_scanned_again(monkeypatch):
+def test_panels_cut_or_normalized_from_a_panel_are_scanned(monkeypatch):
     p = gen_synthetic(40, 6, 0.6, seed=2)
     valid = np.random.default_rng(3).random(p.valid.shape) >= 0.1
     masked = StockPanel(p.dates, p.tickers, np.where(valid, p.close, np.nan),
@@ -93,10 +94,19 @@ def test_panels_derived_from_a_checked_panel_are_not_scanned_again(monkeypatch):
 
     check_cells = data._check_cells
     monkeypatch.setattr(data, "_check_cells", counting_check)
-    parts = split(normalize_features(masked), fraction_split_spec(masked, 0.6, 0.2))
-    assert scans == [] and [part.n_dates for part in parts] == [24, 8, 8]
-    StockPanel(masked.dates, masked.tickers, masked.close, masked.features, masked.valid)
-    assert len(scans) == 1  # new input is still scanned
+    normalized = normalize_features(masked)
+    parts = split(normalized, fraction_split_spec(masked, 0.6, 0.2))
+    assert [part.n_dates for part in parts] == [24, 8, 8]
+    assert scans == [normalized, *parts]
+
+
+def test_normalizing_a_date_whose_sums_overflow_names_it_without_warnings():
+    p = gen_synthetic(40, 6, 0.6, seed=2, n_features=2)
+    p.features[17, :, 1] = 1.5e308  # finite, but six of them sum past the float range
+    with warnings.catch_warnings(), pytest.raises(DataError) as exc:
+        warnings.simplefilter("error")
+        normalize_features(p)
+    assert str(exc.value) == f"non-finite close or feature at date {p.dates[17]} ticker S000"
 
 
 def test_return_roundtrip_recovers_prices():

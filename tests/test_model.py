@@ -45,6 +45,13 @@ def test_zero_width_layer_rejected():
         small_arch(hidden=(0, 8))
 
 
+@pytest.mark.parametrize("field", ["window", "n_features", "hidden", "n_classes"])
+def test_boolean_sizes_rejected(field):
+    value = (8, True) if field == "hidden" else True
+    with pytest.raises(ContractError, match="^architecture sizes must be integers"):
+        small_arch(**{field: value})
+
+
 def test_hidden_other_than_two_sizes_rejected():
     for hidden in ((8, 4, 2), (8,), ()):
         with pytest.raises(ContractError, match="two layer sizes"):
@@ -226,6 +233,8 @@ MALFORMED_CHECKPOINTS = {
     "rnn_trunk": _tamper(lambda b: b["arch"].update(trunk="rnn")),
     "hidden_not_a_list": _tamper(lambda b: b["arch"].update(hidden=8)),
     "float_window": _tamper(lambda b: b["arch"].update(window=3.0)),
+    "bool_window": _tamper(lambda b: b["arch"].update(window=True)),
+    "bool_hidden": _tamper(lambda b: b["arch"].update(hidden=[8, True])),
     "param_without_data": _tamper(lambda b: b["params"]["trunk.b0"].pop("data")),
 }
 

@@ -15,7 +15,8 @@ from momrank.data import (StockPanel, compute_return, fraction_split_spec, gen_s
                           normalize_features, split, standardize, trading_days)
 from momrank.errors import ContractError, TrainingError
 from momrank.metrics import day_ics
-from momrank.losses import RankLossConfig, classification_loss, day_labels, mse_loss
+from momrank.losses import (SCORE_SCALE, RankLossConfig, classification_loss, day_labels,
+                            mse_loss)
 from momrank.model import Architecture, forward, init_params
 from momrank.momentum import MomentumConfig
 from momrank import model, training
@@ -498,6 +499,30 @@ def test_fit_matches_the_hand_rolled_cqb_loop(mode):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(result.params.flat, records[result.best_epoch - 1]["flat"],
                                rtol=1e-12, atol=1e-12)
+
+
+def test_fit_train_classification_loss_is_half_ce_half_exp_minus_ndcg():
+    # a 1-epoch fit logs the mean train-day loss at the parameters it returns
+    panel = normalize_features(gen_synthetic(60, 12, 0.8, seed=5))
+    train, valid, _ = split(panel, fraction_split_spec(panel, 0.6, 0.2))
+    cfg = TrainConfig(lr=1e-2, epochs=1, window=2, hidden=(6, 6))
+    result = fit(train, valid, small_mom_cfg(), RankLossConfig(), cfg, seed=3)
+    (got,) = [r.loss for r in result.epoch_log if r.split == "train" and r.task == CLS]
+    levels_of = class_labels_for(train, "momentum", small_mom_cfg())
+    day_losses, ndcgs = [], []
+    for b in train_days(train):
+        levels = levels_of[b.t, b.rows]
+        logp = oracles.log_softmax(forward(result.params, b.feats).class_logits).data
+        ce = -logp[np.arange(levels.size), levels].mean()
+        scores = SCORE_SCALE * (np.exp(logp) * np.arange(5)).sum(axis=1)
+        k = oracles.adaptive_k(*oracles.level_groups(levels, 5, 0.2))
+        ndcg = 1.0 if levels.min() == levels.max() else (
+            oracles.dcg_at_k(oracles.smooth_ranks(scores), levels, k)
+            / oracles.dcg_at_k(oracles.exact_ranks(levels), levels, k))
+        ndcgs.append(ndcg)
+        day_losses.append(0.5 * ce + 0.5 * math.exp(-ndcg))
+    assert len(day_losses) >= 20 and min(ndcgs) < 0.9
+    assert got == pytest.approx(np.mean(day_losses), rel=1e-12)
 
 
 def test_fit_deterministic_logs():
