@@ -11,9 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import StockPanel, compute_return
+from .data import StockPanel, compute_return, day_sums, sorted_within_days
 from .errors import ContractError
-from .metrics import _day_sums, _sorted_within_days
 
 
 @dataclass
@@ -40,11 +39,11 @@ def run_topn(panel: StockPanel, scores: np.ndarray, top_n: int,
     ok = np.isfinite(y) & np.isfinite(scores)   # each day's candidates
     sizes = ok.sum(axis=1)
     held = np.minimum(sizes, top_n)
-    order = _sorted_within_days(-scores[ok], sizes)   # best first, ties in ticker order
+    order = sorted_within_days(-scores[ok], sizes)   # best first, ties in ticker order
     rank = np.arange(order.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     picks = order[rank < top_n]
     ends = np.cumsum(held)
-    gross = _day_sums(y[ok][picks], ends - held) / np.maximum(held, 1)
+    gross = day_sums(y[ok][picks], ends - held) / np.maximum(held, 1)
     daily = np.where(held > 0, np.maximum(gross - 2.0 * cost_bps / 1e4, -1.0), 0.0)
     names = [panel.tickers[i] for i in np.nonzero(ok)[1][picks].tolist()]
     return BacktestLedger(panel.dates[:-1], np.cumprod(1.0 + daily), daily,

@@ -22,13 +22,12 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 
 from .backtest import cumulative_return, run_topn
-from .config import ExperimentConfig, _fmt_value, build_config, load_config, to_flat
+from .config import ExperimentConfig, build_config, fmt_value, load_config, to_flat
 from .data import (SplitSpec, StockPanel, compute_return, fraction_split_spec, gen_synthetic,
-                   load_csv, normalize_features, split)
+                   load_csv, normalize_features, split, window_ok)
 from .errors import ConfigError, ContractError, MomrankError
 from .metrics import EvalReport, evaluate_predictions
-from .model import (Architecture, load_checkpoint, predict_panel, save_checkpoint, window_ok,
-                    write_json)
+from .model import Architecture, load_checkpoint, predict_panel, save_checkpoint, write_json
 from .momentum import UNLABELED, label_dataset
 from .training import N_CLASSES, FitResult, class_labels_for, fit
 
@@ -50,7 +49,7 @@ def _write_csv(path, provenance: dict[str, str], header: list[str], rows) -> Non
             fh.write(f"# {key} = {value}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt_value(v) for v in row) + "\n")
+            fh.write(",".join(fmt_value(v) for v in row) + "\n")
 
 
 def _prepare_panel(cfg: ExperimentConfig) -> StockPanel:
@@ -72,17 +71,14 @@ def _split_panels(cfg: ExperimentConfig, panel: StockPanel):
     return split(panel, spec)
 
 
-def _pick_split(cfg: ExperimentConfig, panel: StockPanel, name: str) -> StockPanel:
-    """The named split; it must have a day with 2 names to score against next-day returns."""
-    train_p, valid_p, test_p = _split_panels(cfg, panel)
-    picked = {"train": train_p, "valid": valid_p, "test": test_p}[name]
+def _check_scoreable(cfg: ExperimentConfig, picked: StockPanel, name: str) -> None:
+    """Raise unless the split has a day with 2 names to score against next-day returns."""
     if picked.n_dates < 2 or not (
             (window_ok(picked, cfg.train.window) & np.isfinite(compute_return(picked)))
             .sum(axis=1) >= 2).any():
         raise ContractError(f"no scoreable day in the {name} split: it has {picked.n_dates} "
                             f"dates, and with train.window = {cfg.train.window} no date has "
                             f"2 names with a full feature window and a next-day return")
-    return picked
 
 
 def _check_arch(arch: Architecture, cfg: ExperimentConfig, panel: StockPanel, path) -> None:
@@ -106,7 +102,8 @@ def _scored_split(cfg: ExperimentConfig, checkpoint, split_name: str):
     params, _ = load_checkpoint(checkpoint)
     panel = _prepare_panel(cfg)
     _check_arch(params.arch, cfg, panel, checkpoint)
-    picked = _pick_split(cfg, panel, split_name)
+    picked = _split_panels(cfg, panel)[("train", "valid", "test").index(split_name)]
+    _check_scoreable(cfg, picked, split_name)
     return picked, predict_panel(params, picked)
 
 
@@ -180,6 +177,7 @@ def cmd_reproduce(cfg: ExperimentConfig, out_dir: str) -> None:
         raise ContractError(f"backtest.top_n = {cfg.eval.top_n} must be below the "
                             f"panel's {panel.n_tickers} tickers")
     train_p, valid_p, test_p = _split_panels(cfg, panel)
+    _check_scoreable(cfg, test_p, "test")
     rows = []
     for i, (name, delta) in enumerate(REPRODUCE_CELLS, 1):
         started = time.perf_counter()

@@ -217,7 +217,7 @@ def load_config(path: str | None, overrides: list[str]) -> ExperimentConfig:
     return build_config(raw)
 
 
-def _fmt_value(value) -> str:
+def fmt_value(value) -> str:
     if value is None:
         return "none"
     if isinstance(value, float):  # incl. numpy floats; repr of builtin float roundtrips
@@ -234,5 +234,5 @@ def to_flat(cfg: ExperimentConfig) -> dict[str, str]:
     out = {}
     for key, (section, fname, _) in SCHEMA.items():
         owner = getattr(cfg, section) if section else cfg
-        out[key] = _fmt_value(getattr(owner, fname))
+        out[key] = fmt_value(getattr(owner, fname))
     return dict(sorted(out.items()))

@@ -4,6 +4,13 @@ A panel is a dense date x ticker grid. Cells with no observation are masked
 invalid and carry NaN; masked cells never enter batches, losses, metrics or
 backtests. All randomness goes through numpy's Philox generator (a documented
 64-bit counter-based algorithm), so a seed pins the panel bit-for-bit.
+
+The day layout of a split: its days' cross-sections stacked in one array, day
+d being the next ``sizes[d]`` entries. Every per-day sum is a segment sum that
+numpy rounds as it rounds that day's ``ndarray.sum``, and within-day sorts run
+on a [days, max names] array padded with NaN, which a stable sort places after
+every value. So a day's result does not depend on the other days, and one day
+is the case ``sizes=[n]``.
 """
 
 from __future__ import annotations
@@ -284,12 +291,51 @@ def trading_days(n: int) -> list[str]:
     return out
 
 
-def standardize(v: np.ndarray) -> np.ndarray:
-    """``v`` z-scored (population std); all zeros when its std is below 1e-12."""
-    sd = v.std()
-    if sd < 1e-12:
-        return np.zeros_like(v)
-    return (v - v.mean()) / sd
+def day_sums(v: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Sum of each day's entries, rounded as ``v[day].sum()`` rounds it.
+
+    ``ndarray.sum`` adds the pairwise sum of the entries to a zero, and
+    ``add.reduceat`` adds the pairwise sum of a segment's tail to its head,
+    so each segment gets a leading zero.
+    """
+    padded = np.insert(v, starts, 0.0)
+    return np.add.reduceat(padded, starts + np.arange(starts.size))
+
+
+def day_standardize(v: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Each day of ``v`` z-scored with population moments, rounded as ``v[day].std()``
+    and ``.mean()`` round it; a day whose std is below 1e-12 is zeros."""
+    starts = np.cumsum(sizes) - sizes
+    dev = v - np.repeat(day_sums(v, starts) / sizes, sizes)
+    sd = np.repeat(np.sqrt(day_sums(dev * dev, starts) / sizes), sizes)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(sd < 1e-12, 0.0, dev / sd)
+
+
+def day_grid(v: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``v`` as a [days, max names] array padded with NaN, and the mask of its entries."""
+    width = int(sizes.max(initial=0))
+    filled = np.arange(width) < sizes[:, None]
+    grid = np.full((sizes.size, width), np.nan)
+    grid[filled] = v
+    return grid, filled
+
+
+def sorted_within_days(v: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Indices into ``v`` that sort each day ascending, ties in index order."""
+    grid, filled = day_grid(v, sizes)
+    order = grid.argsort(axis=1, kind="stable")
+    return (order + (np.cumsum(sizes) - sizes)[:, None])[filled]
+
+
+def window_ok(panel: StockPanel, window: int) -> np.ndarray:
+    """[T, N] mask: ticker has a full window of valid cells ending at t."""
+    t_total, n = panel.valid.shape
+    invalid = np.zeros((t_total + 1, n), dtype=np.intp)  # invalid cells before each date
+    np.cumsum(~panel.valid, axis=0, out=invalid[1:])
+    ok = np.zeros((t_total, n), dtype=bool)
+    ok[window - 1:] = invalid[window:] == invalid[:-window]
+    return ok
 
 
 def check_synthetic(n_dates: int, n_tickers: int, n_features: int, signal_strength: float,
@@ -322,11 +368,11 @@ def gen_synthetic(n_dates: int, n_tickers: int, signal_strength: float, seed: in
     close[0] = rng.uniform(50.0, 150.0, size=n_tickers)
     close[1:] = close[0] * np.cumprod(1.0 + rets, axis=0)
     features = rng.standard_normal((n_dates, n_tickers, n_features))
-    for t in range(n_dates - 1):
-        s = signal_strength
-        if shift_after is not None and t >= shift_after:
-            s = shifted_signal_strength if shifted_signal_strength is not None else 0.0
-        features[t, :, 0] = s * standardize(rets[t]) + (1.0 - s) * features[t, :, 0]
+    s = np.full((n_dates - 1, 1), float(signal_strength))  # each date's mix weight
+    if shift_after is not None:
+        s[max(shift_after, 0):] = shifted_signal_strength or 0.0
+    z = day_standardize(rets.ravel(), np.full(n_dates - 1, n_tickers)).reshape(rets.shape)
+    features[:-1, :, 0] = s * z + (1.0 - s) * features[:-1, :, 0]
     valid = np.ones((n_dates, n_tickers), dtype=bool)
     tickers = [f"S{i:03d}" for i in range(n_tickers)]
     return StockPanel(trading_days(n_dates), tickers, close, features, valid)

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor
+from .data import day_sums
 from .errors import ContractError
 
 GAIN_STANDARD = "standard"   # 2^w - 1: zero gain at level 0
@@ -140,7 +141,7 @@ def split_labels(levels: np.ndarray, sizes, n_levels: int,
     """The label constants of days stacked in one array of levels in [0, n_levels).
 
     Day d is the next ``sizes[d]`` (at least 1) entries of ``levels``. Group
-    sizes, floors and k come from one pass over all days.
+    sizes, floors, k and the ideal DCG@k come from one pass over all days.
     """
     gains = np.asarray(levels).astype(np.int64)
     sizes = np.asarray(sizes, dtype=np.int64)
@@ -151,14 +152,12 @@ def split_labels(levels: np.ndarray, sizes, n_levels: int,
         raise ContractError(f"labels must lie in [0, {n_levels - 1}]")
     groups, floors, ks = level_ks(gains, sizes, n_levels, cfg)
     one_level = (groups > 0).sum(axis=1) == 1
-    out = []
-    for day, size, k, floor, flat, group in zip(np.split(gains, np.cumsum(sizes)[:-1]), sizes,
-                                                ks.tolist(), floors.tolist(), one_level,
-                                                groups.tolist()):
-        ideal = 0.0 if flat else ideal_dcg_at_k(day, k, cfg.gain)
-        out.append(DayLabels(gains=day, group_sizes=group, threshold=floor, k=k, ideal=ideal,
-                             label_index=np.arange(size) * n_levels + day))
-    return out
+    ideals = np.where(one_level, 0.0, ideal_dcgs(groups, ks, cfg.gain))
+    return [DayLabels(gains=day, group_sizes=group, threshold=floor, k=k, ideal=ideal,
+                      label_index=np.arange(day.size) * n_levels + day)
+            for day, group, floor, k, ideal in zip(np.split(gains, np.cumsum(sizes)[:-1]),
+                                                   groups.tolist(), floors.tolist(),
+                                                   ks.tolist(), ideals.tolist())]
 
 
 def day_labels(levels: np.ndarray, n_levels: int, cfg: RankLossConfig) -> DayLabels:
@@ -291,12 +290,19 @@ def gain_values(levels: np.ndarray, gain: str) -> np.ndarray:
     raise ContractError(f"unknown gain variant {gain!r}")
 
 
-def ideal_dcg_at_k(levels: np.ndarray, k: int, gain: str) -> float:
-    """DCG of the gain-sorted ordering with exact integer ranks."""
-    gains = np.sort(gain_values(levels, gain))[::-1]
-    ranks = np.arange(1, gains.size + 1, dtype=np.float64)
-    top = ranks <= k + 0.5
-    return float(np.sum(gains[top] / np.log2(1.0 + ranks[top])))
+def ideal_dcgs(groups: np.ndarray, ks, gain: str) -> np.ndarray:
+    """Ideal DCG@k of each day from its [days, levels] group sizes, highest level first.
+
+    A day's levels in descending order are its groups' levels repeated (no sort);
+    the sum over day d's top ``ks[d]`` rounds as that day's own sum.
+    """
+    sizes = groups.sum(axis=1)
+    ranked = np.repeat(np.tile(np.arange(groups.shape[1])[::-1], sizes.size), groups.ravel())
+    ranks = np.arange(1, ranked.size + 1) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    top = ranks <= np.repeat(ks, sizes)
+    kept = np.minimum(ks, sizes)
+    terms = gain_values(ranked[top], gain) / np.log2(1.0 + ranks[top])
+    return day_sums(terms, np.cumsum(kept) - kept)
 
 
 def approx_ndcg_at_k(batch: RankBatch, gain: str) -> Tensor:
@@ -310,7 +316,8 @@ def approx_ndcg_at_k(batch: RankBatch, gain: str) -> Tensor:
         raise ContractError("empty batch")
     ideal = batch.ideal
     if ideal is None:
-        ideal = 0.0 if levels.max() == levels.min() else ideal_dcg_at_k(levels, batch.k, gain)
+        ideal = 0.0 if levels.max() == levels.min() else ideal_dcgs(
+            np.bincount(levels)[None, ::-1], [batch.k], gain)[0]
     if ideal <= 0.0:
         return Tensor(1.0)
     return _smooth_dcg_at_k(batch.scores, levels, batch.k, gain) / ideal
@@ -404,9 +411,8 @@ def pairwise_loss(scores: Tensor, target: np.ndarray) -> Tensor:
     return Tensor(value, (scores,), backward)
 
 
-def classification_loss(logits: Tensor, labels: DayLabels,
-                        cfg: RankLossConfig) -> tuple[Tensor, RankBatch]:
-    """The classification objective and its rank batch.
+def classification_loss(logits: Tensor, labels: DayLabels, cfg: RankLossConfig) -> Tensor:
+    """The classification objective.
 
     One log-probability node feeds both terms: cross-entropy on the labels,
     and the ranking term on ``SCORE_SCALE`` times the expected level. The
@@ -419,4 +425,4 @@ def classification_loss(logits: Tensor, labels: DayLabels,
         rank_term = pairwise_loss(batch.scores, batch.gains.astype(np.float64))
     else:
         rank_term = ndcg_loss(batch, cfg.gain)
-    return cross_entropy(logp, labels) * 0.5 + rank_term * 0.5, batch
+    return cross_entropy(logp, labels) * 0.5 + rank_term * 0.5

@@ -6,14 +6,10 @@ fewer than two stocks or zero variance on either side are undefined and drop
 out of the mean. Standard deviations across days are reported x1e3, matching
 the usual table convention for these metrics.
 
-The kernels take a whole split at once: the days' cross-sections stacked in
-one array, day d being the next ``sizes[d]`` entries. Every per-day sum is a
-segment sum that numpy rounds as it rounds that day's ``ndarray.sum``, and
-within-day sorts run on a [days, max names] array padded with NaN, which a
-stable sort places after every value. So a day's result does not depend on
-the other days, and one day is the case ``sizes=[n]``. For the same reason
-the kernels can take a split ``_GROUP_ROWS`` names of whole days at a time,
-which keeps their temporaries to a few hundred KiB on any split.
+The kernels take a whole split at once, in ``data``'s day layout, where a
+day's result does not depend on the other days. So they can take a split
+``_GROUP_ROWS`` names of whole days at a time, which keeps their temporaries
+to a few hundred KiB on any split.
 """
 
 from __future__ import annotations
@@ -23,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import StockPanel, compute_return
+from .data import StockPanel, compute_return, day_grid, day_sums, sorted_within_days
 from .errors import ContractError
 from .losses import RankLossConfig, level_ks
 from .momentum import UNLABELED
@@ -46,61 +42,24 @@ def _day_groups(sizes: np.ndarray, *arrays):
         first, lo = stop, hi
 
 
-def _day_sums(v: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Sum of each day's entries, rounded as ``v[day].sum()`` rounds it.
-
-    ``ndarray.sum`` adds the pairwise sum of the entries to a zero, and
-    ``add.reduceat`` adds the pairwise sum of a segment's tail to its head,
-    so each segment gets a leading zero.
-    """
-    padded = np.insert(v, starts, 0.0)
-    return np.add.reduceat(padded, starts + np.arange(starts.size))
-
-
 def _pearson(a: np.ndarray, b: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Per-day Pearson correlation with population moments; NaN where undefined."""
     starts = np.cumsum(sizes) - sizes
     n = sizes.astype(np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
-        dev_a = a - np.repeat(_day_sums(a, starts) / n, sizes)
-        dev_b = b - np.repeat(_day_sums(b, starts) / n, sizes)
-        sd_a = np.sqrt(_day_sums(dev_a * dev_a, starts) / n)
-        sd_b = np.sqrt(_day_sums(dev_b * dev_b, starts) / n)
-        ic = _day_sums(dev_a * dev_b, starts) / n / (sd_a * sd_b)
+        dev_a = a - np.repeat(day_sums(a, starts) / n, sizes)
+        dev_b = b - np.repeat(day_sums(b, starts) / n, sizes)
+        sd_a = np.sqrt(day_sums(dev_a * dev_a, starts) / n)
+        sd_b = np.sqrt(day_sums(dev_b * dev_b, starts) / n)
+        ic = day_sums(dev_a * dev_b, starts) / n / (sd_a * sd_b)
     return np.where((sizes < 2) | (sd_a < 1e-15) | (sd_b < 1e-15), np.nan, ic)
-
-
-def day_standardize(v: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Each day of ``v`` z-scored with population moments, rounded as
-    ``data.standardize`` rounds that day; a day whose std is below 1e-12 is zeros."""
-    starts = np.cumsum(sizes) - sizes
-    dev = v - np.repeat(_day_sums(v, starts) / sizes, sizes)
-    sd = np.repeat(np.sqrt(_day_sums(dev * dev, starts) / sizes), sizes)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(sd < 1e-12, 0.0, dev / sd)
-
-
-def _day_grid(v: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``v`` as a [days, max names] array padded with NaN, and the mask of its entries."""
-    width = int(sizes.max(initial=0))
-    filled = np.arange(width) < sizes[:, None]
-    grid = np.full((sizes.size, width), np.nan)
-    grid[filled] = v
-    return grid, filled
-
-
-def _sorted_within_days(v: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Indices into ``v`` that sort each day ascending, ties in index order."""
-    grid, filled = _day_grid(v, sizes)
-    order = grid.argsort(axis=1, kind="stable")
-    return (order + (np.cumsum(sizes) - sizes)[:, None])[filled]
 
 
 def day_ranks(v: np.ndarray, sizes) -> np.ndarray:
     """1-based ranks within each day, ties averaged."""
     v = np.asarray(v, dtype=np.float64)
     sizes = np.asarray(sizes, dtype=np.int64)
-    order = _sorted_within_days(v, sizes)
+    order = sorted_within_days(v, sizes)
     sv = v[order]
     first = np.ones(v.size, dtype=bool)      # first entry of each tie run
     first[1:] = sv[1:] != sv[:-1]
@@ -131,10 +90,11 @@ def day_ics(pred: np.ndarray, y: np.ndarray, sizes) -> tuple[np.ndarray, np.ndar
 
 
 def day_precisions(pred: np.ndarray, y: np.ndarray, sizes, n_tops) -> dict[int, np.ndarray]:
-    """Precision@N of each day of a split for each N; NaN on days with fewer than N names.
+    """Precision@N of each day of a split for each N; NaN on days of N names or fewer.
 
     Percent of the N top-scored names with positive realized return, ties in
-    score broken by position within the day.
+    score broken by position within the day. On a day of exactly N names it
+    would be the day's share of positive returns, whatever the scores.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     if any(n_top < 1 for n_top in n_tops):
@@ -142,12 +102,12 @@ def day_precisions(pred: np.ndarray, y: np.ndarray, sizes, n_tops) -> dict[int, 
     parts = []
     for p, q, n in _day_groups(sizes, np.asarray(pred, dtype=np.float64),
                                np.asarray(y, dtype=np.float64)):
-        grid, _ = _day_grid(q[_sorted_within_days(-p, n)], n)
+        grid, _ = day_grid(q[sorted_within_days(-p, n)], n)
         hits = np.cumsum(grid > 0, axis=1)   # positive returns among each day's top names
         part = {}
         for n_top in n_tops:
             counts = hits[:, n_top - 1] if n_top <= hits.shape[1] else np.zeros(n.size)
-            part[n_top] = np.where(n >= n_top, 100.0 * counts / n_top, np.nan)
+            part[n_top] = np.where(n > n_top, 100.0 * counts / n_top, np.nan)
         parts.append(part)
     return {n_top: np.concatenate([part[n_top] for part in parts]) for n_top in n_tops}
 
@@ -222,7 +182,7 @@ def evaluate_predictions(scores: np.ndarray, panel: StockPanel,
 
     A day counts when at least 2 names have a score and a next-day return (a
     finite return implies a valid cell). Precision@N on a day is only defined
-    when the day has at least N such names. When class labels are given, the
+    when the day has more than N such names. When class labels are given, the
     day-by-day truncation depth k over those names' labels (``level_ks``:
     fixed or adaptive, as in training) is recorded into the report's k
     histogram.

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .autodiff import Tensor, no_grad
-from .data import StockPanel
+from .data import StockPanel, window_ok
 from .errors import ContractError, NumericError
 
 TRUNK_MLP = "mlp"  # the one trunk; kept as a checkpoint arch field
@@ -123,16 +123,6 @@ def forward(params: BackboneParams, day_features: np.ndarray) -> BatchOutput:
     pred = (h @ params.reg_head["w"] + params.reg_head["b"]).reshape(n)
     logits = h @ params.cls_head["w"] + params.cls_head["b"]
     return BatchOutput(pred_return=pred, class_logits=logits)
-
-
-def window_ok(panel: StockPanel, window: int) -> np.ndarray:
-    """[T, N] mask: ticker has a full valid feature window ending at t."""
-    t_total, n = panel.valid.shape
-    invalid = np.zeros((t_total + 1, n), dtype=np.intp)  # invalid cells before each date
-    np.cumsum(~panel.valid, axis=0, out=invalid[1:])
-    ok = np.zeros((t_total, n), dtype=bool)
-    ok[window - 1:] = invalid[window:] == invalid[:-window]
-    return ok
 
 
 def ticker_major(panel: StockPanel) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import StockPanel
+from .data import StockPanel, window_ok
 from .errors import ContractError
 
 LEVEL_SINK, LEVEL_NEGATIVE, LEVEL_VOLATILE, LEVEL_POSITIVE, LEVEL_BOUNCE = 0, 1, 2, 3, 4
@@ -64,18 +64,14 @@ def label_dataset(panel: StockPanel, cfg: MomentumConfig) -> np.ndarray:
     The line for sample date t is anchored ``anchor_offset`` days ahead, so the
     label looks at the prices immediately after t (the trend being predicted).
     """
-    t_total, n = panel.n_dates, panel.n_tickers
-    labels = np.full((t_total, n), UNLABELED, dtype=np.int64)
+    labels = np.full(panel.valid.shape, UNLABELED, dtype=np.int64)
     span = cfg.length + cfg.gap
-    for t in range(t_total):
-        anchor = t + cfg.anchor_offset
-        lo = anchor - span
-        if lo < 0 or anchor >= t_total:
-            continue
-        ok = panel.valid[lo:anchor + 1].all(axis=0) & panel.valid[t]
-        if not ok.any():
-            continue
-        closes = panel.close[lo:anchor + 1, ok]
+    # a line needs valid closes over the span + 1 days up to its anchor, and t itself valid
+    lined = window_ok(panel, span + 1)[cfg.anchor_offset:]
+    lined &= panel.valid[:len(lined)]
+    for t in np.flatnonzero(lined.any(axis=1)).tolist():
+        ok, anchor = lined[t], t + cfg.anchor_offset
+        closes = panel.close[anchor - span:anchor + 1, ok]
         # rows are the length+1 line values m[anchor-length..anchor] per ticker
         lines = closes[cfg.gap:, :] - closes[: closes.shape[0] - cfg.gap, :]
         labels[t, ok] = _classify_lines(lines, DEAD_ZONE_SCALE * float(lines.std()))

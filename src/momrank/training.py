@@ -49,12 +49,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, gradients, no_grad
-from .data import StockPanel, compute_return
+from .data import StockPanel, compute_return, day_standardize, window_ok
 from .errors import ContractError, TrainingError
 from .losses import DayLabels, RankLossConfig, classification_loss, mse_loss, split_labels
-from .metrics import day_ics, day_standardize, defined, record_k
-from .model import (Architecture, BackboneParams, day_window, forward, init_params, ticker_major,
-                    window_ok)
+from .metrics import day_ics, defined, record_k
+from .model import Architecture, BackboneParams, day_window, forward, init_params, ticker_major
 from .momentum import N_LEVELS, UNLABELED, MomentumConfig, label_dataset, rise_fall_label
 
 MODE_FULL, MODE_EW, MODE_STL = "full", "ew", "stl"
@@ -279,7 +278,7 @@ def build_batches(panel: StockPanel, labels: np.ndarray, window: int, n_classes:
     The regression target is the day's return z-scored across the batch,
     putting the MSE on unit scale like the class loss. Per-day IC against the
     raw return is unchanged (affine invariance); every day is z-scored in one
-    split-wide pass (``metrics.day_standardize``). The batches share one
+    split-wide pass (``data.day_standardize``). The batches share one
     ticker-major copy of the split's features and gather their windows from
     it when read.
     """
@@ -332,7 +331,7 @@ def _batch_losses(params: BackboneParams, batch: _DayBatch, loss_cfg: RankLossCo
     out = forward(params, batch.feats)
     losses = {REG: mse_loss(out.pred_return, batch.y)}
     if CLS in tasks:
-        losses[CLS], _ = classification_loss(out.class_logits, batch.labels, loss_cfg)
+        losses[CLS] = classification_loss(out.class_logits, batch.labels, loss_cfg)
     return out, losses
 
 

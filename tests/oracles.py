@@ -6,8 +6,8 @@ array logistic, sigmoid and relu nodes for composed reference graphs,
 composed log-probabilities, exact ranks and NDCG, the full-block smooth-rank
 kernel (and adapters that run the library's sorted one in input order), the
 composed pairwise hinge, per-ticker momentum lines and the per-line trend
-rule, the per-day metric, k, evaluation and Top-N backtest loops that the
-split-wide kernels replaced, a per-day forward over windows gathered ticker
+rule, one day's ideal DCG@k and z-scores, the per-day metric, k, evaluation
+and Top-N backtest loops that the split-wide kernels replaced, a per-day forward over windows gathered ticker
 by ticker, CQB training written one equation at a time, and the chunked
 ``csv.reader`` pass that numpy's CSV parser replaced in ``load_csv``. None of
 them runs outside the tests.
@@ -24,13 +24,12 @@ import numpy as np
 from momrank.autodiff import Tensor, gradients, no_grad
 from momrank.backtest import BacktestLedger
 from momrank.data import (_CHUNK, StockPanel, _header_width, _ids, _sorted_ids, compute_return,
-                          iso_date)
+                          iso_date, window_ok)
 from momrank.errors import ContractError, GraphError, NumericError
 from momrank.losses import (_ROW_CHUNK, GAIN_STANDARD, _blocks_vjp, _sorted_ranks,
-                            _upper_blocks, classification_loss, gain_values, ideal_dcg_at_k,
-                            mse_loss)
+                            _upper_blocks, classification_loss, gain_values, mse_loss)
 from momrank.metrics import aggregate
-from momrank.model import forward, window_ok
+from momrank.model import forward
 from momrank.momentum import (LEVEL_BOUNCE, LEVEL_NEGATIVE, LEVEL_POSITIVE, LEVEL_SINK,
                               LEVEL_VOLATILE, UNLABELED, MomentumConfig)
 from momrank.training import CLS, REG
@@ -211,6 +210,14 @@ def dcg_at_k(ranks: np.ndarray, levels: np.ndarray, k: int, gain: str = GAIN_STA
     return float(np.sum(gains[member] / np.log2(1.0 + ranks[member])))
 
 
+def ideal_dcg_at_k(levels: np.ndarray, k: int, gain: str) -> float:
+    """One day's DCG@k of the gain-sorted ordering with exact integer ranks."""
+    gains = np.sort(gain_values(levels, gain))[::-1]
+    ranks = np.arange(1, gains.size + 1, dtype=np.float64)
+    top = ranks <= k + 0.5
+    return float(np.sum(gains[top] / np.log2(1.0 + ranks[top])))
+
+
 def exact_ranks(scores: np.ndarray) -> np.ndarray:
     """1-based ranks by descending score; ties broken by original index."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -289,6 +296,14 @@ def classify_line(values: np.ndarray, dead_zone: float = 0.0) -> int:
 
 # ---- per-day metrics, k and evaluation ----
 
+def standardize(v: np.ndarray) -> np.ndarray:
+    """One day's ``v`` z-scored (population std); all zeros when its std is below 1e-12."""
+    sd = v.std()
+    if sd < 1e-12:
+        return np.zeros_like(v)
+    return (v - v.mean()) / sd
+
+
 def daily_ic(pred: np.ndarray, y: np.ndarray) -> float:
     """Pearson correlation of one day's cross-section; NaN if undefined."""
     pred = np.asarray(pred, dtype=np.float64)
@@ -360,7 +375,7 @@ def evaluate_by_day(scores, panel, precision_ns, class_labels=None, threshold_fr
         ics.append(daily_ic(pred_t, y_t))
         rics.append(daily_rank_ic(pred_t, y_t))
         for n_top in precision_ns:
-            if n_top <= pred_t.size:
+            if n_top < pred_t.size:
                 precisions[n_top].append(precision_at_n(pred_t, y_t, n_top))
         if class_labels is not None:
             lab = class_labels[t, ok]
@@ -469,7 +484,7 @@ def cqb_fit_by_hand(params, train_batches, valid_batches, loss_cfg, tasks, *, lr
         out = forward(params, batch.feats)
         losses = {REG: mse_loss(out.pred_return, batch.y)}
         if CLS in tasks:
-            losses[CLS] = classification_loss(out.class_logits, batch.labels, loss_cfg)[0]
+            losses[CLS] = classification_loss(out.class_logits, batch.labels, loss_cfg)
         return losses
 
     def sgd(tensors, grad, d):

@@ -195,7 +195,7 @@ def test_criterion_6_plain_joint_training_equivalence():
     for batch in batches:
         out = forward(ref, batch.feats)
         joint = mse_loss(out.pred_return, batch.y) + classification_loss(
-            out.class_logits, batch.labels, loss_cfg)[0]
+            out.class_logits, batch.labels, loss_cfg)
         for tensor, grad in zip(tensors, gradients(joint, tensors)):
             tensor.data = tensor.data - lr * grad
 
@@ -286,12 +286,15 @@ def test_criterion_9_metric_identities():
     assert day_ics(y.copy(), y, [20])[0][0] == pytest.approx(1.0, abs=1e-12)
     assert day_ics(np.exp(y), y, [20])[1][0] == pytest.approx(1.0, abs=1e-12)
     pred = rng.normal(size=20)
-    frac = 100.0 * (y > 0).mean()
-    assert day_precisions(pred, y, [20], [20])[20][0] == pytest.approx(frac, abs=1e-12)
+    top = np.argsort(-pred, kind="stable")[:19]
+    precisions = day_precisions(pred, y, [20], [19, 20])
+    assert precisions[19][0] == pytest.approx(100.0 * (y[top] > 0).mean(), abs=1e-12)
+    assert np.isnan(precisions[20][0])  # a top 20 of 20 names would ignore the scores
     ic = day_ics(np.array([1.0, 3.0, 2.0]), np.array([1.0, 2.0, 3.0]), [3])[0][0]
     assert ic == pytest.approx(0.5)
-    ok(9, "IC(pred=y)=1, RankIC under exp transform=1, precision@n equals the positive "
-          "fraction, and the 3-point IC oracle gives 0.5")
+    ok(9, "IC(pred=y)=1, RankIC under exp transform=1, precision@n is the positive share "
+          "of the n top-scored names and undefined on a day of n names, and the 3-point IC "
+          "oracle gives 0.5")
 
 
 # ------------------------------------------------------------------ 10

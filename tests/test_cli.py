@@ -472,6 +472,20 @@ def test_reproduce_with_a_top_n_holding_every_ticker_exits_2_before_writing(tmp_
     assert not out.exists()
 
 
+def test_reproduce_with_no_scoreable_test_day_exits_2_before_training(tmp_path, capsys):
+    # 60 dates split 42/9/9: the 9-date test split is shorter than train.window = 10
+    out = tmp_path / "rep"
+    argv = ["reproduce", "--out-dir", str(out)]
+    for kv in ("data.n_dates=60", "data.n_tickers=12", "train.epochs=1", "backtest.top_n=5",
+               "train.window=10", "split.train_frac=0.7", "split.valid_frac=0.15"):
+        argv += ["--set", kv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: no scoreable day in the test split: it has 9 dates, and with train.window = 10 "
+        "no date has 2 names with a full feature window and a next-day return\n")
+    assert not out.exists()
+
+
 def test_reproduce_reports_each_cell_on_stderr(tmp_path, capsys):
     code, out = run(["reproduce"], tmp_path, "rep", extra=["train.epochs=1"])
     assert code == 0

@@ -10,6 +10,7 @@ from momrank.data import (_CHUNK, SplitSpec, StockPanel, compute_return, fractio
                           gen_synthetic, load_csv, normalize_features, split, trading_days)
 from momrank import data
 from momrank.errors import ContractError, DataError
+import oracles
 from oracles import load_csv_chunked
 
 
@@ -685,6 +686,36 @@ def test_synthetic_signal_shift_changes_late_dates():
     early = np.corrcoef(p.features[5, :, 0], y[5])[0, 1]
     late = np.corrcoef(p.features[30, :, 0], y[30])[0, 1]
     assert early > 0.99 and abs(late) < 0.9
+
+
+def gen_synthetic_by_date(n_dates, n_tickers, signal_strength, seed, n_features=4,
+                          shift_after=None, shifted_signal_strength=None):
+    """``gen_synthetic`` with each date's return z-scored by its own ``standardize``."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    rets = rng.normal(data.SYNTHETIC_DRIFT, data.SYNTHETIC_VOL, size=(n_dates - 1, n_tickers))
+    close = np.empty((n_dates, n_tickers))
+    close[0] = rng.uniform(50.0, 150.0, size=n_tickers)
+    close[1:] = close[0] * np.cumprod(1.0 + rets, axis=0)
+    features = rng.standard_normal((n_dates, n_tickers, n_features))
+    for t in range(n_dates - 1):
+        s = signal_strength
+        if shift_after is not None and t >= shift_after:
+            s = shifted_signal_strength if shifted_signal_strength is not None else 0.0
+        features[t, :, 0] = s * oracles.standardize(rets[t]) + (1.0 - s) * features[t, :, 0]
+    return close, features
+
+
+@pytest.mark.parametrize("n_tickers", [5, 64, 65, 500])
+@pytest.mark.parametrize("shift", [{}, {"shift_after": 12},
+                                   {"shift_after": 0, "shifted_signal_strength": 0.25},
+                                   {"shift_after": 29, "shifted_signal_strength": 1.0},
+                                   {"shift_after": 40, "shifted_signal_strength": 0.5}])
+def test_synthetic_equals_a_per_date_standardize_loop_bitwise(n_tickers, shift):
+    for signal, seed in ((0.3, 4), (1.0, 5), (0, 6)):
+        p = gen_synthetic(30, n_tickers, signal, seed, n_features=2, **shift)
+        close, features = gen_synthetic_by_date(30, n_tickers, signal, seed, 2, **shift)
+        assert p.close.tobytes() == close.tobytes()
+        assert p.features.tobytes() == features.tobytes()
 
 
 def test_synthetic_contract():

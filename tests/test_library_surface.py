@@ -100,6 +100,16 @@ def test_every_private_module_level_name_has_a_library_or_benchmark_caller():
     assert not unused, "no caller in src/ or perfbench/: " + ", ".join(unused)
 
 
+def test_no_module_imports_a_private_name_of_another():
+    # a name another module needs is public, in the module that owns it
+    imported = [f"{path.name}: {alias.name}" for path in LIBRARY
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.ImportFrom)
+                and (node.level > 0 or (node.module or "").startswith("momrank"))
+                for alias in node.names if alias.name.startswith("_")]
+    assert not imported, "private names imported from another module: " + ", ".join(imported)
+
+
 def defaulted_parameters(tree: ast.Module):
     """(qualified name, callee name, parameter, position) of each defaulted parameter
     of a module-level function or method. A method is called without its first

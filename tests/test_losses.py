@@ -11,11 +11,12 @@ import oracles
 from momrank.autodiff import Tensor
 from momrank.errors import ContractError
 from momrank.losses import (_LN2, _ROW_CHUNK, GAIN_SHIFTED, GAIN_STANDARD, RANK_PAIRWISE,
-                            SCORE_SCALE, RankLossConfig, adaptive_ks, approx_ndcg_at_k,
+                            SCORE_SCALE, RankBatch, RankLossConfig, adaptive_ks, approx_ndcg_at_k,
                             classification_loss, cross_entropy, day_labels, expected_level,
-                            gain_values, ideal_dcg_at_k, log_softmax, make_rank_batch, mse_loss,
-                            ndcg_loss, pairwise_loss)
-from oracles import approx_rank, check_gradient, dcg_at_k, exact_ndcg_at_k, sigmoid_node
+                            gain_values, ideal_dcgs, log_softmax, make_rank_batch, mse_loss,
+                            ndcg_loss, pairwise_loss, split_labels)
+from oracles import (approx_rank, check_gradient, dcg_at_k, exact_ndcg_at_k, ideal_dcg_at_k,
+                     sigmoid_node)
 from oracles import sorted_kernel_ranks as _smooth_ranks
 from oracles import sorted_kernel_ranks_vjp as _smooth_ranks_vjp
 
@@ -117,9 +118,34 @@ def test_dcg_single_zero_gain_item():
 
 
 def test_dcg_ideal_example():
-    val = ideal_dcg_at_k(np.array([2, 1, 0]), 3, GAIN_STANDARD)
+    val = ideal_dcgs(np.array([[1, 1, 1]]), [3], GAIN_STANDARD)[0]  # one each of levels 2, 1, 0
     assert val == pytest.approx(3.0 / math.log2(2) + 1.0 / math.log2(3), abs=1e-5)
     assert val == pytest.approx(3.63093, abs=1e-5)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(2, 600), min_size=1, max_size=12), st.integers(2, 5),
+       st.sampled_from([GAIN_STANDARD, GAIN_SHIFTED]), st.sampled_from([None, 1, 3, 10, 700]),
+       st.integers(0, 2**32 - 1))
+def test_split_ideal_dcgs_equal_each_days_own_bitwise(sizes, n_levels, gain, fixed_k, seed):
+    levels = np.random.default_rng(seed).integers(0, n_levels, sum(sizes))
+    cfg = RankLossConfig(fixed_k=fixed_k, gain=gain)
+    days = split_labels(levels, sizes, n_levels, cfg)
+    for day, lab in zip(np.split(levels, np.cumsum(sizes)[:-1]), days):
+        want = 0.0 if day.min() == day.max() else ideal_dcg_at_k(day, lab.k, gain)
+        assert lab.ideal == want and isinstance(lab.ideal, float)
+
+
+def test_a_rank_batch_without_an_ideal_derives_the_days_own():
+    levels = np.array([0, 4, 2, 2, 1, 3, 0])
+    scores = np.random.default_rng(3).normal(size=7) * 10.0
+    for k in (1, 3, 7, 9):
+        def ndcg(ideal):
+            batch = RankBatch(scores=Tensor(scores), gains=levels, group_sizes=[], threshold=1,
+                              k=k, ideal=ideal)
+            return approx_ndcg_at_k(batch, GAIN_SHIFTED).item()
+
+        assert ndcg(None) == ndcg(ideal_dcg_at_k(levels, k, GAIN_SHIFTED))
 
 
 def test_gain_variants():
@@ -373,11 +399,17 @@ def test_pairwise_loss_backward_peak_memory_at_2000_names():
 
 # ---- combined classification loss ----
 
+def scored_batch(logits, labels, cfg):
+    """The rank batch ``classification_loss`` ranks: ``SCORE_SCALE`` times the expected level."""
+    return make_rank_batch(expected_level(log_softmax(logits)) * SCORE_SCALE, labels,
+                           logits.data.shape[1], cfg)
+
+
 def test_classification_loss_perfect_predictions():
     labels = np.array([4, 3, 2, 1, 0])
     logits = Tensor(np.eye(5)[labels] * 60.0)
-    loss, batch = classification_loss(logits, day_labels(labels, 5, RankLossConfig()),
-                                      RankLossConfig())
+    loss = classification_loss(logits, day_labels(labels, 5, RankLossConfig()), RankLossConfig())
+    batch = scored_batch(logits, labels, RankLossConfig())
     np.testing.assert_allclose(batch.scores.data, labels * SCORE_SCALE, atol=1e-12)
     assert loss.item() == pytest.approx(0.5 * math.exp(-1.0), abs=2e-4)
     assert loss.item() == pytest.approx(0.18394, abs=2e-4)
@@ -386,9 +418,8 @@ def test_classification_loss_perfect_predictions():
 def test_classification_loss_uniform_logits_ce_term():
     labels = np.array([4, 3, 2, 1, 0])
     logits = Tensor(np.zeros((5, 5)))
-    loss, batch = classification_loss(logits, day_labels(labels, 5, RankLossConfig()),
-                                      RankLossConfig())
-    rank_part = ndcg_loss(batch, GAIN_STANDARD).item()
+    loss = classification_loss(logits, day_labels(labels, 5, RankLossConfig()), RankLossConfig())
+    rank_part = ndcg_loss(scored_batch(logits, labels, RankLossConfig()), GAIN_STANDARD).item()
     assert loss.item() == pytest.approx(0.5 * math.log(5.0) + 0.5 * rank_part, abs=1e-12)
     assert 0.5 * math.log(5.0) == pytest.approx(0.80472, abs=1e-5)
 
@@ -399,8 +430,7 @@ def test_classification_loss_gradient():
         cfg = RankLossConfig(ranking=ranking)
 
         def fn(x):
-            return classification_loss(x.reshape(6, width), day_labels(labels, width, cfg),
-                                       cfg)[0]
+            return classification_loss(x.reshape(6, width), day_labels(labels, width, cfg), cfg)
 
         for seed in range(5):
             point = np.random.default_rng(seed + 90).normal(size=6 * width)
@@ -411,9 +441,9 @@ def test_classification_loss_pairwise_variant():
     labels = np.array([0, 4, 2, 1])
     logits = Tensor(np.random.default_rng(8).normal(size=(4, 5)))
     cfg = RankLossConfig(ranking=RANK_PAIRWISE)
-    loss, batch = classification_loss(logits, day_labels(labels, 5, cfg), cfg)
+    loss = classification_loss(logits, day_labels(labels, 5, cfg), cfg)
     ce = cross_entropy(log_softmax(logits), day_labels(labels, 5, cfg)).item()
-    pw = pairwise_loss(batch.scores, labels.astype(float)).item()
+    pw = pairwise_loss(scored_batch(logits, labels, cfg).scores, labels.astype(float)).item()
     assert loss.item() == pytest.approx(0.5 * ce + 0.5 * pw, abs=1e-12)
 
 
@@ -421,14 +451,10 @@ def test_classification_loss_scores_and_k_match_composed_terms():
     labels = np.array([4, 3, 3, 0, 2, 1, 0])
     logits = Tensor(np.random.default_rng(10).normal(size=(7, 5)) * 3.0)
     cfg = RankLossConfig(threshold_frac=0.3)
-    loss, batch = classification_loss(logits, day_labels(labels, 5, cfg), cfg)
+    loss = classification_loss(logits, day_labels(labels, 5, cfg), cfg)
     logp = oracles.log_softmax(Tensor(logits.data))
     scores = (logp.exp() * np.arange(5.0)).sum(axis=1) * SCORE_SCALE
     want = make_rank_batch(scores, labels, 5, cfg)
-    np.testing.assert_array_equal(batch.scores.data, scores.data)
-    assert (batch.k, batch.threshold, batch.group_sizes) == (want.k, want.threshold,
-                                                             want.group_sizes)
-    np.testing.assert_array_equal(batch.gains, labels)
     ce = -(logp * np.eye(5)[labels]).sum(axis=1).mean()
     assert loss.item() == (ce * 0.5 + ndcg_loss(want, cfg.gain) * 0.5).item()
 
@@ -438,10 +464,10 @@ def test_classification_loss_improves_when_swapping_misordered_pair():
     cfg = RankLossConfig()
     good = np.eye(5)[labels] * 4.0
     swapped = good[[1, 0, 2, 3, 4]]  # mis-order the top pair, gain-wise
-    loss_good, batch_good = classification_loss(Tensor(good), day_labels(labels, 5, cfg), cfg)
-    loss_swapped, batch_swapped = classification_loss(Tensor(swapped), day_labels(labels, 5, cfg),
-                                                      cfg)
-    assert ndcg_loss(batch_good, cfg.gain).item() < ndcg_loss(batch_swapped, cfg.gain).item()
+    loss_good = classification_loss(Tensor(good), day_labels(labels, 5, cfg), cfg)
+    loss_swapped = classification_loss(Tensor(swapped), day_labels(labels, 5, cfg), cfg)
+    assert (ndcg_loss(scored_batch(Tensor(good), labels, cfg), cfg.gain).item()
+            < ndcg_loss(scored_batch(Tensor(swapped), labels, cfg), cfg.gain).item())
     assert loss_good.item() < loss_swapped.item()
 
 
@@ -450,7 +476,7 @@ def test_classification_loss_computes_log_probabilities_once():
     logits = Tensor(np.random.default_rng(11).normal(size=(6, 5)))
     for ranking in ("ndcg", "pairwise"):
         cfg = RankLossConfig(ranking=ranking)
-        loss, _ = classification_loss(logits, day_labels(labels, 5, cfg), cfg)
+        loss = classification_loss(logits, day_labels(labels, 5, cfg), cfg)
         seen, stack, readers = set(), [loss], 0
         while stack:
             node = stack.pop()

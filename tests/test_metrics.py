@@ -7,12 +7,11 @@ from hypothesis.extra import numpy as hnp
 
 import oracles
 from momrank import metrics
-from momrank.data import StockPanel, gen_synthetic, standardize
+from momrank.data import StockPanel, day_standardize, day_sums, gen_synthetic
 from momrank.errors import ContractError
 from momrank.losses import adaptive_ks, level_counts
-from momrank.metrics import (EvalReport, _day_sums, aggregate, daily_rank_ic, day_ics,
-                             day_precisions, day_ranks, day_standardize, evaluate_predictions,
-                             record_k)
+from momrank.metrics import (EvalReport, aggregate, daily_rank_ic, day_ics, day_precisions,
+                             day_ranks, evaluate_predictions, record_k)
 from momrank.momentum import UNLABELED
 
 
@@ -127,16 +126,18 @@ def test_precision_examples():
     y = np.array([0.1, -0.1, 0.2])
     pred = np.array([3.0, 2.0, 1.0])
     assert precision_at_n(pred, y, 2) == pytest.approx(50.0)
-    assert precision_at_n(pred, np.abs(y) + 0.1, 3) == pytest.approx(100.0)
+    assert precision_at_n(pred, np.abs(y) + 0.1, 2) == pytest.approx(100.0)
     assert precision_at_n(pred, -np.abs(y) - 0.1, 1) == pytest.approx(0.0)
 
 
-def test_precision_full_pool_equals_positive_fraction():
+def test_precision_on_a_day_of_exactly_n_names_is_nan():
+    # a top N of every name is the day's share of positive returns, whatever the scores
     rng = np.random.default_rng(2)
     y = rng.normal(size=40)
     pred = rng.normal(size=40)
-    frac = 100.0 * (y > 0).mean()
-    assert precision_at_n(pred, y, 40) == pytest.approx(frac)
+    assert np.isnan(precision_at_n(pred, y, 40))
+    assert np.isnan(precision_at_n(pred, y, 41))
+    assert precision_at_n(pred, y, 39) == oracles.precision_at_n(pred, y, 39)
 
 
 def test_precision_stable_tie_break():
@@ -304,7 +305,7 @@ def test_split_ic_and_rank_ic_match_the_per_day_loops(case):
 def test_day_sums_round_as_each_days_own_sum(case):
     pred, _, sizes = case
     starts = np.cumsum(sizes) - sizes
-    np.testing.assert_array_equal(_day_sums(pred, starts),
+    np.testing.assert_array_equal(day_sums(pred, starts),
                                   [pred[d].sum() for d in day_slices(sizes)])
 
 
@@ -312,7 +313,7 @@ def test_day_sums_round_as_each_days_own_sum(case):
 @given(stacked_days(max_days=40, max_size=700))
 def test_split_z_scores_equal_each_days_standardize_bitwise(case):
     values, _, sizes = case
-    want = np.concatenate([standardize(values[d]) for d in day_slices(sizes)])
+    want = np.concatenate([oracles.standardize(values[d]) for d in day_slices(sizes)])
     got = day_standardize(values, sizes)
     assert got.tobytes() == want.tobytes()
 
@@ -337,7 +338,7 @@ def test_split_precision_matches_the_per_day_loop(case):
         with mock.patch.object(metrics, "_GROUP_ROWS", group_rows):
             got = day_precisions(pred, y, sizes, PRECISION_NS)
         for n_top in PRECISION_NS:
-            want = [oracles.precision_at_n(pred[d], y[d], n_top) if n_top <= size else np.nan
+            want = [oracles.precision_at_n(pred[d], y[d], n_top) if n_top < size else np.nan
                     for d, size in zip(day_slices(sizes), sizes)]
             np.testing.assert_array_equal(got[n_top], want)
 

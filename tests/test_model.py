@@ -6,8 +6,8 @@ import pytest
 from momrank.autodiff import gradients
 from momrank.errors import ContractError, NumericError
 from momrank.model import (Architecture, forward, init_params, load_checkpoint, predict_panel,
-                           save_checkpoint, window_ok, write_json)
-from momrank.data import gen_synthetic
+                           save_checkpoint, write_json)
+from momrank.data import gen_synthetic, window_ok
 from momrank.losses import mse_loss
 
 

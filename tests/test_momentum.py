@@ -235,6 +235,20 @@ def test_label_dataset_matches_reference_with_invalid_cells():
     np.testing.assert_array_equal(labels, reference_labels(p, cfg))
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**16), st.floats(0.0, 0.3), st.integers(1, 4), st.integers(1, 5),
+       st.sampled_from([0, 1, 2, 7, 12, 40]))
+def test_label_dataset_matches_the_per_date_slice_rule_on_masked_panels(seed, drop, gap, length,
+                                                                        anchor_offset):
+    # anchor offsets 7 and 12 can exceed gap + length; 40 exceeds the panel's 30 dates
+    p = gen_synthetic(30, 8, 0.3, seed=seed)
+    valid = np.random.default_rng(seed).random(p.valid.shape) >= drop
+    p = StockPanel(p.dates, p.tickers, np.where(valid, p.close, np.nan),
+                   np.where(valid[..., None], p.features, np.nan), valid)
+    cfg = MomentumConfig(gap=gap, length=length, anchor_offset=anchor_offset)
+    np.testing.assert_array_equal(label_dataset(p, cfg), reference_labels(p, cfg))
+
+
 # ---- rise_fall_label ----
 
 def test_rise_fall_values():

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from momrank.autodiff import Tensor, gradients
 from momrank.data import (StockPanel, compute_return, fraction_split_spec, gen_synthetic,
-                          normalize_features, split, standardize, trading_days)
+                          normalize_features, split, trading_days, window_ok)
 from momrank.errors import ContractError, TrainingError
 from momrank.metrics import day_ics
 from momrank.losses import (SCORE_SCALE, RankLossConfig, classification_loss, day_labels,
@@ -335,11 +335,10 @@ def test_training_graph_leaves_nothing_for_the_cycle_collector(ranking):
     try:
         out = forward(params, feats)
         reg = mse_loss(out.pred_return, y)
-        cls, batch = classification_loss(out.class_logits, day_labels(labels, 5, loss_cfg),
-                                         loss_cfg)
+        cls = classification_loss(out.class_logits, day_labels(labels, 5, loss_cfg), loss_cfg)
         reg.backward()
         cls.backward()
-        del out, batch, reg, cls
+        del out, reg, cls
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -452,7 +451,7 @@ def test_ew_mode_matches_hand_rolled_joint_loop():
     for b in batches:
         out = forward(ref, b.feats)
         joint = mse_loss(out.pred_return, b.y) + classification_loss(
-            out.class_logits, b.labels, loss_cfg)[0]
+            out.class_logits, b.labels, loss_cfg)
         grads = gradients(joint, tensors)
         for tensor, grad in zip(tensors, grads):
             tensor.data = tensor.data - 0.05 * grad
@@ -685,7 +684,7 @@ def test_fit_on_masked_panels_matches_the_per_day_oracles(panel, mode, ranking):
     for part in (train, valid, test):
         scores = model.predict_panel(result.params, part)
         np.testing.assert_array_equal(scores, oracles.predict_by_day(result.params, part))
-        np.testing.assert_array_equal(np.isnan(scores), ~model.window_ok(part, 2))
+        np.testing.assert_array_equal(np.isnan(scores), ~window_ok(part, 2))
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -695,7 +694,7 @@ def test_batch_windows_and_targets_equal_the_per_name_gathers(panel, window):
     for b in train_days(panel, window):
         want = np.stack([panel.features[b.t - window + 1: b.t + 1, i] for i in b.rows])
         assert b.feats.tobytes() == want.tobytes() and b.feats.shape == want.shape
-        assert b.y.tobytes() == standardize(y[b.t, b.rows]).tobytes()
+        assert b.y.tobytes() == oracles.standardize(y[b.t, b.rows]).tobytes()
 
 
 # ---- fit: every mode pinned against recorded values ----
