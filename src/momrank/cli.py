@@ -23,13 +23,13 @@ import numpy as np
 
 from .backtest import cumulative_return, run_topn
 from .config import ExperimentConfig, build_config, fmt_value, load_config, to_flat
-from .data import (SplitSpec, StockPanel, compute_return, fraction_split_spec, gen_synthetic,
-                   load_csv, normalize_features, split, window_ok)
+from .data import (SplitSpec, StockPanel, fraction_split_spec, gen_synthetic, load_csv,
+                   normalize_features, split)
 from .errors import ConfigError, ContractError, MomrankError
 from .metrics import EvalReport, evaluate_predictions
 from .model import Architecture, load_checkpoint, predict_panel, save_checkpoint, write_json
 from .momentum import UNLABELED, label_dataset
-from .training import N_CLASSES, FitResult, class_labels_for, fit
+from .training import N_CLASSES, FitResult, class_labels_for, fit, usable_cells
 
 REPRODUCE_CELLS: list[tuple[str, dict[str, str]]] = [
     ("full", {}),
@@ -71,26 +71,17 @@ def _split_panels(cfg: ExperimentConfig, panel: StockPanel):
     return split(panel, spec)
 
 
-def _check_scoreable(cfg: ExperimentConfig, picked: StockPanel, name: str) -> None:
-    """Raise unless the split has a day with 2 names to score against next-day returns."""
-    if picked.n_dates < 2 or not (
-            (window_ok(picked, cfg.train.window) & np.isfinite(compute_return(picked)))
-            .sum(axis=1) >= 2).any():
-        raise ContractError(f"no scoreable day in the {name} split: it has {picked.n_dates} "
-                            f"dates, and with train.window = {cfg.train.window} no date has "
-                            f"2 names with a full feature window and a next-day return")
-
-
 def _check_arch(arch: Architecture, cfg: ExperimentConfig, panel: StockPanel, path) -> None:
     """Reject a checkpoint whose architecture does not fit the run's config and panel."""
     n_classes = N_CLASSES[cfg.train.task]
     for field, have, want, source in (
             ("window", arch.window, cfg.train.window, "train.window"),
             ("n_features", arch.n_features, panel.n_features, "the panel's n_features"),
-            ("n_classes", arch.n_classes, n_classes, f"train.task={cfg.train.task}")):
+            ("n_classes", arch.n_classes, n_classes, f"train.task={cfg.train.task}"),
+            ("hidden", arch.hidden, cfg.train.hidden, "train.hidden")):
         if have != want:
-            raise ContractError(f"{path}: checkpoint arch.{field} = {have} does not match "
-                                f"{source} ({want})")
+            raise ContractError(f"{path}: checkpoint arch.{field} = {fmt_value(have)} does not "
+                                f"match {source} ({fmt_value(want)})")
 
 
 def _scored_split(cfg: ExperimentConfig, checkpoint, split_name: str):
@@ -103,7 +94,7 @@ def _scored_split(cfg: ExperimentConfig, checkpoint, split_name: str):
     panel = _prepare_panel(cfg)
     _check_arch(params.arch, cfg, panel, checkpoint)
     picked = _split_panels(cfg, panel)[("train", "valid", "test").index(split_name)]
-    _check_scoreable(cfg, picked, split_name)
+    usable_cells(picked, split_name, cfg.train.window, {})  # scored without labels
     return picked, predict_panel(params, picked)
 
 
@@ -177,7 +168,7 @@ def cmd_reproduce(cfg: ExperimentConfig, out_dir: str) -> None:
         raise ContractError(f"backtest.top_n = {cfg.eval.top_n} must be below the "
                             f"panel's {panel.n_tickers} tickers")
     train_p, valid_p, test_p = _split_panels(cfg, panel)
-    _check_scoreable(cfg, test_p, "test")
+    usable_cells(test_p, "test", cfg.train.window, {})
     rows = []
     for i, (name, delta) in enumerate(REPRODUCE_CELLS, 1):
         started = time.perf_counter()

@@ -100,10 +100,9 @@ class SplitSpec:
 
 def compute_return(panel: StockPanel) -> np.ndarray:
     """[T, N] next-day relative close change per cell; NaN where undefined
-    (an invalid cell on either day, and the final date). Valid closes are
-    > 0: the panel checked them when it was built."""
-    if panel.n_dates < 2:
-        raise ContractError("need at least 2 dates to compute returns")
+    (an invalid cell on either day, and the final date, so every cell of a
+    1-date panel). Valid closes are > 0: the panel checked them when it was
+    built."""
     y = np.full_like(panel.close, np.nan)
     both = panel.valid[:-1] & panel.valid[1:]
     cur, nxt = panel.close[:-1], panel.close[1:]

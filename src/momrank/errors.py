@@ -30,4 +30,4 @@ class ConfigError(MomrankError, ValueError):
 
 
 class TrainingError(MomrankError, RuntimeError):
-    """Training diverged or could not proceed."""
+    """Training diverged, or a split has no usable day to train or score on."""

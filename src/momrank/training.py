@@ -29,16 +29,21 @@ Decay adapts on the mean converge rate over the active tasks. With the
 pipeline off the trunk step is the plain sum of the raw task gradients (plain
 joint training); with one task it is that task's EMA'd gradient.
 
-``build_batches`` keeps one ticker-major copy of a split's features
-(``model.ticker_major``), the size of the split, and each day's batch gathers
-its [names, window, features] windows from it (``model.day_window``) when a
-forward reads them; every day's z-scored target and label constants
-(``losses.split_labels``) are derived once, split-wide. Epoch-end evaluation
-runs the training forward and losses under ``no_grad``, one day per forward,
-and takes every day's IC and RankIC from one split-wide ``metrics.day_ics``
-call. A forward over several days would not reproduce the per-day values
-bitwise: BLAS rounds the regression head's matrix-vector product differently
-in the last rows of a call.
+``build_batches`` turns a split into its day batches or refuses it: it
+labels the split once, and ``usable_cells`` builds the usable-cell mask (a
+full feature window, a next-day return and a label, on a day with at least 2
+such names) or raises the one error for a split with no usable day, naming
+the split and the days each constraint alone leaves. The CLI refuses a split
+it scores through the same function, without the label. The batches share one
+ticker-major copy of the split's features (``model.ticker_major``), and each
+day's batch gathers its [names, window, features] windows from it
+(``model.day_window``) when a forward reads them; every day's z-scored target
+and label constants (``losses.split_labels``) are derived once, split-wide.
+Epoch-end evaluation runs the training forward and losses under ``no_grad``,
+one day per forward, and takes every day's IC and RankIC from one split-wide
+``metrics.day_ics`` call. A forward over several days would not reproduce the
+per-day values bitwise: BLAS rounds the regression head's matrix-vector product
+differently in the last rows of a call.
 """
 
 from __future__ import annotations
@@ -271,54 +276,60 @@ def class_labels_for(panel: StockPanel, task: str, mom_cfg: MomentumConfig) -> n
     return label_dataset(panel, mom_cfg)
 
 
-def build_batches(panel: StockPanel, labels: np.ndarray, window: int, n_classes: int,
+def usable_cells(panel: StockPanel, name: str, window: int,
+                 labelled: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The split's next-day returns and usable cells, or the error that it has none.
+
+    A cell is usable when its name has a full feature window, a next-day
+    return and each label in ``labelled`` (the labelled cells keyed by the
+    label's description), on a day where at least 2 names pass them all. The
+    error names the split, its date count and the days that each constraint
+    alone leaves.
+    """
+    y = compute_return(panel)
+    passing = {f"train.window = {window}": window_ok(panel, window), **labelled,
+               "the next-day return": np.isfinite(y)}
+    usable = np.logical_and.reduce(list(passing.values()))
+    usable[usable.sum(axis=1) < 2] = False
+    if not usable.any():
+        leaves = [f"{what} leaves {int((ok.sum(axis=1) >= 2).sum())}"
+                  for what, ok in passing.items()]
+        dates = f"{panel.n_dates} date{'' if panel.n_dates == 1 else 's'}"
+        raise TrainingError(
+            f"no usable day in the {name} split: of its {dates}, {', '.join(leaves[:-1])} and "
+            f"{leaves[-1]}; no day has 2 names that pass "
+            f"{'both' if len(passing) == 2 else 'all three'}")
+    return y, usable
+
+
+def build_batches(panel: StockPanel, name: str, cfg: TrainConfig, mom_cfg: MomentumConfig,
                   loss_cfg: RankLossConfig) -> list[_DayBatch]:
-    """One batch per trading day with >= 2 stocks carrying window, y and label.
+    """The split's day batches: one per day with >= 2 usable cells (``usable_cells``
+    with the task's label); a split with none is refused.
 
     The regression target is the day's return z-scored across the batch,
     putting the MSE on unit scale like the class loss. Per-day IC against the
     raw return is unchanged (affine invariance); every day is z-scored in one
-    split-wide pass (``data.day_standardize``). The batches share one
-    ticker-major copy of the split's features and gather their windows from
-    it when read.
+    split-wide pass (``data.day_standardize``).
     """
-    y = compute_return(panel)
-    usable = window_ok(panel, window) & np.isfinite(y) & (labels != UNLABELED)
-    usable[usable.sum(axis=1) < 2] = False
-    day_of, ticker_of = np.nonzero(usable)   # the usable cells, day by day
-    days, starts, sizes = np.unique(day_of, return_index=True, return_counts=True)
-    z = day_standardize(y[day_of, ticker_of], sizes)
-    labels_by_day = split_labels(labels[day_of, ticker_of], sizes, n_classes, loss_cfg)
-    features = ticker_major(panel)
-    return [_DayBatch(t=t, rows=ticker_of[lo: lo + size], y=z[lo: lo + size], labels=day,
-                      features=features, window=window)
-            for t, lo, size, day in zip(days.tolist(), starts.tolist(), sizes.tolist(),
-                                        labels_by_day)]
-
-
-def _no_training_days(panel: StockPanel, cfg: TrainConfig,
-                      mom_cfg: MomentumConfig) -> TrainingError:
-    """The error for a train split with no usable day: what each constraint leaves.
-
-    A day is usable when at least 2 names have a full feature window, a label
-    and a next-day return; each count is of the days that one constraint
-    alone leaves.
-    """
-    passing = {"window": window_ok(panel, cfg.window),
-               "label": class_labels_for(panel, cfg.task, mom_cfg) != UNLABELED,
-               "return": np.isfinite(compute_return(panel))}
-    days = {key: int((names.sum(axis=1) >= 2).sum()) for key, names in passing.items()}
+    labels = class_labels_for(panel, cfg.task, mom_cfg)
     if cfg.task == TASK_RISE_FALL:
         label = "the rise/fall label (the sign of the next-day return)"
     else:
         label = (f"the momentum label (a line of momentum.gap + momentum.length = "
                  f"{mom_cfg.gap} + {mom_cfg.length} = {mom_cfg.gap + mom_cfg.length} days "
                  f"ending momentum.anchor_offset = {mom_cfg.anchor_offset} days ahead)")
-    return TrainingError(
-        f"no usable training days: the train split has {panel.n_dates} dates; "
-        f"train.window = {cfg.window} leaves {days['window']} of them, {label} leaves "
-        f"{days['label']}, the next-day return leaves {days['return']}, and no day has "
-        f"2 names that pass all three")
+    y, usable = usable_cells(panel, name, cfg.window, {label: labels != UNLABELED})
+    day_of, ticker_of = np.nonzero(usable)   # the usable cells, day by day
+    days, starts, sizes = np.unique(day_of, return_index=True, return_counts=True)
+    z = day_standardize(y[day_of, ticker_of], sizes)
+    labels_by_day = split_labels(labels[day_of, ticker_of], sizes, N_CLASSES[cfg.task],
+                                 loss_cfg)
+    features = ticker_major(panel)
+    return [_DayBatch(t=t, rows=ticker_of[lo: lo + size], y=z[lo: lo + size], labels=day,
+                      features=features, window=cfg.window)
+            for t, lo, size, day in zip(days.tolist(), starts.tolist(), sizes.tolist(),
+                                        labels_by_day)]
 
 
 def _diverged(epoch: int, t: int) -> TrainingError:
@@ -343,8 +354,6 @@ def _split_metrics(params: BackboneParams, batches: list[_DayBatch],
     values only, no graph. IC and RankIC of every day come from one split-wide
     call.
     """
-    if not batches:
-        return dict.fromkeys(tasks, float("nan")), float("nan"), float("nan")
     loss_sums = dict.fromkeys(tasks, 0.0)
     preds = []
     with no_grad():
@@ -365,20 +374,17 @@ def fit(train_panel: StockPanel, valid_panel: StockPanel, mom_cfg: MomentumConfi
     """Train on the train split, adapt and early-stop on the valid split.
 
     Returns the parameters of the epoch with the highest validation IC of the
-    regression head, the per-epoch log, and the training-day k histogram.
+    regression head, the per-epoch log, and the training-day k histogram. A
+    split with no usable day is refused before training (``build_batches``).
     """
     mode = MODES[cfg.mode]
     tasks = mode.tasks
-    n_classes = N_CLASSES[cfg.task]
-    train_batches, valid_batches = (
-        build_batches(panel, class_labels_for(panel, cfg.task, mom_cfg), cfg.window, n_classes,
-                      loss_cfg)
-        for panel in (train_panel, valid_panel))
-    if not train_batches:
-        raise _no_training_days(train_panel, cfg, mom_cfg)
+    train_batches, valid_batches = (build_batches(panel, name, cfg, mom_cfg, loss_cfg)
+                                    for name, panel in (("train", train_panel),
+                                                        ("valid", valid_panel)))
 
     arch = Architecture(window=cfg.window, n_features=train_panel.n_features,
-                        hidden=cfg.hidden, n_classes=n_classes)
+                        hidden=cfg.hidden, n_classes=N_CLASSES[cfg.task])
     params = init_params(arch, seed)
     theta = params.trunk_tensors()
     n_trunk = sum(t.data.size for t in theta)
@@ -441,10 +447,9 @@ def fit(train_panel: StockPanel, valid_panel: StockPanel, mom_cfg: MomentumConfi
 
         # the converge rate is always computed (it documents overfitting even in
         # ew mode) but only the adaptive modes feed it back into beta/decay
-        if valid_batches:
-            for task in tasks:
-                converge[task] = converge_ratio(hist[("train", task)], hist[("valid", task)],
-                                                epoch + 1, cfg.loss_window)
+        for task in tasks:
+            converge[task] = converge_ratio(hist[("train", task)], hist[("valid", task)],
+                                            epoch + 1, cfg.loss_window)
 
         # the best epoch has the highest finite valid IC; epoch 1 stands in until one exists
         score = evals["valid"][1]

@@ -411,10 +411,20 @@ def run_topn_by_day(panel, scores, top_n, cost_bps=0.0) -> BacktestLedger:
                           daily_return=np.asarray(returns), holdings=holdings)
 
 
+def usable_days_by_day(panel, window, labels) -> list[int]:
+    """The days of ``training.usable_cells``, name by name: a name counts on day t
+    when its cells t - window + 1..t + 1 are valid and it is labelled at t."""
+    days = []
+    for t in range(window - 1, panel.n_dates - 1):
+        names = [i for i in range(panel.n_tickers)
+                 if panel.valid[t - window + 1: t + 2, i].all() and labels[t, i] != UNLABELED]
+        if len(names) >= 2:
+            days.append(t)
+    return days
+
+
 def split_metrics_by_day(params, batches, loss_cfg, tasks, batch_losses):
     """``training._split_metrics`` as one pass per day with the per-day IC loops."""
-    if not batches:
-        return dict.fromkeys(tasks, float("nan")), float("nan"), float("nan")
     loss_sums = dict.fromkeys(tasks, 0.0)
     ics, rics = [], []
     with no_grad():

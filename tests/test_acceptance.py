@@ -27,7 +27,7 @@ from momrank.model import Architecture, forward, init_params, predict_panel
 from momrank.momentum import (LEVEL_BOUNCE, LEVEL_NEGATIVE, LEVEL_POSITIVE, LEVEL_SINK,
                               LEVEL_VOLATILE, MomentumConfig, _classify_lines)
 from momrank.training import (TrainConfig, adapted_beta, adapted_decay, balanced_parts,
-                              build_batches, class_labels_for, fit)
+                              build_batches, fit)
 from momrank.autodiff import gradients
 from oracles import check_gradient
 from oracles import sorted_kernel_ranks as _smooth_ranks
@@ -185,8 +185,7 @@ def test_criterion_6_plain_joint_training_equivalence():
                       window=1, hidden=(6, 6), patience=1)
     result = fit(train_p, valid_p, mom_cfg, loss_cfg, cfg, seed=23)
 
-    labels = class_labels_for(train_p, "momentum", mom_cfg)
-    batches = build_batches(train_p, labels, 1, 5, loss_cfg)
+    batches = build_batches(train_p, "train", cfg, mom_cfg, loss_cfg)
     assert len(batches) == 1 and batches[0].rows.size == 5
     arch = Architecture(window=1, n_features=train_p.n_features, hidden=(6, 6),
                         trunk="mlp", n_classes=5)

@@ -162,24 +162,79 @@ def test_split_endpoint_not_written_yyyy_mm_dd_is_a_config_error(tmp_path, capsy
 
 MOMENTUM_LABEL = ("the momentum label (a line of momentum.gap + momentum.length = 4 + 6 = 10 "
                   "days ending momentum.anchor_offset = 2 days ahead)")
+SPLITS = ("train", "valid", "test")
+
+
+def short_split(name, dates, others):
+    """``--set`` pairs cutting a synthetic panel into date-range splits: the
+    named one of ``dates`` dates, the other two of ``others`` dates each."""
+    sizes = [dates if split_name == name else others for split_name in SPLITS]
+    days = trading_days(sum(sizes))
+    argv, lo = ["--set", f"data.n_dates={sum(sizes)}"], 0
+    for split_name, size in zip(SPLITS, sizes):
+        argv += ["--set", f"split.{split_name}={days[lo]}:{days[lo + size - 1]}"]
+        lo += size
+    return argv
+
+
+def no_usable_day(name, dates, window, by_window, by_return, by_label=None):
+    """The stderr of a run refused for a split with no usable day; ``by_label``
+    is None where the split is scored without labels."""
+    label = "" if by_label is None else f", {MOMENTUM_LABEL} leaves {by_label}"
+    return (f"error: no usable day in the {name} split: of its {dates} dates, "
+            f"train.window = {window} leaves {by_window}{label} and the next-day return "
+            f"leaves {by_return}; no day has 2 names that pass "
+            f"{'both' if by_label is None else 'all three'}\n")
 
 
 @pytest.mark.parametrize("settings,dates,window,by_window,by_label,by_return", [
-    (["data.n_dates=20"], 12, 20, 0, 2, 11),          # split shorter than the window
-    (["split.train_frac=0.01"], 2, 20, 0, 0, 1),      # a 2-date train split
+    ([], 12, 20, 0, 2, 11),                           # split shorter than the window
+    ([], 2, 20, 0, 0, 1),                             # a 2-date split
     (["train.window=200"], 150, 200, 0, 140, 149),    # window longer than the split
 ])
 def test_no_training_day_names_each_constraint(tmp_path, capsys, settings, dates, window,
                                                by_window, by_label, by_return):
-    argv = ["train", "--set", "train.epochs=1", "--out-dir", str(tmp_path / "none")]
-    for kv in settings:
+    # the other splits are long enough to have usable days; train never reads the test split
+    for name in ("train", "valid"):
+        out = tmp_path / name
+        argv = ["train", "--set", "train.epochs=1", "--out-dir", str(out)]
+        for kv in settings:
+            argv += ["--set", kv]
+        assert main(argv + short_split(name, dates, window + 20)) == 2
+        assert capsys.readouterr().err == no_usable_day(name, dates, window, by_window,
+                                                        by_return, by_label)
+        assert not out.exists()
+
+
+FOUND_VALID = ["data.n_dates=60", "data.n_tickers=12", "train.epochs=40", "train.patience=5",
+               "train.window=10", "split.train_frac=0.7", "split.valid_frac=0.1"]
+
+
+@pytest.mark.parametrize("command", ["train", "reproduce"])
+def test_a_valid_split_with_no_usable_day_exits_2_before_writing(tmp_path, capsys, command):
+    # 60 dates split 42/6/12: no valid date has a 10-day window, so V and the best
+    # epoch would have nothing to follow
+    out = tmp_path / "out"
+    argv = [command, "--out-dir", str(out)]
+    for kv in FOUND_VALID:
+        argv += ["--set", kv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == no_usable_day("valid", 6, 10, 0, 5, by_label=0)
+    assert not out.exists()
+
+
+def test_a_one_date_valid_split_is_refused_by_name(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["train", "--out-dir", str(out)]
+    for kv in ("data.n_dates=40", "data.n_tickers=8", "train.window=5",
+               "split.train_frac=0.9", "split.valid_frac=0.03"):
         argv += ["--set", kv]
     assert main(argv) == 2
     assert capsys.readouterr().err == (
-        f"error: no usable training days: the train split has {dates} dates; "
-        f"train.window = {window} leaves {by_window} of them, {MOMENTUM_LABEL} leaves "
-        f"{by_label}, the next-day return leaves {by_return}, and no day has 2 names that "
-        f"pass all three\n")
+        f"error: no usable day in the valid split: of its 1 date, train.window = 5 leaves 0, "
+        f"{MOMENTUM_LABEL} leaves 0 and the next-day return leaves 0; no day has 2 names "
+        f"that pass all three\n")
+    assert not out.exists()
 
 
 def test_missing_checkpoint_exits_2(tmp_path):
@@ -199,7 +254,8 @@ def test_malformed_checkpoint_exits_2_naming_file(tmp_path, capsys):
 @pytest.mark.parametrize("override,named", [
     ("train.task=rise_fall", "arch.n_classes = 5 does not match train.task=rise_fall (2)"),
     ("train.window=3", "arch.window = 2 does not match train.window (3)"),
-    ("data.n_features=4", "arch.n_features = 3 does not match the panel's n_features (4)")])
+    ("data.n_features=4", "arch.n_features = 3 does not match the panel's n_features (4)"),
+    ("train.hidden=7,3", "arch.hidden = 6,6 does not match train.hidden (7,3)")])
 def test_checkpoint_not_matching_the_run_exits_2_naming_both_values(tmp_path, capsys,
                                                                     override, named):
     code, train_out = run(["train"], tmp_path, "tr", extra=["train.epochs=1"])
@@ -214,38 +270,36 @@ def test_checkpoint_not_matching_the_run_exits_2_naming_both_values(tmp_path, ca
         assert not out.exists()
 
 
-NO_SCOREABLE_DAY = ("error: no scoreable day in the test split: it has 8 dates, and with "
-                    "train.window = 20 no date has 2 names with a full feature window and a "
-                    "next-day return\n")
-
-
 @pytest.fixture(scope="module")
 def default_checkpoint(tmp_path_factory):
-    """A 1-epoch checkpoint of the default config on a 100-date panel."""
+    """A 1-epoch checkpoint of the default config on a 150-date panel (a 30-date
+    valid split, 11 of whose dates have a full 20-day window)."""
     out = tmp_path_factory.mktemp("default_train")
-    assert main(["train", "--set", "data.n_dates=100", "--set", "train.epochs=1",
+    assert main(["train", "--set", "data.n_dates=150", "--set", "train.epochs=1",
                  "--out-dir", str(out)]) == 0
     return out / "checkpoint.json"
 
 
-def run_on_short_panel(command, checkpoint, out):
-    # 40 dates split 24/8/8: the 8-date test split is shorter than train.window = 20
-    return main([command, "--set", "data.n_dates=40", "--checkpoint", str(checkpoint),
-                 "--out-dir", str(out)])
+def run_on_short_split(command, checkpoint, out, name):
+    # the named split has 8 dates, shorter than train.window = 20
+    return main([command, "--checkpoint", str(checkpoint), "--split", name, "--out-dir", str(out)]
+                + short_split(name, 8, 30))
 
 
 def test_evaluate_on_a_split_with_no_scoreable_day_exits_2(tmp_path, capsys, default_checkpoint):
-    out = tmp_path / "ev"
-    assert run_on_short_panel("evaluate", default_checkpoint, out) == 2
-    assert capsys.readouterr().err == NO_SCOREABLE_DAY
-    assert not out.exists()
+    for name in SPLITS:
+        out = tmp_path / name
+        assert run_on_short_split("evaluate", default_checkpoint, out, name) == 2
+        assert capsys.readouterr().err == no_usable_day(name, 8, 20, 0, 7)
+        assert not out.exists()
 
 
 def test_backtest_on_a_split_with_no_scoreable_day_exits_2(tmp_path, capsys, default_checkpoint):
-    out = tmp_path / "bt"
-    assert run_on_short_panel("backtest", default_checkpoint, out) == 2
-    assert capsys.readouterr().err == NO_SCOREABLE_DAY
-    assert not out.exists()
+    for name in SPLITS:
+        out = tmp_path / name
+        assert run_on_short_split("backtest", default_checkpoint, out, name) == 2
+        assert capsys.readouterr().err == no_usable_day(name, 8, 20, 0, 7)
+        assert not out.exists()
 
 
 def test_csv_source_roundtrip(tmp_path):
@@ -473,17 +527,18 @@ def test_reproduce_with_a_top_n_holding_every_ticker_exits_2_before_writing(tmp_
 
 
 def test_reproduce_with_no_scoreable_test_day_exits_2_before_training(tmp_path, capsys):
-    # 60 dates split 42/9/9: the 9-date test split is shorter than train.window = 10
-    out = tmp_path / "rep"
-    argv = ["reproduce", "--out-dir", str(out)]
-    for kv in ("data.n_dates=60", "data.n_tickers=12", "train.epochs=1", "backtest.top_n=5",
-               "train.window=10", "split.train_frac=0.7", "split.valid_frac=0.15"):
-        argv += ["--set", kv]
-    assert main(argv) == 2
-    assert capsys.readouterr().err == (
-        "error: no scoreable day in the test split: it has 9 dates, and with train.window = 10 "
-        "no date has 2 names with a full feature window and a next-day return\n")
-    assert not out.exists()
+    # each split in turn has 9 dates, shorter than train.window = 10; the test split is
+    # checked before the first cell, the train and valid splits before it trains
+    for name in SPLITS:
+        out = tmp_path / name
+        argv = ["reproduce", "--out-dir", str(out)]
+        for kv in ("data.n_tickers=12", "train.epochs=1", "backtest.top_n=5",
+                   "train.window=10"):
+            argv += ["--set", kv]
+        assert main(argv + short_split(name, 9, 30)) == 2
+        assert capsys.readouterr().err == no_usable_day(
+            name, 9, 10, 0, 8, by_label=None if name == "test" else 0)
+        assert not out.exists()
 
 
 def test_reproduce_reports_each_cell_on_stderr(tmp_path, capsys):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from momrank.autodiff import Tensor, gradients
 from momrank.data import (StockPanel, compute_return, fraction_split_spec, gen_synthetic,
@@ -272,14 +272,12 @@ def small_mom_cfg():
 
 def train_days(panel, window=2, loss_cfg=RankLossConfig()):
     """The usable days of a momentum-labelled panel."""
-    labels = class_labels_for(panel, "momentum", small_mom_cfg())
-    return build_batches(panel, labels, window, 5, loss_cfg)
+    return build_batches(panel, "train", TrainConfig(window=window), small_mom_cfg(), loss_cfg)
 
 
 def test_build_batches_filters_days():
     panel = gen_synthetic(20, 6, 0.5, seed=0)
-    labels = class_labels_for(panel, "momentum", small_mom_cfg())
-    batches = build_batches(panel, labels, 3, 5, RankLossConfig())
+    batches = train_days(panel, window=3)
     # labels need anchor t+2 <= 19 and span >= 2; window needs t >= 2; y needs t <= 18
     ts = [b.t for b in batches]
     assert min(ts) >= 2 and max(ts) <= 17
@@ -290,10 +288,9 @@ def test_build_batches_filters_days():
 
 def test_batches_keep_memory_of_the_split_size_not_times_the_window():
     panel = normalize_features(gen_synthetic(60, 200, 0.5, seed=4))
-    labels = class_labels_for(panel, "momentum", small_mom_cfg())
     tracemalloc.start()
     try:
-        batches = build_batches(panel, labels, 20, 5, RankLossConfig())
+        batches = train_days(panel, window=20)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -387,9 +384,8 @@ def test_split_metrics_without_graph_equals_recorded_graph(ranking, tasks, task)
     loss_cfg = RankLossConfig(ranking=ranking)
     cfg = TrainConfig(lr=1e-2, epochs=2, window=2, hidden=(6, 6), task=task)
     params = fit(train, valid, small_mom_cfg(), loss_cfg, cfg, seed=7).params
-    for panel in (train, valid):
-        batches = build_batches(panel, class_labels_for(panel, task, small_mom_cfg()), 2,
-                                training.N_CLASSES[task], loss_cfg)
+    for name, panel in (("train", train), ("valid", valid)):
+        batches = build_batches(panel, name, cfg, small_mom_cfg(), loss_cfg)
         assert batches
         want = split_metrics_recording(params, batches, loss_cfg, tasks)
         assert all(np.isfinite(v) for v in [*want[0].values(), want[1], want[2]])
@@ -441,8 +437,7 @@ def test_ew_mode_matches_hand_rolled_joint_loop():
     result = fit(train, valid, mom_cfg, loss_cfg, cfg, seed=3)
 
     # independent reference: plain joint training, same data and init
-    labels = class_labels_for(train, "momentum", mom_cfg)
-    batches = build_batches(train, labels, 1, 5, loss_cfg)
+    batches = build_batches(train, "train", cfg, mom_cfg, loss_cfg)
     assert len(batches) >= 2
     arch = Architecture(window=1, n_features=train.n_features, hidden=(6, 6),
                         trunk="mlp", n_classes=5)
@@ -620,6 +615,30 @@ def test_fit_no_usable_days_raises():
         fit(short, short, small_mom_cfg(), RankLossConfig(), cfg, seed=0)
 
 
+def test_fit_labels_each_split_once_on_the_refusal_path_too(monkeypatch):
+    train, valid = tiny_panels()
+    short = train.subpanel(0, 2)  # 2 dates: the window and the next-day return never meet
+    labelled = []
+
+    def spy_labels(panel, task, mom_cfg):
+        labelled.append(panel)
+        return class_labels_for(panel, task, mom_cfg)
+
+    monkeypatch.setattr(training, "class_labels_for", spy_labels)
+    cfg = TrainConfig(lr=1e-2, epochs=1, window=2, hidden=(6, 6))
+    for train_p, valid_p, refused in ((train, valid, None), (train, short, "valid"),
+                                      (short, valid, "train")):
+        labelled.clear()
+        if refused is None:
+            fit(train_p, valid_p, small_mom_cfg(), RankLossConfig(), cfg, seed=0)
+        else:
+            with pytest.raises(TrainingError, match=rf"^no usable day in the {refused} split: "):
+                fit(train_p, valid_p, small_mom_cfg(), RankLossConfig(), cfg, seed=0)
+        # the train split is built first and a refusal stops before the next split
+        want = [train_p] if refused == "train" else [train_p, valid_p]
+        assert [id(p) for p in labelled] == [id(p) for p in want]
+
+
 def test_a_step_that_leaves_non_finite_weights_is_reported_at_its_day(monkeypatch):
     train, valid = tiny_panels()
     first, second = (b.t for b in train_days(train)[:2])
@@ -668,14 +687,23 @@ def assert_close_or_both_nan(got, want):
 def test_fit_on_masked_panels_matches_the_per_day_oracles(panel, mode, ranking):
     panel = normalize_features(panel)
     train, valid, test = split(panel, fraction_split_spec(panel, 0.6, 0.2))
-    assume(train_days(train))
     loss_cfg = RankLossConfig(ranking=ranking)
     cfg = TrainConfig(mode=mode, lr=1e-2, epochs=1, window=2, hidden=(6, 6))
+    days = {name: oracles.usable_days_by_day(part, 2, class_labels_for(part, "momentum",
+                                                                       small_mom_cfg()))
+            for name, part in (("train", train), ("valid", valid))}
+    refused = [name for name, usable in days.items() if not usable]
+    if refused:  # the train split is built first, so its refusal wins
+        with pytest.raises(TrainingError, match=rf"^no usable day in the {refused[0]} split: "):
+            fit(train, valid, small_mom_cfg(), loss_cfg, cfg, seed=3)
+        return
     result = fit(train, valid, small_mom_cfg(), loss_cfg, cfg, seed=3)
     tasks = training.MODES[mode].tasks
     for split_name, part in (("train", train), ("valid", valid)):
+        batches = train_days(part, loss_cfg=loss_cfg)
+        assert [b.t for b in batches] == days[split_name]
         want_losses, want_ic, want_ric = oracles.split_metrics_by_day(
-            result.params, train_days(part, loss_cfg=loss_cfg), loss_cfg, tasks, _batch_losses)
+            result.params, batches, loss_cfg, tasks, _batch_losses)
         rows = {r.task: r for r in result.epoch_log if r.split == split_name}
         for task in tasks:
             assert_close_or_both_nan(rows[task].loss, want_losses[task])
@@ -691,6 +719,11 @@ def test_fit_on_masked_panels_matches_the_per_day_oracles(panel, mode, ranking):
 @given(masked_panels(), st.integers(1, 4))
 def test_batch_windows_and_targets_equal_the_per_name_gathers(panel, window):
     y = compute_return(panel)
+    labels = class_labels_for(panel, "momentum", small_mom_cfg())
+    if not oracles.usable_days_by_day(panel, window, labels):
+        with pytest.raises(TrainingError, match="^no usable day in the train split: "):
+            train_days(panel, window)
+        return
     for b in train_days(panel, window):
         want = np.stack([panel.features[b.t - window + 1: b.t + 1, i] for i in b.rows])
         assert b.feats.tobytes() == want.tobytes() and b.feats.shape == want.shape
