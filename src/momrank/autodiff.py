@@ -4,11 +4,15 @@ A small tape-free engine in the classic define-by-run style: every operation
 returns a new ``Tensor`` holding the forward value plus a closure that routes
 the output gradient to the operands. ``backward()`` walks the graph once in
 reverse topological order, so each node's gradient is accumulated exactly once
-per call. Rank is capped at 2 (scalars, vectors, matrices); elementwise ops
-broadcast under numpy rules within that limit, and broadcast gradients are
-summed back down to the operand shape. An operand that is not a Tensor (a
-numpy array or a Python number) is a constant: it becomes no node and gets no
-gradient.
+per call. Rank is capped at 2 (scalars, vectors, matrices). An operand that is
+not a Tensor (a numpy array or a Python number) is a constant: it becomes no
+node and gets no gradient.
+
+The engine's own ops are the ones the library's graphs use: broadcasting add
+(a broadcast gradient is summed back down to the operand shape), matmul,
+reshape and log. Everything else is a fused node: a Tensor built with its
+value, its operands and a closed-form backward, as the model's trunk and each
+loss term are. Such a node is as cheap as one op however much it computes.
 
 Gradients are allocated on demand. A node's gradient slot starts empty, and
 ``backward()`` empties the slots of the nodes reachable from its root, so
@@ -123,31 +127,9 @@ def _nodes(a: Tensor | None, b: Tensor | None) -> tuple:
     return (a,) if b is None else (a, b)
 
 
-# Each operand's contribution, before unbroadcasting, for output gradient g of
-# x <op> y, as the ``d_left`` and ``d_right`` arguments of ``_elementwise``.
-
 def _grad_same(g, x, y):
+    """An added operand's contribution for output gradient g, before unbroadcasting."""
     return g
-
-
-def _grad_negated(g, x, y):
-    return -g
-
-
-def _grad_times_y(g, x, y):
-    return g * y
-
-
-def _grad_times_x(g, x, y):
-    return g * x
-
-
-def _grad_over_y(g, x, y):
-    return g / y
-
-
-def _grad_quotient_y(g, x, y):
-    return -(g * x / (y * y))
 
 
 class Tensor:
@@ -159,7 +141,7 @@ class Tensor:
     """
 
     __slots__ = ("data", "_grad", "_prev", "_backward")
-    __array_ufunc__ = None  # ``array <op> tensor`` defers to the Tensor's reflected op
+    __array_ufunc__ = None  # numpy never takes a Tensor for an array operand
 
     def __init__(self, data, _prev: tuple = (),
                  _backward: Callable[[Tensor], None] | None = None):
@@ -195,49 +177,13 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape})"
 
-    # ---- elementwise binary ops (broadcasting, rank <= 2) ----
+    # ---- ops ----
 
     def __add__(self, other):
         return _elementwise("add", self, other, np.add, _grad_same, _grad_same)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return _elementwise("sub", self, other, np.subtract, _grad_same, _grad_negated)
-
-    def __rsub__(self, other):
-        return _elementwise("sub", other, self, np.subtract, _grad_same, _grad_negated)
-
-    def __mul__(self, other):
-        return _elementwise("mul", self, other, np.multiply, _grad_times_y, _grad_times_x)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return _elementwise("div", self, other, np.true_divide, _grad_over_y, _grad_quotient_y)
-
-    def __rtruediv__(self, other):
-        return _elementwise("div", other, self, np.true_divide, _grad_over_y, _grad_quotient_y)
-
-    def __neg__(self):
-        def backward(out):
-            self.accumulate_grad(-out.grad)
-
-        return Tensor(-self.data, (self,), backward)
-
     def __matmul__(self, other):
         return _matmul(self, other)
-
-    def __rmatmul__(self, other):
-        return _matmul(other, self)
-
-    # ---- elementwise unary ops ----
-
-    def exp(self):
-        def backward(out):
-            self.accumulate_grad(out.grad * out.data)
-
-        return Tensor(np.exp(self.data), (self,), backward)
 
     def log(self):
         def backward(out):
@@ -245,27 +191,6 @@ class Tensor:
 
         with np.errstate(invalid="ignore", divide="ignore"):
             return Tensor(np.log(self.data), (self,), backward)
-
-    def tanh(self):
-        def backward(out):
-            self.accumulate_grad(out.grad * (1.0 - out.data * out.data))
-
-        return Tensor(np.tanh(self.data), (self,), backward)
-
-    # ---- reductions and shape ops ----
-
-    def sum(self, axis: int | None = None):
-        def backward(out):
-            g = out.grad if axis is None else np.expand_dims(out.grad, axis)
-            self.accumulate_grad(np.broadcast_to(g, self.data.shape))
-
-        return Tensor(self.data.sum(axis=axis), (self,), backward)
-
-    def mean(self):
-        def backward(out):
-            self.accumulate_grad(np.broadcast_to(out.grad, self.data.shape) / self.data.size)
-
-        return Tensor(self.data.mean(), (self,), backward)
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -313,8 +238,20 @@ class Tensor:
 
 
 def gradients(loss: Tensor, params: Sequence[Tensor]) -> list[np.ndarray]:
-    """Gradient of a scalar loss w.r.t. each parameter (zeros if unreachable)."""
+    """Gradient of a scalar loss w.r.t. each tensor asked for (zeros if unreachable).
+
+    Each tensor asked for is a leaf of the walk: the backward pass fills its
+    gradient and goes no further, so nothing behind it is computed or written.
+    ``fit`` asks for the trunk's output and one head's parameters, and applies
+    the trunk's VJP to both tasks at once. A tensor that reaches the loss only
+    through another tensor asked for gets no gradient along that path.
+    """
+    links = [(p, p._prev, p._backward) for p in params]
     for p in params:
-        p._grad = None
-    loss.backward()
+        p._grad, p._prev, p._backward = None, (), None
+    try:
+        loss.backward()
+    finally:
+        for p, prev, backward in links:
+            p._prev, p._backward = prev, backward
     return [p.grad.copy() for p in params]

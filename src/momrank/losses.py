@@ -12,13 +12,19 @@ integer gains, the ideal DCG@k, each row's cross-entropy label index) is
 derived once per day by ``split_labels``, and the objective reads it on every
 step.
 
-Smooth rank -> DCG@k is one autodiff node with a closed-form backward (the
-smooth-rank derivative of Qin, Liu & Li, 2010). It sorts the day's scores
-once and evaluates each pair once, in the upper triangle of the sorted pair
-matrix, where the score difference is non-negative and the logistic needs one
-branch; a pair's mirror is its complement, and the slope matrix is symmetric.
-The triangle is built ``_ROW_CHUNK`` rows at a time and the backward rebuilds
-each chunk, so a day of n names holds O(n * chunk) floats.
+Each term is one autodiff node with a closed-form backward: the MSE,
+cross-entropy, the ranking scores, ``exp(-NDCG@k)``, the pair-wise hinge and
+the 50/50 mix. Each backward writes the expressions that the engine's
+composed graph of that term would run, in its order, so values and
+gradients equal the composed graph's bitwise.
+
+Smooth rank -> DCG@k has a closed-form VJP (the smooth-rank derivative of
+Qin, Liu & Li, 2010). It sorts the day's scores once and evaluates each pair
+once, in the upper triangle of the sorted pair matrix, where the score
+difference is non-negative and the logistic needs one branch; a pair's mirror
+is its complement, and the slope matrix is symmetric. The triangle is built
+``_ROW_CHUNK`` rows at a time and the VJP rebuilds each chunk, so a day of n
+names holds O(n * chunk) floats.
 
 The pair-wise hinge is one node too, from one sort of the scores: the loss is
 a sum over the gaps between consecutive sorted scores, weighted by level
@@ -34,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -252,15 +259,16 @@ def _blocks_vjp(blocks, g: np.ndarray) -> np.ndarray:
     return acc[:, 0] - g * acc[:, 1]
 
 
-def _smooth_dcg_at_k(scores: Tensor, levels: np.ndarray, k: int, gain: str) -> Tensor:
-    """DCG@k of the smooth ranks of ``scores`` as one node with a closed-form backward.
+def _smooth_dcg_at_k(s: np.ndarray, levels: np.ndarray, k: int,
+                     gain: str) -> tuple[float, Callable[[np.ndarray], np.ndarray]]:
+    """DCG@k of the smooth ranks of the scores ``s``, and its VJP.
 
     Membership is smooth rank <= k + 0.5; the gradient flows through the
-    discount of the included items only. The backward reuses the forward's
-    sort. It rebuilds each slope chunk from the scores, except on a day that
-    fits in one chunk: there it derives W = Q(1 - Q) from the forward's block.
+    discount of the included items only. The VJP maps the gradient of the
+    DCG to the scores' gradient, reusing the forward's sort. It rebuilds each
+    slope chunk from the scores, except on a day that fits in one chunk:
+    there it derives W = Q(1 - Q) from the forward's block.
     """
-    s = scores.data
     order = s.argsort(kind="stable")
     t = s[order]
     sorted_ranks, q = _sorted_ranks(t)
@@ -271,14 +279,14 @@ def _smooth_dcg_at_k(scores: Tensor, levels: np.ndarray, k: int, gain: str) -> T
     weight = gain_values(levels, gain) * (ranks <= k + 0.5)
     discount = np.log(ranks + 1.0) / _LN2
 
-    def backward(out):
-        g_rank = -out.grad * weight / (discount * discount) / _LN2 / (ranks + 1.0)
+    def vjp(g):
+        g_rank = -g * weight / (discount * discount) / _LN2 / (ranks + 1.0)
         blocks = _upper_blocks(t, slope=True) if q is None else [(0, q - q * q)]
         grad = np.empty(s.size)
         grad[order] = _blocks_vjp(blocks, g_rank[order])
-        scores.accumulate_grad(grad)
+        return grad
 
-    return Tensor(np.sum(weight / discount), (scores,), backward)
+    return np.sum(weight / discount), vjp
 
 
 def gain_values(levels: np.ndarray, gain: str) -> np.ndarray:
@@ -305,11 +313,13 @@ def ideal_dcgs(groups: np.ndarray, ks, gain: str) -> np.ndarray:
     return day_sums(terms, np.cumsum(kept) - kept)
 
 
-def approx_ndcg_at_k(batch: RankBatch, gain: str) -> Tensor:
-    """Smooth NDCG@k of the batch's scores against its label gains.
+def ndcg_loss(batch: RankBatch, gain: str) -> Tensor:
+    """exp(-NDCG@k) of the batch's scores as one node: strictly decreasing in NDCG@k.
 
-    Days whose gains are all equal carry no ranking information; they are
-    defined as a perfect 1 with zero gradient.
+    NDCG@k is the smooth DCG@k over the batch's ideal DCG@k, which is derived
+    from its gains when ``batch.ideal`` is None. A day whose gains are all
+    equal carries no ranking information: its NDCG@k is defined as a perfect
+    1, so its loss is exp(-1) with no gradient.
     """
     levels = batch.gains
     if levels.size == 0:
@@ -319,21 +329,28 @@ def approx_ndcg_at_k(batch: RankBatch, gain: str) -> Tensor:
         ideal = 0.0 if levels.max() == levels.min() else ideal_dcgs(
             np.bincount(levels)[None, ::-1], [batch.k], gain)[0]
     if ideal <= 0.0:
-        return Tensor(1.0)
-    return _smooth_dcg_at_k(batch.scores, levels, batch.k, gain) / ideal
+        return Tensor(np.exp(-1.0))
+    scores = batch.scores
+    dcg, dcg_vjp = _smooth_dcg_at_k(scores.data, levels, batch.k, gain)
 
+    def backward(out):
+        scores.accumulate_grad(dcg_vjp(-(out.grad * out.data) / ideal))
 
-def ndcg_loss(batch: RankBatch, gain: str) -> Tensor:
-    """exp(-NDCG@k): strictly decreasing in the NDCG value."""
-    return (-approx_ndcg_at_k(batch, gain)).exp()
+    return Tensor(np.exp(-(dcg / ideal)), (scores,), backward)
 
 
 def mse_loss(pred: Tensor, y: np.ndarray) -> Tensor:
+    """Mean of (pred - y)^2 as one node."""
     y = np.asarray(y, dtype=np.float64)
     if pred.data.shape != y.shape:
         raise ContractError(f"pred shape {pred.data.shape} does not match y shape {y.shape}")
-    diff = pred - y
-    return (diff * diff).mean()
+    diff = pred.data - y
+
+    def backward(out):
+        half = (out.grad / diff.size) * diff  # each factor of diff * diff passes one half
+        pred.accumulate_grad(half + half)
+
+    return Tensor((diff * diff).mean(), (pred,), backward)
 
 
 def log_softmax(logits: Tensor) -> Tensor:
@@ -350,19 +367,29 @@ def log_softmax(logits: Tensor) -> Tensor:
 
 
 def cross_entropy(logp: Tensor, labels: DayLabels) -> Tensor:
-    """Mean negative log-probability of each row's label."""
+    """Mean negative log-probability of each row's label, as one node."""
     if logp.data.shape[0] != labels.gains.size:
         raise ContractError(f"labels shape {labels.gains.shape} does not match "
                             f"{logp.data.shape[0]} rows")
     onehot = np.zeros(logp.data.shape)
     onehot.flat[labels.label_index] = 1.0
-    return -(logp * onehot).sum(axis=1).mean()
+
+    def backward(out):
+        logp.accumulate_grad((-out.grad / len(onehot)) * onehot)
+
+    return Tensor(-(logp.data * onehot).sum(axis=1).mean(), (logp,), backward)
 
 
-def expected_level(logp: Tensor) -> Tensor:
-    """Per-row expectation of the class index under the probabilities exp(logp)."""
+def ranking_scores(logp: Tensor) -> Tensor:
+    """``SCORE_SCALE`` times each row's expected class index under the
+    probabilities exp(logp), as one node."""
     levels = np.arange(logp.data.shape[1], dtype=np.float64)
-    return (logp.exp() * levels).sum(axis=1)
+    probs = np.exp(logp.data)
+
+    def backward(out):
+        logp.accumulate_grad((out.grad * SCORE_SCALE)[:, None] * levels * probs)
+
+    return Tensor((probs * levels).sum(axis=1) * SCORE_SCALE, (logp,), backward)
 
 
 def pairwise_loss(scores: Tensor, target: np.ndarray) -> Tensor:
@@ -415,14 +442,21 @@ def classification_loss(logits: Tensor, labels: DayLabels, cfg: RankLossConfig) 
     """The classification objective.
 
     One log-probability node feeds both terms: cross-entropy on the labels,
-    and the ranking term on ``SCORE_SCALE`` times the expected level. The
-    loss is the mean of the two terms. ``labels`` come from ``day_labels``
-    with this ``cfg`` and the logits' width as ``n_levels``.
+    and the ranking term on ``ranking_scores``. The loss is the mean of the
+    two terms, one node. ``labels`` come from ``day_labels`` with this
+    ``cfg`` and the logits' width as ``n_levels``.
     """
     logp = log_softmax(logits)
-    batch = rank_batch(expected_level(logp) * SCORE_SCALE, labels)
+    batch = rank_batch(ranking_scores(logp), labels)
     if cfg.ranking == RANK_PAIRWISE:
         rank_term = pairwise_loss(batch.scores, batch.gains.astype(np.float64))
     else:
         rank_term = ndcg_loss(batch, cfg.gain)
-    return cross_entropy(logp, labels) * 0.5 + rank_term * 0.5
+    ce = cross_entropy(logp, labels)
+
+    def backward(out):
+        half = out.grad * 0.5
+        ce.accumulate_grad(half)
+        rank_term.accumulate_grad(half)
+
+    return Tensor(ce.data * 0.5 + rank_term.data * 0.5, (ce, rank_term), backward)

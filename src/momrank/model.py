@@ -7,6 +7,10 @@ regression head, classification head) so the trainer can route gradients per
 task. All of them live in one flat float64 buffer, laid out trunk, regression
 head, classification head, and every parameter's ``data`` is a view into it,
 so one optimizer step updates every parameter in place.
+
+The trunk is one autodiff node over its four parameters: a plain numpy
+forward that keeps its input and both hidden layers, and a closed-form
+backward, ``trunk_vjp``, that serves several tasks' cotangents in one call.
 """
 
 from __future__ import annotations
@@ -77,6 +81,8 @@ class BackboneParams:
 class BatchOutput:
     pred_return: Tensor   # (n,)
     class_logits: Tensor  # (n, n_classes)
+    hidden: Tensor        # (n, hidden[1]): the trunk node, both heads' input
+    trunk: tuple[np.ndarray, np.ndarray, np.ndarray]  # its input x, layers h0 and h, for the VJP
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -117,12 +123,54 @@ def forward(params: BackboneParams, day_features: np.ndarray) -> BatchOutput:
         rows = np.flatnonzero(~np.isfinite(feats).all(axis=(1, 2)))
         raise NumericError(f"non-finite features for stock rows {rows.tolist()}")
     n = feats.shape[0]
-    x = feats.reshape(n, arch.window * arch.n_features)  # a constant, not a graph node
-    h = (x @ params.trunk["w0"] + params.trunk["b0"]).tanh()
-    h = (h @ params.trunk["w1"] + params.trunk["b1"]).tanh()
-    pred = (h @ params.reg_head["w"] + params.reg_head["b"]).reshape(n)
-    logits = h @ params.cls_head["w"] + params.cls_head["b"]
-    return BatchOutput(pred_return=pred, class_logits=logits)
+    x = feats.reshape(n, arch.window * arch.n_features)
+    theta = params.trunk
+    h0 = np.tanh(x @ theta["w0"].data + theta["b0"].data)
+    h = np.tanh(h0 @ theta["w1"].data + theta["b1"].data)
+    trunk = (x, h0, h)
+
+    def backward(out):
+        grad = trunk_vjp(params, trunk, out.grad[None])
+        for tensor, g in zip(theta.values(), _views(grad, theta.values())):
+            tensor.accumulate_grad(g[0])
+
+    hidden = Tensor(h, tuple(theta.values()), backward)
+    pred = (hidden @ params.reg_head["w"] + params.reg_head["b"]).reshape(n)
+    logits = hidden @ params.cls_head["w"] + params.cls_head["b"]
+    return BatchOutput(pred_return=pred, class_logits=logits, hidden=hidden, trunk=trunk)
+
+
+def trunk_vjp(params: BackboneParams, trunk: tuple, cotangents: np.ndarray) -> np.ndarray:
+    """Trunk parameter gradients for stacked cotangents of the trunk's output.
+
+    ``trunk`` is a forward's ``BatchOutput.trunk`` and ``cotangents`` is
+    [tasks, n, hidden[1]]; the result is [tasks, trunk size] in
+    ``params.flat`` order. Each row equals, bitwise, what a backward pass
+    through the composed layers h0 = tanh(x @ w0 + b0), h = tanh(h0 @ w1 + b1)
+    leaves on w0, b0, w1, b1: every expression is the one those nodes run, in
+    their order, and each task's slice of a stacked matmul is that task's matmul.
+    """
+    x, h0, h = trunk
+    theta = params.trunk.values()
+    g1 = cotangents * (1.0 - h * h)
+    g0 = (g1 @ params.trunk["w1"].data.T) * (1.0 - h0 * h0)
+    grad = np.empty((len(cotangents), sum(t.data.size for t in theta)))
+    w0, b0, w1, b1 = _views(grad, theta)
+    np.matmul(x.T, g0, out=w0)
+    np.sum(g0, axis=1, out=b0)
+    np.matmul(h0.T, g1, out=w1)
+    np.sum(g1, axis=1, out=b1)
+    return grad
+
+
+def _views(rows: np.ndarray, tensors) -> list[np.ndarray]:
+    """Each tensor's columns of [tasks, group size] rows, shaped [tasks, *tensor shape]."""
+    views, offset = [], 0
+    for tensor in tensors:
+        views.append(rows[:, offset: offset + tensor.data.size].reshape(
+            len(rows), *tensor.data.shape))
+        offset += tensor.data.size
+    return views
 
 
 def ticker_major(panel: StockPanel) -> np.ndarray:

@@ -10,6 +10,14 @@ vector, and one first-order adaptive optimizer with decoupled weight decay,
 whose rate also adapts, updates the flat parameter buffer with it once per
 day.
 
+A step's graph is about a dozen nodes: the trunk is one node
+(``model.forward``) and each loss term is one (``losses``). Each task's
+backward pass runs once, from its log-loss to the trunk's output and to
+that task's head (``gradients`` stops at the tensors it is asked for), and
+one ``model.trunk_vjp`` call turns both tasks' cotangents at the trunk's
+output into their trunk gradients. Every value is bitwise what a backward
+pass per task through the composed layers and losses gives.
+
 The adaptation signal is the relative converge rate: the recent change of
 validation loss divided by the recent change of training loss, per task. A
 negative value means validation loss is rebounding while training loss still
@@ -58,7 +66,8 @@ from .data import StockPanel, compute_return, day_standardize, window_ok
 from .errors import ContractError, TrainingError
 from .losses import DayLabels, RankLossConfig, classification_loss, mse_loss, split_labels
 from .metrics import day_ics, defined, record_k
-from .model import Architecture, BackboneParams, day_window, forward, init_params, ticker_major
+from .model import (Architecture, BackboneParams, day_window, forward, init_params, ticker_major,
+                    trunk_vjp)
 from .momentum import N_LEVELS, UNLABELED, MomentumConfig, label_dataset, rise_fall_label
 
 MODE_FULL, MODE_EW, MODE_STL = "full", "ew", "stl"
@@ -236,20 +245,36 @@ class _GroupOptimizer:
         self.m = np.zeros(dim)
         self.v = np.zeros(dim)
         self.t = 0
+        self._work = np.empty((2, dim))  # Adam's two temporaries, reused by every step
 
     def step(self, flat: np.ndarray, grad: np.ndarray, decay: float) -> np.ndarray:
-        """Write the updated parameters into ``flat`` and return it."""
+        """Write the updated parameters into ``flat`` and return it.
+
+        Adam computes ``(flat - (lr*m_hat)/(sqrt(v_hat)+eps)) - (lr*decay)*flat``
+        in place, one operation at a time in that order, so it rounds as the
+        expression does.
+        """
         if self.kind == "sgd":
             flat[...] = flat - self.lr * grad - self.lr * decay * flat
             return flat
         self.t += 1
+        a, b = self._work
+        np.multiply(1.0 - ADAM_BETA1, grad, out=a)
         self.m *= ADAM_BETA1
-        self.m += (1.0 - ADAM_BETA1) * grad
+        self.m += a
+        np.multiply(1.0 - ADAM_BETA2, grad, out=a)
+        a *= grad
         self.v *= ADAM_BETA2
-        self.v += (1.0 - ADAM_BETA2) * grad * grad
-        m_hat = self.m / (1.0 - ADAM_BETA1 ** self.t)
-        v_hat = self.v / (1.0 - ADAM_BETA2 ** self.t)
-        flat[...] = flat - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS) - self.lr * decay * flat
+        self.v += a
+        np.divide(self.m, 1.0 - ADAM_BETA1 ** self.t, out=a)  # m_hat
+        a *= self.lr
+        np.divide(self.v, 1.0 - ADAM_BETA2 ** self.t, out=b)  # v_hat
+        np.sqrt(b, out=b)
+        b += ADAM_EPS
+        a /= b
+        np.multiply(self.lr * decay, flat, out=b)
+        flat -= a
+        flat -= b
         return flat
 
 
@@ -386,10 +411,8 @@ def fit(train_panel: StockPanel, valid_panel: StockPanel, mom_cfg: MomentumConfi
     arch = Architecture(window=cfg.window, n_features=train_panel.n_features,
                         hidden=cfg.hidden, n_classes=N_CLASSES[cfg.task])
     params = init_params(arch, seed)
-    theta = params.trunk_tensors()
-    n_trunk = sum(t.data.size for t in theta)
+    n_trunk = sum(t.data.size for t in params.trunk_tensors())
     heads = {REG: params.reg_tensors(), CLS: params.cls_tensors()}
-    wrt = {task: theta + heads[task] for task in tasks}
     # the active tasks' groups are a prefix of the buffer's trunk, reg_head, cls_head layout
     opt = _GroupOptimizer(cfg.optimizer,
                           n_trunk + sum(t.data.size for task in tasks for t in heads[task]), cfg.lr)
@@ -411,19 +434,21 @@ def fit(train_panel: StockPanel, valid_panel: StockPanel, mom_cfg: MomentumConfi
 
         with np.errstate(over="ignore", invalid="ignore"):  # the checks below name the day
             for batch in train_batches:
-                _, losses = _batch_losses(params, batch, loss_cfg, tasks)
+                out, losses = _batch_losses(params, batch, loss_cfg, tasks)
                 if not all(np.isfinite(loss.data).all() for loss in losses.values()):
                     raise _diverged(epoch, batch.t)
 
                 # every gradient is taken before any in-place update: backward reads param data
-                trunk_grads, head_grads = [], []
+                at_hidden, head_grads = [], []
                 for task in tasks:
-                    grad = np.concatenate([g.ravel() for g in grad_fn(losses[task], wrt[task])])
-                    g_theta = grad[:n_trunk]
-                    if mode.pipeline:
-                        ema[task] = g_theta = ema_update(ema[task], g_theta, beta_e[task])
-                    trunk_grads.append(g_theta)
-                    head_grads.append(grad[n_trunk:])
+                    g_hidden, *g_head = grad_fn(losses[task], [out.hidden, *heads[task]])
+                    at_hidden.append(g_hidden)
+                    head_grads += [g.ravel() for g in g_head]
+                trunk_grads = list(trunk_vjp(params, out.trunk, np.stack(at_hidden)))
+                if mode.pipeline:
+                    for i, task in enumerate(tasks):
+                        ema[task] = trunk_grads[i] = ema_update(ema[task], trunk_grads[i],
+                                                                beta_e[task])
                 if mode.pipeline and len(tasks) == 2:
                     g_tilde = balance_gradients(*trunk_grads)
                 else:  # plain joint sum, or the single task's gradient

@@ -1,16 +1,18 @@
 """Reference implementations the tests compare the library against.
 
 Each is a plain or scalar restatement of a concept that ``momrank`` computes
-in one vectorized or fused path: gradients by central differences, the
-array logistic, sigmoid and relu nodes for composed reference graphs,
-composed log-probabilities, exact ranks and NDCG, the full-block smooth-rank
-kernel (and adapters that run the library's sorted one in input order), the
+in one vectorized or fused path: the engine ops that only reference graphs
+use, the composed graphs of the fused trunk and loss nodes, Adam written as
+one expression, gradients by central differences, the array logistic,
+sigmoid and relu nodes for composed reference graphs, composed
+log-probabilities, exact ranks and NDCG, the full-block smooth-rank kernel
+(and adapters that run the library's sorted one in input order), the
 composed pairwise hinge, per-ticker momentum lines and the per-line trend
 rule, one day's ideal DCG@k and z-scores, the per-day metric, k, evaluation
-and Top-N backtest loops that the split-wide kernels replaced, a per-day forward over windows gathered ticker
-by ticker, CQB training written one equation at a time, and the chunked
-``csv.reader`` pass that numpy's CSV parser replaced in ``load_csv``. None of
-them runs outside the tests.
+and Top-N backtest loops that the split-wide kernels replaced, a per-day
+forward over windows gathered ticker by ticker, CQB training written one
+equation at a time, and the chunked ``csv.reader`` pass that numpy's CSV
+parser replaced in ``load_csv``. None of them runs outside the tests.
 """
 
 from __future__ import annotations
@@ -21,18 +23,206 @@ import math
 
 import numpy as np
 
-from momrank.autodiff import Tensor, gradients, no_grad
+from momrank.autodiff import Tensor, _elementwise, _grad_same, _matmul, gradients, no_grad
 from momrank.backtest import BacktestLedger
 from momrank.data import (_CHUNK, StockPanel, _header_width, _ids, _sorted_ids, compute_return,
                           iso_date, window_ok)
 from momrank.errors import ContractError, GraphError, NumericError
-from momrank.losses import (_ROW_CHUNK, GAIN_STANDARD, _blocks_vjp, _sorted_ranks,
-                            _upper_blocks, classification_loss, gain_values, mse_loss)
+from momrank.losses import (_ROW_CHUNK, GAIN_STANDARD, RANK_PAIRWISE, SCORE_SCALE, RankBatch,
+                            _blocks_vjp, _smooth_dcg_at_k, _sorted_ranks, _upper_blocks,
+                            classification_loss, gain_values, mse_loss, pairwise_loss,
+                            rank_batch)
+from momrank.losses import log_softmax as log_softmax_node
 from momrank.metrics import aggregate
-from momrank.model import forward
+from momrank.model import BatchOutput, forward
 from momrank.momentum import (LEVEL_BOUNCE, LEVEL_NEGATIVE, LEVEL_POSITIVE, LEVEL_SINK,
                               LEVEL_VOLATILE, UNLABELED, MomentumConfig)
-from momrank.training import CLS, REG
+from momrank.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, CLS, REG
+
+
+# ---- the composed ops ----
+# The library's graphs need only the engine's add, matmul, reshape and log: its
+# trunk and loss terms are fused nodes. The reference graphs here are written
+# with the full operator set, the engine's former ops, which importing this
+# module attaches to Tensor (``COMPOSED_OPS``).
+
+def _grad_negated(g, x, y):
+    return -g
+
+
+def _grad_times_y(g, x, y):
+    return g * y
+
+
+def _grad_times_x(g, x, y):
+    return g * x
+
+
+def _grad_over_y(g, x, y):
+    return g / y
+
+
+def _grad_quotient_y(g, x, y):
+    return -(g * x / (y * y))
+
+
+def _sub(self, other):
+    return _elementwise("sub", self, other, np.subtract, _grad_same, _grad_negated)
+
+
+def _rsub(self, other):
+    return _elementwise("sub", other, self, np.subtract, _grad_same, _grad_negated)
+
+
+def _mul(self, other):
+    return _elementwise("mul", self, other, np.multiply, _grad_times_y, _grad_times_x)
+
+
+def _truediv(self, other):
+    return _elementwise("div", self, other, np.true_divide, _grad_over_y, _grad_quotient_y)
+
+
+def _rtruediv(self, other):
+    return _elementwise("div", other, self, np.true_divide, _grad_over_y, _grad_quotient_y)
+
+
+def _neg(self):
+    def backward(out):
+        self.accumulate_grad(-out.grad)
+
+    return Tensor(-self.data, (self,), backward)
+
+
+def _rmatmul(self, other):
+    return _matmul(other, self)
+
+
+def _exp(self):
+    def backward(out):
+        self.accumulate_grad(out.grad * out.data)
+
+    return Tensor(np.exp(self.data), (self,), backward)
+
+
+def _tanh(self):
+    def backward(out):
+        self.accumulate_grad(out.grad * (1.0 - out.data * out.data))
+
+    return Tensor(np.tanh(self.data), (self,), backward)
+
+
+def _sum(self, axis: int | None = None):
+    def backward(out):
+        g = out.grad if axis is None else np.expand_dims(out.grad, axis)
+        self.accumulate_grad(np.broadcast_to(g, self.data.shape))
+
+    return Tensor(self.data.sum(axis=axis), (self,), backward)
+
+
+def _mean(self):
+    def backward(out):
+        self.accumulate_grad(np.broadcast_to(out.grad, self.data.shape) / self.data.size)
+
+    return Tensor(self.data.mean(), (self,), backward)
+
+
+COMPOSED_OPS = {"__radd__": Tensor.__add__, "__sub__": _sub, "__rsub__": _rsub,
+                "__mul__": _mul, "__rmul__": _mul, "__truediv__": _truediv,
+                "__rtruediv__": _rtruediv, "__neg__": _neg, "__rmatmul__": _rmatmul,
+                "exp": _exp, "tanh": _tanh, "sum": _sum, "mean": _mean}
+for _name, _op in COMPOSED_OPS.items():
+    setattr(Tensor, _name, _op)
+
+
+# ---- composed graphs of the fused nodes ----
+
+def composed_forward(params, day_features) -> BatchOutput:
+    """``model.forward`` with the trunk composed of matmul, add and tanh nodes."""
+    arch = params.arch
+    n = len(day_features)
+    x = np.asarray(day_features, dtype=np.float64).reshape(n, arch.window * arch.n_features)
+    h = (x @ params.trunk["w0"] + params.trunk["b0"]).tanh()
+    h = (h @ params.trunk["w1"] + params.trunk["b1"]).tanh()
+    pred = (h @ params.reg_head["w"] + params.reg_head["b"]).reshape(n)
+    logits = h @ params.cls_head["w"] + params.cls_head["b"]
+    return BatchOutput(pred_return=pred, class_logits=logits, hidden=h, trunk=())
+
+
+def composed_mse_loss(pred: Tensor, y: np.ndarray) -> Tensor:
+    diff = pred - np.asarray(y, dtype=np.float64)
+    return (diff * diff).mean()
+
+
+def composed_cross_entropy(logp: Tensor, labels) -> Tensor:
+    onehot = np.zeros(logp.data.shape)
+    onehot.flat[labels.label_index] = 1.0
+    return -(logp * onehot).sum(axis=1).mean()
+
+
+def expected_level(logp: Tensor) -> Tensor:
+    """Per-row expectation of the class index under the probabilities exp(logp), composed."""
+    levels = np.arange(logp.data.shape[1], dtype=np.float64)
+    return (logp.exp() * levels).sum(axis=1)
+
+
+def smooth_dcg_node(scores: Tensor, levels: np.ndarray, k: int, gain: str) -> Tensor:
+    """The library's smooth DCG@k kernel (``losses._smooth_dcg_at_k``) as its own node."""
+    value, vjp = _smooth_dcg_at_k(scores.data, levels, k, gain)
+
+    def backward(out):
+        scores.accumulate_grad(vjp(out.grad))
+
+    return Tensor(value, (scores,), backward)
+
+
+def approx_ndcg_at_k(batch: RankBatch, gain: str) -> Tensor:
+    """Smooth NDCG@k of the batch's scores: the smooth DCG@k node over the ideal DCG@k
+    (sorted from the gains when ``batch.ideal`` is None); 1, a leaf, on a day of
+    equal gains."""
+    levels = batch.gains
+    ideal = batch.ideal
+    if ideal is None:
+        ideal = 0.0 if levels.max() == levels.min() else ideal_dcg_at_k(levels, batch.k, gain)
+    if ideal <= 0.0:
+        return Tensor(1.0)
+    return smooth_dcg_node(batch.scores, levels, batch.k, gain) / ideal
+
+
+def composed_ndcg_loss(batch: RankBatch, gain: str) -> Tensor:
+    return (-approx_ndcg_at_k(batch, gain)).exp()
+
+
+def composed_classification_loss(logits: Tensor, labels, cfg) -> Tensor:
+    """``classification_loss`` with every term composed but the log-probabilities, which
+    stay the library's one node."""
+    logp = log_softmax_node(logits)
+    batch = rank_batch(expected_level(logp) * SCORE_SCALE, labels)
+    if cfg.ranking == RANK_PAIRWISE:
+        rank_term = pairwise_loss(batch.scores, batch.gains.astype(np.float64))
+    else:
+        rank_term = composed_ndcg_loss(batch, cfg.gain)
+    return composed_cross_entropy(logp, labels) * 0.5 + rank_term * 0.5
+
+
+
+# ---- Adam as one expression ----
+
+class AdamByExpression:
+    """``training._GroupOptimizer``'s Adam step with each update one numpy expression."""
+
+    def __init__(self, dim: int, lr: float):
+        self.lr, self.m, self.v, self.t = lr, np.zeros(dim), np.zeros(dim), 0
+
+    def step(self, flat: np.ndarray, grad: np.ndarray, decay: float) -> np.ndarray:
+        self.t += 1
+        self.m *= ADAM_BETA1
+        self.m += (1.0 - ADAM_BETA1) * grad
+        self.v *= ADAM_BETA2
+        self.v += (1.0 - ADAM_BETA2) * grad * grad
+        m_hat = self.m / (1.0 - ADAM_BETA1 ** self.t)
+        v_hat = self.v / (1.0 - ADAM_BETA2 ** self.t)
+        flat[...] = flat - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS) - self.lr * decay * flat
+        return flat
 
 
 # ---- gradients ----

@@ -19,9 +19,9 @@ from momrank.backtest import cumulative_return, run_topn
 from momrank.cli import main
 from momrank.data import (StockPanel, compute_return, fraction_split_spec, gen_synthetic,
                           normalize_features, split, trading_days)
-from momrank.losses import (RankLossConfig, adaptive_ks, approx_ndcg_at_k, classification_loss,
-                            cross_entropy, day_labels, log_softmax, make_rank_batch, mse_loss,
-                            ndcg_loss, pairwise_loss)
+from momrank.losses import (RankLossConfig, adaptive_ks, classification_loss, cross_entropy,
+                            day_labels, log_softmax, make_rank_batch, mse_loss, ndcg_loss,
+                            pairwise_loss)
 from momrank.metrics import day_ics, day_precisions, evaluate_predictions
 from momrank.model import Architecture, forward, init_params, predict_panel
 from momrank.momentum import (LEVEL_BOUNCE, LEVEL_NEGATIVE, LEVEL_POSITIVE, LEVEL_SINK,
@@ -29,7 +29,7 @@ from momrank.momentum import (LEVEL_BOUNCE, LEVEL_NEGATIVE, LEVEL_POSITIVE, LEVE
 from momrank.training import (TrainConfig, adapted_beta, adapted_decay, balanced_parts,
                               build_batches, fit)
 from momrank.autodiff import gradients
-from oracles import check_gradient
+from oracles import approx_ndcg_at_k, check_gradient
 from oracles import sorted_kernel_ranks as _smooth_ranks
 
 

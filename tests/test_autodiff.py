@@ -9,7 +9,7 @@ from oracles import check_gradient, log_softmax, relu_node, sigmoid_np
 
 
 def sigmoid(x):
-    """The logistic function composed from the engine's ops."""
+    """The logistic function composed from the ops ``oracles`` attaches to Tensor."""
     return 1.0 / ((-x).exp() + 1.0)
 
 
@@ -166,6 +166,25 @@ def test_relu_and_division_gradients():
         return (relu_node(x) / (x * x + 1.0)).sum()
 
     assert check_gradient(fn, point) < 1e-6
+
+
+def test_gradients_stops_at_each_tensor_asked_for():
+    x = Tensor(np.array([1.0, -2.0, 0.5]))
+    y = x * x
+    loss = (y * 3.0).sum() + x.sum()  # x reaches the loss directly and through y
+    gy, gx = gradients(loss, [y, x])
+    np.testing.assert_array_equal(gy, [3.0, 3.0, 3.0])
+    np.testing.assert_array_equal(gx, [1.0, 1.0, 1.0])  # the direct path only
+    assert y._prev == (x, x) and y._backward is not None  # the links are put back
+    x._grad = None
+    (gy,) = gradients((y * 3.0).sum(), [y])
+    np.testing.assert_array_equal(gy, [3.0, 3.0, 3.0])
+    assert x._grad is None  # nothing behind y was computed
+    (gx,) = gradients(loss, [x])  # without y asked for, the walk passes through it
+    np.testing.assert_array_equal(gx, 6.0 * x.data + 1.0)
+    with pytest.raises(GraphError):
+        gradients(y, [y])  # a non-scalar root
+    assert y._prev == (x, x) and y._backward is not None
 
 
 def test_gradients_zero_for_unreachable_params():

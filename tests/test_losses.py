@@ -11,12 +11,12 @@ import oracles
 from momrank.autodiff import Tensor
 from momrank.errors import ContractError
 from momrank.losses import (_LN2, _ROW_CHUNK, GAIN_SHIFTED, GAIN_STANDARD, RANK_PAIRWISE,
-                            SCORE_SCALE, RankBatch, RankLossConfig, adaptive_ks, approx_ndcg_at_k,
-                            classification_loss, cross_entropy, day_labels, expected_level,
-                            gain_values, ideal_dcgs, log_softmax, make_rank_batch, mse_loss,
-                            ndcg_loss, pairwise_loss, split_labels)
-from oracles import (approx_rank, check_gradient, dcg_at_k, exact_ndcg_at_k, ideal_dcg_at_k,
-                     sigmoid_node)
+                            SCORE_SCALE, RankBatch, RankLossConfig, adaptive_ks,
+                            classification_loss, cross_entropy, day_labels, gain_values,
+                            ideal_dcgs, log_softmax, make_rank_batch, mse_loss, ndcg_loss,
+                            pairwise_loss, ranking_scores, split_labels)
+from oracles import (approx_ndcg_at_k, approx_rank, check_gradient, dcg_at_k, exact_ndcg_at_k,
+                     expected_level, ideal_dcg_at_k, sigmoid_node)
 from oracles import sorted_kernel_ranks as _smooth_ranks
 from oracles import sorted_kernel_ranks_vjp as _smooth_ranks_vjp
 
@@ -140,12 +140,17 @@ def test_a_rank_batch_without_an_ideal_derives_the_days_own():
     levels = np.array([0, 4, 2, 2, 1, 3, 0])
     scores = np.random.default_rng(3).normal(size=7) * 10.0
     for k in (1, 3, 7, 9):
-        def ndcg(ideal):
-            batch = RankBatch(scores=Tensor(scores), gains=levels, group_sizes=[], threshold=1,
-                              k=k, ideal=ideal)
-            return approx_ndcg_at_k(batch, GAIN_SHIFTED).item()
+        def loss(ideal):
+            x = Tensor(scores)
+            batch = RankBatch(scores=x, gains=levels, group_sizes=[], threshold=1, k=k,
+                              ideal=ideal)
+            value = ndcg_loss(batch, GAIN_SHIFTED)
+            value.backward()
+            return value.item(), x.grad
 
-        assert ndcg(None) == ndcg(ideal_dcg_at_k(levels, k, GAIN_SHIFTED))
+        got, want = loss(None), loss(ideal_dcg_at_k(levels, k, GAIN_SHIFTED))
+        assert got[0] == want[0]
+        np.testing.assert_array_equal(got[1], want[1])
 
 
 def test_gain_variants():
@@ -297,6 +302,8 @@ def test_expected_level_confident():
     logits = Tensor(np.eye(5)[[4, 0, 2]] * 60.0)
     np.testing.assert_allclose(expected_level(log_softmax(logits)).data, [4.0, 0.0, 2.0],
                                atol=1e-12)
+    np.testing.assert_allclose(ranking_scores(log_softmax(logits)).data,
+                               [4.0 * SCORE_SCALE, 0.0, 2.0 * SCORE_SCALE], atol=1e-11)
 
 
 @st.composite
@@ -604,3 +611,100 @@ def test_ndcg_loss_backward_peak_memory_at_2000_names():
     finally:
         tracemalloc.stop()
     assert peak < 50 * 2**20
+
+
+# ---- each fused loss node against its composed graph, bitwise ----
+
+FUSED_NS = [2, 3, 50, _ROW_CHUNK - 1, _ROW_CHUNK, _ROW_CHUNK + 1, 130, 500]
+
+
+def assert_node_matches_composed(fused, composed, data, weights=None):
+    """``fused`` and ``composed`` map a leaf to a node over it. Their values, and the
+    leaf's gradient of log(node + 1e-8) (or of the node's ``weights``-weighted sum),
+    are equal bitwise; the fused node reads only the leaf."""
+    x, ref_x = Tensor(data.copy()), Tensor(data.copy())
+    node, ref = fused(x), composed(ref_x)
+    assert node._prev == (x,)
+    np.testing.assert_array_equal(node.data, ref.data)
+    for out in (node, ref):
+        root = (out + 1e-8).log() if weights is None else (out * weights).sum()
+        root.backward()
+    np.testing.assert_array_equal(x.grad, ref_x.grad)
+    return x.grad
+
+
+def day_levels(rng, n, n_levels):
+    levels = rng.integers(0, n_levels, n)
+    levels[:2] = (0, n_levels - 1)  # at least two levels
+    return levels
+
+
+@pytest.mark.parametrize("n", FUSED_NS)
+def test_mse_node_matches_composed_graph_bitwise(n):
+    rng = np.random.default_rng(n)
+    y = rng.normal(size=n)
+    grad = assert_node_matches_composed(lambda x: mse_loss(x, y),
+                                        lambda x: oracles.composed_mse_loss(x, y),
+                                        rng.normal(size=n))
+    assert np.abs(grad).max() > 0
+
+
+@pytest.mark.parametrize("n", FUSED_NS)
+@pytest.mark.parametrize("n_levels", [5, 2])
+def test_cross_entropy_and_ranking_score_nodes_match_composed_graphs_bitwise(n, n_levels):
+    rng = np.random.default_rng(n)
+    logp = log_softmax(Tensor(rng.normal(size=(n, n_levels)) * 3.0)).data
+    labels = day_labels(day_levels(rng, n, n_levels), n_levels, RankLossConfig())
+    assert_node_matches_composed(lambda x: cross_entropy(x, labels),
+                                 lambda x: oracles.composed_cross_entropy(x, labels), logp)
+    assert_node_matches_composed(ranking_scores,
+                                 lambda x: oracles.expected_level(x) * SCORE_SCALE, logp,
+                                 weights=rng.normal(size=n))
+
+
+@pytest.mark.parametrize("n", FUSED_NS)
+def test_ndcg_node_matches_composed_graph_bitwise(n):
+    rng = np.random.default_rng(n)
+    levels = day_levels(rng, n, 5)
+    grads = []
+    for gain, fixed_k in ((GAIN_STANDARD, None), (GAIN_SHIFTED, 3)):
+        labels = day_labels(levels, 5, RankLossConfig(gain=gain, fixed_k=fixed_k))
+        for ideal in (labels.ideal, None):  # a RankBatch without an ideal derives it
+            def batch(x):
+                return RankBatch(scores=x, gains=labels.gains, group_sizes=labels.group_sizes,
+                                 threshold=labels.threshold, k=labels.k, ideal=ideal)
+
+            grads.append(assert_node_matches_composed(
+                lambda x: ndcg_loss(batch(x), gain),
+                lambda x: oracles.composed_ndcg_loss(batch(x), gain),
+                rng.normal(size=n) * 2.0))
+    assert np.abs(grads).max() > 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 50])
+def test_ndcg_node_on_a_day_of_equal_levels_is_exp_minus_one_bitwise(n):
+    labels = day_labels(np.full(n, 3), 5, RankLossConfig())
+    assert labels.ideal == 0.0
+    for ideal in (labels.ideal, None):
+        batch = RankBatch(scores=Tensor(np.arange(n, dtype=np.float64)), gains=labels.gains,
+                          group_sizes=[n], threshold=1, k=labels.k, ideal=ideal)
+        node = ndcg_loss(batch, GAIN_STANDARD)
+        ref = oracles.composed_ndcg_loss(batch, GAIN_STANDARD)
+        assert node._prev == () and node.data == ref.data == np.exp(-1.0)
+
+
+@pytest.mark.parametrize("n", FUSED_NS)
+@pytest.mark.parametrize("ranking,n_levels", [("ndcg", 5), ("pairwise", 5), ("ndcg", 2)])
+def test_classification_node_matches_composed_graph_bitwise(n, ranking, n_levels):
+    rng = np.random.default_rng(n)
+    cfg = RankLossConfig(ranking=ranking)
+    for levels in (day_levels(rng, n, n_levels), np.full(n, n_levels - 1)):
+        labels = day_labels(levels, n_levels, cfg)
+        x = Tensor(rng.normal(size=(n, n_levels)) * 2.0)
+        ref_x = Tensor(x.data.copy())
+        node = classification_loss(x, labels, cfg)
+        ref = oracles.composed_classification_loss(ref_x, labels, cfg)
+        np.testing.assert_array_equal(node.data, ref.data)
+        (node + 1e-8).log().backward()
+        (ref + 1e-8).log().backward()
+        np.testing.assert_array_equal(x.grad, ref_x.grad)

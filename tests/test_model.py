@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
+import oracles
 from momrank.autodiff import gradients
 from momrank.errors import ContractError, NumericError
 from momrank.model import (Architecture, forward, init_params, load_checkpoint, predict_panel,
-                           save_checkpoint, write_json)
+                           save_checkpoint, trunk_vjp, write_json)
 from momrank.data import gen_synthetic, window_ok
 from momrank.losses import mse_loss
 
@@ -267,3 +268,47 @@ def test_parameters_view_one_flat_buffer(tmp_path):
     assert params.flat[0] == snapshot[0] + 1.0
     params.flat[...] = snapshot
     assert params.trunk["w0"].data[0, 0] == snapshot[0]
+
+
+# ---- the trunk node and its stacked VJP against the composed layers, bitwise ----
+
+TRUNK_NS = [2, 3, 50, 63, 64, 65, 130, 500]
+TRUNK_ARCHS = [(20, 4, (64, 64)), (3, 2, (6, 5)), (2, 1, (1, 3))]  # window, features, hidden
+
+
+def trunk_case(n, window, n_features, hidden, tasks=2):
+    arch = Architecture(window=window, n_features=n_features, hidden=hidden, n_classes=5)
+    params = init_params(arch, seed=n)
+    rng = np.random.default_rng(n)
+    return (params, rng.normal(size=(n, window, n_features)),
+            rng.normal(size=(tasks, n, hidden[1])))
+
+
+@pytest.mark.parametrize("n", TRUNK_NS)
+@pytest.mark.parametrize("window,n_features,hidden", TRUNK_ARCHS)
+def test_trunk_node_matches_the_composed_layers_bitwise(n, window, n_features, hidden):
+    params, feats, (weights,) = trunk_case(n, window, n_features, hidden, tasks=1)
+    out, ref = forward(params, feats), oracles.composed_forward(params, feats)
+    assert out.hidden._prev == tuple(params.trunk_tensors())  # one node over the trunk
+    for got, want in ((out.hidden, ref.hidden), (out.pred_return, ref.pred_return),
+                      (out.class_logits, ref.class_logits)):
+        np.testing.assert_array_equal(got.data, want.data)
+    tensors = params.trunk_tensors() + params.reg_tensors()
+    got = gradients((out.hidden * weights).sum() + out.pred_return.sum(), tensors)
+    want = gradients((ref.hidden * weights).sum() + ref.pred_return.sum(), tensors)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("n", TRUNK_NS)
+@pytest.mark.parametrize("window,n_features,hidden", TRUNK_ARCHS)
+def test_stacked_trunk_vjp_equals_each_tasks_composed_backward_bitwise(n, window, n_features,
+                                                                       hidden):
+    params, feats, cotangents = trunk_case(n, window, n_features, hidden)
+    got = trunk_vjp(params, forward(params, feats).trunk, cotangents)
+    assert got.shape == (2, sum(t.data.size for t in params.trunk_tensors()))
+    for row, cotangent in zip(got, cotangents):
+        ref = oracles.composed_forward(params, feats)
+        want = gradients((ref.hidden * cotangent).sum(), params.trunk_tensors())
+        np.testing.assert_array_equal(row, np.concatenate([g.ravel() for g in want]))
+        assert np.abs(row).max() > 0

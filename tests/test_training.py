@@ -17,15 +17,15 @@ from momrank.errors import ContractError, TrainingError
 from momrank.metrics import day_ics
 from momrank.losses import (SCORE_SCALE, RankLossConfig, classification_loss, day_labels,
                             mse_loss)
-from momrank.model import Architecture, forward, init_params
+from momrank.model import Architecture, forward, init_params, trunk_vjp
 from momrank.momentum import MomentumConfig
 from momrank import model, training
 import oracles
 from oracles import sigmoid_np
-from momrank.training import (CLS, MODE_EW, MODE_STL, REG, TrainConfig, _GroupOptimizer,
-                              _batch_losses, _split_metrics, adapted_beta, adapted_decay,
-                              balance_gradients, balanced_parts, build_batches, class_labels_for,
-                              converge_ratio, ema_update, fit, log_grad)
+from momrank.training import (CLS, MODE_EW, MODE_STL, N_CLASSES, REG, TrainConfig,
+                              _GroupOptimizer, _batch_losses, _split_metrics, adapted_beta,
+                              adapted_decay, balance_gradients, balanced_parts, build_batches,
+                              class_labels_for, converge_ratio, ema_update, fit, log_grad)
 
 
 def sigmoid(x):
@@ -238,6 +238,23 @@ def test_adam_updates_moments_in_place():
     np.testing.assert_array_equal(m, 0.9 * ((1.0 - 0.9) * g) + (1.0 - 0.9) * (2.0 * g))
     np.testing.assert_array_equal(v, 0.999 * ((1.0 - 0.999) * g * g)
                                   + (1.0 - 0.999) * (2.0 * g) * (2.0 * g))
+
+
+def test_adam_in_place_step_equals_the_expression_bitwise():
+    rng = np.random.default_rng(12)
+    flat = rng.normal(size=200)
+    want_flat = flat.copy()
+    opt, want = _GroupOptimizer("adam", 200, lr=2e-3), oracles.AdamByExpression(200, lr=2e-3)
+    work = opt._work
+    for step in range(5):
+        grad = rng.normal(size=200) * 10.0 ** (step - 2)
+        decay = 0.05 * (step + 1)
+        assert opt.step(flat, grad, decay) is flat
+        want.step(want_flat, grad, decay)
+        np.testing.assert_array_equal(flat, want_flat)
+        np.testing.assert_array_equal(opt.m, want.m)
+        np.testing.assert_array_equal(opt.v, want.v)
+    assert opt._work is work  # the two temporaries are allocated once
 
 
 @pytest.mark.parametrize("kind", ["adam", "sgd"])
@@ -728,6 +745,86 @@ def test_batch_windows_and_targets_equal_the_per_name_gathers(panel, window):
         want = np.stack([panel.features[b.t - window + 1: b.t + 1, i] for i in b.rows])
         assert b.feats.tobytes() == want.tobytes() and b.feats.shape == want.shape
         assert b.y.tobytes() == oracles.standardize(y[b.t, b.rows]).tobytes()
+
+
+# ---- a step through the fused nodes against the composed graphs ----
+
+@pytest.mark.parametrize("n", [2, 3, 50, 63, 64, 65, 130, 500])
+@pytest.mark.parametrize("task,ranking", [("momentum", "ndcg"), ("momentum", "pairwise"),
+                                          ("rise_fall", "ndcg")])
+def test_a_steps_task_gradients_equal_the_composed_graphs_bitwise(n, task, ranking):
+    # fit's path: each task's log-loss back to the trunk's output and its head, then one
+    # stacked trunk VJP; the oracle: each task's log-loss through the composed layers
+    width = N_CLASSES[task]
+    params = init_params(Architecture(window=3, n_features=2, hidden=(6, 5), n_classes=width),
+                         seed=n)
+    rng = np.random.default_rng(n)
+    feats, y = rng.normal(size=(n, 3, 2)), rng.normal(size=n)
+    loss_cfg = RankLossConfig(ranking=ranking)
+    levels = rng.integers(0, width, n)
+    levels[:2] = (0, width - 1)
+    labels = day_labels(levels, width, loss_cfg)
+    heads = {REG: params.reg_tensors(), CLS: params.cls_tensors()}
+    out = forward(params, feats)
+    losses = {REG: mse_loss(out.pred_return, y),
+              CLS: classification_loss(out.class_logits, labels, loss_cfg)}
+    ref = oracles.composed_forward(params, feats)
+    ref_losses = {REG: oracles.composed_mse_loss(ref.pred_return, y),
+                  CLS: oracles.composed_classification_loss(ref.class_logits, labels, loss_cfg)}
+    at_hidden = []
+    for task_name in (REG, CLS):
+        np.testing.assert_array_equal(losses[task_name].data, ref_losses[task_name].data)
+        g_hidden, *g_head = log_grad(losses[task_name], [out.hidden, *heads[task_name]])
+        want = log_grad(ref_losses[task_name], params.trunk_tensors() + heads[task_name])
+        for got, expected in zip(g_head, want[4:]):
+            np.testing.assert_array_equal(got, expected)
+        at_hidden.append((g_hidden, np.concatenate([g.ravel() for g in want[:4]])))
+    trunk = trunk_vjp(params, out.trunk, np.stack([g for g, _ in at_hidden]))
+    for row, (_, expected) in zip(trunk, at_hidden):
+        np.testing.assert_array_equal(row, expected)
+
+
+def count_tensors(monkeypatch):
+    """A list that grows by one for each Tensor built until the test ends."""
+    built, init = [], Tensor.__init__
+
+    def counting_init(tensor, *args, **kwargs):
+        built.append(None)
+        init(tensor, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counting_init)
+    return built
+
+
+@pytest.mark.parametrize("mode,per_step,per_eval_day", [("full", 16, 12), ("stl", 9, 7)])
+def test_graph_size_per_training_step_and_evaluation_day(monkeypatch, mode, per_step,
+                                                         per_eval_day):
+    # full: trunk, regression head 3, classification head 2, MSE, log-probabilities, ranking
+    # scores, exp(-NDCG), cross-entropy, their mix, and loss + 1e-8 and its log per task
+    train, valid = tiny_panels(n_dates=12)
+    cfg = TrainConfig(mode=mode, lr=1e-2, epochs=1, window=2, hidden=(6, 6))
+    steps = len(build_batches(train, "train", cfg, small_mom_cfg(), RankLossConfig()))
+    eval_days = steps + len(build_batches(valid, "valid", cfg, small_mom_cfg(),
+                                          RankLossConfig()))
+    built = count_tensors(monkeypatch)
+    fit(train, valid, small_mom_cfg(), RankLossConfig(), cfg, seed=7)
+    assert steps >= 5
+    assert len(built) == 8 + per_step * steps + per_eval_day * eval_days  # 8 parameters
+
+
+@pytest.mark.parametrize("mode,task,ranking", [("full", "momentum", "ndcg"),
+                                               ("ew", "rise_fall", "pairwise"),
+                                               ("stl", "momentum", "ndcg")])
+def test_the_library_needs_none_of_the_composed_ops(monkeypatch, mode, task, ranking):
+    # the ops oracles attaches to Tensor serve the reference graphs only
+    for name in oracles.COMPOSED_OPS:
+        monkeypatch.delattr(Tensor, name)
+    train, valid = tiny_panels(n_dates=12)
+    cfg = TrainConfig(mode=mode, task=task, lr=1e-2, epochs=2, window=2, hidden=(6, 6))
+    result = fit(train, valid, small_mom_cfg(), RankLossConfig(ranking=ranking), cfg, seed=7)
+    assert np.isfinite(model.predict_panel(result.params, valid)[-3:]).any()
+    with pytest.raises(TypeError):
+        Tensor(1.0) * 2.0
 
 
 # ---- fit: every mode pinned against recorded values ----
